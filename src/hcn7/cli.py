@@ -5,9 +5,11 @@ text (default), csv (header row, LF endings) and json (fixed key order).
 Rationals are always rendered as "num/den" strings, integers as plain
 decimals, never as floats.
 
-Exit codes: 0 success, 1 verification/cross-check failure, 2 usage error.
-The HCN_MAX_ORDER environment variable caps internal series expansion
-(default 3000).
+Exit codes: 0 success, 1 verification/cross-check failure, 2 usage error,
+141 when the reader closes stdout early (as in `hcn7 ... | head`), with
+nothing written to stderr.  The HCN_MAX_ORDER environment variable caps
+internal series expansion (default 3000); a value that is not a positive
+integer is a usage error.
 """
 
 from __future__ import annotations
@@ -15,28 +17,16 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import d_pa_series, d_series, lambda_series, LambdaSpec, psi_k, theta_mM
 from .hurwitz import hmm_sum, hurwitz_batch, hurwitz_series, hurwitz_single
-from .newform49 import cm_ap, g_series, newform_an, newform_ap
-from .primes import primes_up_to
+from .newform49 import ap_pairs, cm_ap, g_series, newform_an, newform_ap
 from .qseries import QSeries, chi_minus7
-from .verify import SUITE_NAMES, main_table_row, run_suite
-
-
-@dataclass(frozen=True)
-class OutputRecord:
-    """One machine-readable result: a kind tag plus key -> value payload."""
-
-    kind: str
-    payload: dict
-
-    def to_json(self) -> str:
-        return json.dumps({"kind": self.kind, "payload": self.payload}, indent=2)
+from .verify import SUITE_NAMES, main_table_rows, run_suite
 
 
 def fmt_rat(x) -> str:
@@ -44,67 +34,71 @@ def fmt_rat(x) -> str:
     return str(Fraction(x))
 
 
-def _print_csv(header: list[str], rows: list[list[str]]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+def emit(fmt: str, kind: str, payload, header: list[str], rows, lines) -> None:
+    """Print one result as json, csv or text.
+
+    Each form is a zero-argument function, and only the one fmt selects is
+    called: payload() gives the json payload, rows() the csv rows under
+    header (None renders as an empty field), lines() the text lines.
+    """
+    if fmt == "json":
+        print(json.dumps({"kind": kind, "payload": payload()}, indent=2))
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows())
+    else:
+        for line in lines():
+            print(line)
+
+
+def emit_record(fmt: str, kind: str, record: dict, value: str) -> None:
+    """One flat record: its keys are the csv header, value the text."""
+    emit(fmt, kind, lambda: record, list(record), lambda: [record.values()], lambda: [value])
 
 
 def cmd_hurwitz(args) -> int:
     if args.max is not None:
         table = hurwitz_batch(args.max)
         pairs = [(n, fmt_rat(table[n])) for n in range(args.max + 1)]
-        if args.format == "json":
-            record = OutputRecord(
-                "hurwitz-table",
-                {"n_max": args.max, "values": [{"N": n, "H": h} for n, h in pairs]},
-            )
-            print(record.to_json())
-        elif args.format == "csv":
-            _print_csv(["N", "H"], [[str(n), h] for n, h in pairs])
-        else:
-            for n, h in pairs:
-                print(n, h)
+        emit(
+            args.format,
+            "hurwitz-table",
+            lambda: {"n_max": args.max, "values": [{"N": n, "H": h} for n, h in pairs]},
+            ["N", "H"],
+            lambda: pairs,
+            lambda: (f"{n} {h}" for n, h in pairs),
+        )
         return 0
     if args.N is None:
         raise ValueError("give a single N or --max N")
     value = fmt_rat(hurwitz_single(args.N))
-    if args.format == "json":
-        print(OutputRecord("hurwitz", {"N": args.N, "H": value}).to_json())
-    elif args.format == "csv":
-        _print_csv(["N", "H"], [[str(args.N), value]])
-    else:
-        print(value)
+    emit_record(args.format, "hurwitz", {"N": args.N, "H": value}, value)
     return 0
 
 
 def cmd_sum(args) -> int:
     value = fmt_rat(hmm_sum(args.m, args.M, args.n))
-    if args.format == "json":
-        record = OutputRecord(
-            "sum", {"m": args.m, "M": args.M, "n": args.n, "value": value}
-        )
-        print(record.to_json())
-    elif args.format == "csv":
-        _print_csv(["m", "M", "n", "value"], [[str(args.m), str(args.M), str(args.n), value]])
-    else:
-        print(value)
+    emit_record(args.format, "sum", {"m": args.m, "M": args.M, "n": args.n, "value": value}, value)
     return 0
 
 
+def _table_line(r) -> str:
+    rep = f"x={r.x} y={r.y}" if r.x is not None else "inert"
+    cells = "  ".join(
+        f"m{m}: {fmt_rat(d)}{'=' if ok else '!='}{fmt_rat(f)}" for m, d, f, ok in r.cells
+    )
+    flag = "" if r.ok else "  MISMATCH"
+    return f"p={r.p} (class {r.residue}, {rep})  {cells}{flag}"
+
+
 def cmd_table(args) -> int:
-    if args.pmax < 3:
-        raise ValueError("--pmax must be at least 3")
-    rows = []
-    all_ok = True
-    for p in primes_up_to(args.pmax):
-        if p in (2, 7):
-            continue
-        row = main_table_row(p)
-        all_ok = all_ok and row.ok
-        rows.append(row)
-    if args.format == "json":
-        payload = {
+    rows = list(main_table_rows(args.pmax))
+    all_ok = all(r.ok for r in rows)
+    emit(
+        args.format,
+        "table",
+        lambda: {
             "p_max": args.pmax,
             "rows": [
                 {
@@ -120,36 +114,33 @@ def cmd_table(args) -> int:
                 for r in rows
             ],
             "ok": all_ok,
-        }
-        print(OutputRecord("table", payload).to_json())
-    elif args.format == "csv":
-        header = ["p", "class", "x", "y"]
-        for m in range(4):
-            header += [f"m{m}_direct", f"m{m}_formula", f"m{m}_match"]
-        out = []
-        for r in rows:
-            line = [str(r.p), str(r.residue), "" if r.x is None else str(r.x), "" if r.y is None else str(r.y)]
-            for m, d, f, ok in r.cells:
-                line += [fmt_rat(d), fmt_rat(f), "1" if ok else "0"]
-            out.append(line)
-        _print_csv(header, out)
-    else:
-        for r in rows:
-            rep = f"x={r.x} y={r.y}" if r.x is not None else "inert"
-            cells = "  ".join(
-                f"m{m}: {fmt_rat(d)}{'=' if ok else '!='}{fmt_rat(f)}"
-                for m, d, f, ok in r.cells
-            )
-            flag = "" if r.ok else "  MISMATCH"
-            print(f"p={r.p} (class {r.residue}, {rep})  {cells}{flag}")
+        },
+        ["p", "class", "x", "y"]
+        + [f"m{m}_{col}" for m in range(4) for col in ("direct", "formula", "match")],
+        lambda: (
+            [r.p, r.residue, r.x, r.y]
+            + [v for _, d, f, ok in r.cells for v in (fmt_rat(d), fmt_rat(f), int(ok))]
+            for r in rows
+        ),
+        lambda: map(_table_line, rows),
+    )
     return 0 if all_ok else 1
+
+
+def _mismatch(r) -> tuple[int, str, str] | None:
+    if r.first_mismatch is None:
+        return None
+    n, lhs, rhs = r.first_mismatch
+    return n, fmt_rat(lhs), fmt_rat(rhs)
 
 
 def cmd_verify(args) -> int:
     reports = run_suite(args.suite, args.bound)
     all_ok = all(r.ok for r in reports)
-    if args.format == "json":
-        payload = {
+    emit(
+        args.format,
+        "verify",
+        lambda: {
             "suite": args.suite,
             "reports": [
                 {
@@ -158,78 +149,51 @@ def cmd_verify(args) -> int:
                     "checked_upto": r.checked_upto,
                     "first_mismatch": None
                     if r.first_mismatch is None
-                    else {
-                        "n": r.first_mismatch[0],
-                        "lhs": fmt_rat(r.first_mismatch[1]),
-                        "rhs": fmt_rat(r.first_mismatch[2]),
-                    },
+                    else dict(zip(("n", "lhs", "rhs"), _mismatch(r))),
                 }
                 for r in reports
             ],
             "ok": all_ok,
-        }
-        print(OutputRecord("verify", payload).to_json())
-    elif args.format == "csv":
-        rows = []
-        for r in reports:
-            n, lhs, rhs = ("", "", "")
-            if r.first_mismatch is not None:
-                n, lhs, rhs = (
-                    str(r.first_mismatch[0]),
-                    fmt_rat(r.first_mismatch[1]),
-                    fmt_rat(r.first_mismatch[2]),
-                )
-            rows.append([r.id, "1" if r.ok else "0", str(r.checked_upto), n, lhs, rhs])
-        _print_csv(["id", "ok", "checked_upto", "mismatch_n", "lhs", "rhs"], rows)
-    else:
-        for r in reports:
-            print(r)
+        },
+        ["id", "ok", "checked_upto", "mismatch_n", "lhs", "rhs"],
+        lambda: (
+            [r.id, int(r.ok), r.checked_upto, *(_mismatch(r) or ("", "", ""))]
+            for r in reports
+        ),
+        lambda: reports,
+    )
     return 0 if all_ok else 1
 
 
 def cmd_newform(args) -> int:
-    if args.method in ("ec", "cm"):
-        if args.method == "ec":
-            values = list(newform_an(args.nmax).a[1:])
-        else:
-            # CM route for the prime coefficients, Hecke extension beyond
-            an = newform_an(args.nmax)
-            values = list(an.a[1:])
-            for p in primes_up_to(args.nmax):
-                values[p - 1] = cm_ap(p)
-        if args.format == "json":
-            print(OutputRecord("newform", {"method": args.method, "n_max": args.nmax, "a": values}).to_json())
-        elif args.format == "csv":
-            _print_csv(["n", "a_n"], [[str(n + 1), str(v)] for n, v in enumerate(values)])
-        else:
-            print(",".join(str(v) for v in values))
+    if args.method != "cross":
+        values = newform_an(args.nmax, cm_ap if args.method == "cm" else newform_ap).a[1:]
+        emit(
+            args.format,
+            "newform",
+            lambda: {"method": args.method, "n_max": args.nmax, "a": values},
+            ["n", "a_n"],
+            lambda: enumerate(values, 1),
+            lambda: [",".join(map(str, values))],
+        )
         return 0
-    # cross: both prime routes side by side
-    rows = []
-    all_ok = True
-    for p in primes_up_to(args.nmax):
-        if p in (2, 7):
-            continue
-        ec, cm = newform_ap(p), cm_ap(p)
-        ok = ec == cm
-        all_ok = all_ok and ok
-        rows.append((p, ec, cm, ok))
-    if args.format == "json":
-        payload = {
+    rows = [(p, ec, cm, ec == cm) for p, ec, cm in ap_pairs(args.nmax)]
+    all_ok = all(ok for *_, ok in rows)
+    emit(
+        args.format,
+        "newform-cross",
+        lambda: {
             "n_max": args.nmax,
             "primes": [{"p": p, "ec": ec, "cm": cm, "match": ok} for p, ec, cm, ok in rows],
             "ok": all_ok,
-        }
-        print(OutputRecord("newform-cross", payload).to_json())
-    elif args.format == "csv":
-        _print_csv(
-            ["p", "a_p_ec", "a_p_cm", "match"],
-            [[str(p), str(ec), str(cm), "1" if ok else "0"] for p, ec, cm, ok in rows],
-        )
-    else:
-        for p, ec, cm, ok in rows:
-            print(f"p={p} ec={ec} cm={cm} {'ok' if ok else 'MISMATCH'}")
-        print(f"cross-check {'ok' if all_ok else 'FAILED'}: {len(rows)} odd primes <= {args.nmax}")
+        },
+        ["p", "a_p_ec", "a_p_cm", "match"],
+        lambda: ((p, ec, cm, int(ok)) for p, ec, cm, ok in rows),
+        lambda: [
+            *(f"p={p} ec={ec} cm={cm} {'ok' if ok else 'MISMATCH'}" for p, ec, cm, ok in rows),
+            f"cross-check {'ok' if all_ok else 'FAILED'}: {len(rows)} odd primes <= {args.nmax}",
+        ],
+    )
     return 0 if all_ok else 1
 
 
@@ -258,15 +222,14 @@ def named_series(name: str, order: int) -> QSeries:
 def cmd_series(args) -> int:
     series = named_series(args.name, args.order)
     coeffs = [fmt_rat(c) for c in series.coeffs]
-    if args.format == "json":
-        record = OutputRecord(
-            "series", {"name": args.name, "order": series.order, "coeffs": coeffs}
-        )
-        print(record.to_json())
-    elif args.format == "csv":
-        _print_csv(["n", "coeff"], [[str(n), c] for n, c in enumerate(coeffs)])
-    else:
-        print(",".join(coeffs))
+    emit(
+        args.format,
+        "series",
+        lambda: {"name": args.name, "order": series.order, "coeffs": coeffs},
+        ["n", "coeff"],
+        lambda: enumerate(coeffs),
+        lambda: [",".join(coeffs)],
+    )
     return 0
 
 
@@ -326,10 +289,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flush here, so that a reader gone early is caught below and not
+        # at interpreter exit
+        sys.stdout.flush()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # as the Python docs advise for SIGPIPE: point stdout at devnull
+        # so the interpreter's final flush stays quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from typing import Callable, Iterator
 
 from .primes import is_prime, primes_up_to
 from .qseries import QSeries, chi_minus7
@@ -80,8 +81,10 @@ class NewformCoefficients:
         return self.a[n]
 
 
-def newform_an(n_max: int) -> NewformCoefficients:
-    """All a_n up to n_max via the Hecke recursion and multiplicativity."""
+def newform_an(n_max: int, ap: Callable[[int], int] = newform_ap) -> NewformCoefficients:
+    """All a_n up to n_max via the Hecke recursion and multiplicativity,
+    with each prime coefficient a_p (p != 7) from the route ap: newform_ap
+    (point counts) or cm_ap (CM closed form)."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     spf = list(range(n_max + 1))  # smallest prime factor
@@ -104,7 +107,7 @@ def newform_an(n_max: int) -> NewformCoefficients:
         elif p == 7:
             a[n] = 0
         elif pe == p:
-            a[n] = newform_ap(p)
+            a[n] = ap(p)
         else:
             a[n] = a[p] * a[pe // p] - p * a[pe // (p * p)]
     return NewformCoefficients(tuple(a), n_max)
@@ -168,16 +171,19 @@ def g_series(order: int) -> QSeries:
     """q-expansion of the newform, coefficient 0 at n = 0."""
     if order < 1:
         return QSeries.zero(order)
-    an = newform_an(order)
+    # point counts, never cm_ap: the lemma42 check compares G against the
+    # x^2 + 7y^2 lattice sum, so G must not be built from that lattice
+    an = newform_an(order, newform_ap)
     return QSeries(an.a)
+
+
+def ap_pairs(p_max: int) -> Iterator[tuple[int, int, int]]:
+    """(p, a_p by point count, a_p by CM) for each odd prime p <= p_max, p != 7."""
+    for p in primes_up_to(p_max):
+        if p not in (2, 7):
+            yield p, newform_ap(p), cm_ap(p)
 
 
 def cross_check_ap(p_max: int) -> list[int]:
     """Primes p <= p_max (odd, != 7) where the two a_p routes disagree."""
-    bad = []
-    for p in primes_up_to(p_max):
-        if p in (2, 7):
-            continue
-        if cm_ap(p) != newform_ap(p):
-            bad.append(p)
-    return bad
+    return [p for p, ec, cm in ap_pairs(p_max) if ec != cm]

@@ -34,7 +34,16 @@ DEFAULT_MAX_ORDER = 3000
 
 def max_order() -> int:
     """Cap on series expansion by dilation, overridable via HCN_MAX_ORDER."""
-    return int(os.environ.get("HCN_MAX_ORDER", DEFAULT_MAX_ORDER))
+    raw = os.environ.get("HCN_MAX_ORDER")
+    if raw is None:
+        return DEFAULT_MAX_ORDER
+    try:
+        cap = int(raw)
+        if cap >= 1:
+            return cap
+    except ValueError:
+        pass
+    raise ValueError(f"HCN_MAX_ORDER must be a positive integer, not {raw!r}")
 
 
 class QSeries:

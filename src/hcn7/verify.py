@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .arith import d_pa_series, d_series, lambda_series, LambdaSpec, prop31_rhs, psi_k, theta_chi1, theta_mM
 from .hurwitz import hmm_series, hmm_sum, hurwitz_kronecker_lhs_rhs
@@ -80,6 +80,13 @@ class VerificationReport:
         )
 
 
+def _report(id: str, upto: int, start: float, triples: Iterable) -> VerificationReport:
+    """Report the first (n, lhs, rhs) of triples with lhs != rhs, if any,
+    timed from start."""
+    mismatch = next(((n, lhs, rhs) for n, lhs, rhs in triples if lhs != rhs), None)
+    return VerificationReport(id, upto, mismatch is None, mismatch, time.perf_counter() - start)
+
+
 def verify_identity(spec: IdentitySpec) -> VerificationReport:
     """Evaluate both recipes and compare coefficients 0..bound inclusive."""
     start = time.perf_counter()
@@ -90,14 +97,7 @@ def verify_identity(spec: IdentitySpec) -> VerificationReport:
             f"{spec.id}: recipe produced order "
             f"{min(lhs.order, rhs.order)} < bound {spec.bound}"
         )
-    mismatch = None
-    for n in range(spec.bound + 1):
-        if lhs[n] != rhs[n]:
-            mismatch = (n, lhs[n], rhs[n])
-            break
-    return VerificationReport(
-        spec.id, spec.bound, mismatch is None, mismatch, time.perf_counter() - start
-    )
+    return _report(spec.id, spec.bound, start, zip(range(spec.bound + 1), lhs.coeffs, rhs.coeffs))
 
 
 # --------------------------------------------------------------------------
@@ -248,16 +248,8 @@ def verify_hurwitz_kronecker(n_max: int) -> VerificationReport:
     """Both sides of the classical class number relation for 1 <= n <= n_max."""
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    start = time.perf_counter()
-    mismatch = None
-    for n in range(1, n_max + 1):
-        lhs, rhs = hurwitz_kronecker_lhs_rhs(n)
-        if lhs != rhs:
-            mismatch = (n, lhs, rhs)
-            break
-    return VerificationReport(
-        "hurwitz-kronecker", n_max, mismatch is None, mismatch, time.perf_counter() - start
-    )
+    pairs = ((n, *hurwitz_kronecker_lhs_rhs(n)) for n in range(1, n_max + 1))
+    return _report("hurwitz-kronecker", n_max, time.perf_counter(), pairs)
 
 
 def verify_prop31(k: int, m: int, order: int) -> VerificationReport:
@@ -352,6 +344,13 @@ def main_table_row(p: int) -> TableRow:
     return TableRow(p, r, x, y, tuple(cells))
 
 
+def main_table_rows(p_max: int) -> Iterator[TableRow]:
+    """main_table_row for every odd prime p <= p_max, p != 7, in order."""
+    if p_max < 3:
+        raise ValueError("p_max must be at least 3")
+    return (main_table_row(p) for p in primes_up_to(p_max) if p not in (2, 7))
+
+
 def verify_main_table(p_max: int) -> list[VerificationReport]:
     """Check all 24 table cells over every odd prime p <= p_max, p != 7.
 
@@ -360,15 +359,11 @@ def verify_main_table(p_max: int) -> list[VerificationReport]:
     H_0 + 2H_1 + 2H_2 + 2H_3 = 2p.  Elapsed time of the shared scan is
     recorded on every report.
     """
-    if p_max < 3:
-        raise ValueError("p_max must be at least 3")
     start = time.perf_counter()
     first_bad: dict[tuple[int, int], tuple[int, ExactRational, ExactRational]] = {}
     rowsum_bad = None
-    for p in primes_up_to(p_max):
-        if p in (2, 7):
-            continue
-        row = main_table_row(p)
+    for row in main_table_rows(p_max):
+        p = row.p
         total = Fraction(0)
         for m, direct, formula, match in row.cells:
             total += direct if m == 0 else 2 * direct

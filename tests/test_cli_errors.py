@@ -1,0 +1,56 @@
+"""Error paths of the hcn7 command: a reader that leaves early and an
+invalid HCN_MAX_ORDER."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from hcn7.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _hcn7(*argv):
+    """Command and environment for `hcn7 ARGV` from this checkout, with
+    stdout block-buffered as it is by default when it is a pipe."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return [sys.executable, "-m", "hcn7", *argv], env
+
+
+def test_reader_closing_early_exits_141_quietly(tmp_path):
+    # like `hcn7 hurwitz --max 20000 --format json | head -1`
+    argv, env = _hcn7("hurwitz", "--max", "20000", "--format", "json")
+    with open(tmp_path / "stderr", "wb") as err:
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=err, env=env)
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 141
+    assert (tmp_path / "stderr").read_bytes() == b""
+
+
+def test_reader_gone_before_short_output_exits_141_quietly(tmp_path):
+    # the whole output fits in the stdout buffer, so the failed write is
+    # the final flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    argv, env = _hcn7("hurwitz", "44")
+    try:
+        with open(tmp_path / "stderr", "wb") as err:
+            proc = subprocess.run(argv, stdout=write_end, stderr=err, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert (tmp_path / "stderr").read_bytes() == b""
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+def test_invalid_max_order_is_usage_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("HCN_MAX_ORDER", value)
+    assert main(["verify", "--suite", "lemma42"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: HCN_MAX_ORDER must be a positive integer, not {value!r}\n"

@@ -1,0 +1,102 @@
+"""Exact stdout and exit code of every command in every output format.
+
+Each case's expected stdout is the file tests/golden/<case>.out, written by
+the CLI as it stood before its per-format branches were folded into one
+renderer.  Only the wall-clock seconds in text-format verify lines vary
+between runs; they are masked on both sides.  Usage errors must leave
+stdout empty.  The three patched cases force a mismatch to pin the
+failure rendering (exit 1) of table, verify and the cross-check.  After a
+deliberate change of output, rewrite a case's file with what run_case
+returns for it.
+"""
+
+import io
+import re
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+import hcn7.newform49
+import hcn7.verify
+from hcn7.cli import main
+from hcn7.qseries import chi_minus7
+
+GOLDEN = Path(__file__).parent / "golden"
+
+_SECONDS = re.compile(r"\d+\.\d\ds\)")
+
+
+def mask(text: str) -> str:
+    return _SECONDS.sub("N.NNs)", text)
+
+
+def _break_table(mp):
+    formula = hcn7.verify.table_formula
+    mp.setattr(hcn7.verify, "table_formula", lambda p, m: formula(p, m) + (p == 11 and m == 2))
+
+
+def _break_hk(mp):
+    pair = hcn7.verify.hurwitz_kronecker_lhs_rhs
+
+    def lhs_rhs(n):
+        lhs, rhs = pair(n)
+        return lhs, rhs + (n == 7)
+
+    mp.setattr(hcn7.verify, "hurwitz_kronecker_lhs_rhs", lhs_rhs)
+
+
+def _break_cm(mp):
+    chi = chi_minus7()
+    mp.setattr(hcn7.newform49, "chi_minus7", lambda: lambda n: -chi(n))
+
+
+_FORMATTED = [
+    ("hurwitz-single", ["hurwitz", "3"], 0, None),
+    ("hurwitz-max", ["hurwitz", "--max", "12"], 0, None),
+    ("sum", ["sum", "--m", "2", "--M", "7", "--n", "13"], 0, None),
+    ("table", ["table", "--pmax", "60"], 0, None),
+    ("verify-all", ["verify", "--suite", "all", "--bound", "60"], 0, None),
+    ("newform-ec", ["newform", "--nmax", "50", "--method", "ec"], 0, None),
+    ("newform-cm", ["newform", "--nmax", "50", "--method", "cm"], 0, None),
+    ("newform-cross", ["newform", "--nmax", "60", "--method", "cross"], 0, None),
+    ("series", ["series", "H", "--order", "20"], 0, None),
+    ("table-mismatch", ["table", "--pmax", "30"], 1, _break_table),
+    ("verify-fail", ["verify", "--suite", "hk", "--bound", "30"], 1, _break_hk),
+    ("newform-cross-fail", ["newform", "--nmax", "40", "--method", "cross"], 1, _break_cm),
+]
+
+CASES = [
+    (f"{name}.{fmt}", argv + ["--format", fmt], code, patch)
+    for name, argv, code, patch in _FORMATTED
+    for fmt in ("text", "csv", "json")
+] + [
+    ("usage-hurwitz-no-n", ["hurwitz"], 2, None),
+    ("usage-table-pmax-2", ["table", "--pmax", "2"], 2, None),
+    ("usage-verify-bound-50", ["verify", "--suite", "all", "--bound", "50"], 2, None),
+    ("usage-verify-bad-suite", ["verify", "--suite", "bogus"], 2, None),
+    ("usage-newform-nmax-0", ["newform", "--nmax", "0", "--format", "csv"], 2, None),
+    ("usage-series-unknown", ["series", "bogus", "--format", "json"], 2, None),
+    ("usage-no-command", ["nope"], 2, None),
+]
+
+
+def run_case(argv, patch) -> tuple[int, str]:
+    """Exit code and masked stdout of `hcn7 ARGV`, with patch applied."""
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, redirect_stdout(out):
+        if patch is not None:
+            patch(mp)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, mask(out.getvalue())
+
+
+@pytest.mark.parametrize("name, argv, code, patch", CASES, ids=[c[0] for c in CASES])
+def test_cli_golden(name, argv, code, patch):
+    got_code, got_out = run_case(argv, patch)
+    assert got_code == code
+    want = (GOLDEN / f"{name}.out").read_text() if code != 2 else ""
+    assert got_out == want
