@@ -16,6 +16,10 @@ residue-restricted sums
 are likewise computed two ways: hmm_sum by direct summation and
 hmm_series as the series product (H-series * theta_{m,M}) with every
 4th coefficient extracted.
+
+The weights 1/2 and 1/3 and H(0) = -1/12 make every 12*H(N) an integer,
+so both H routes count in twelfths and the table and the direct sums stay
+ints; a Fraction is built only for a value that leaves this module.
 """
 
 from __future__ import annotations
@@ -30,16 +34,12 @@ from .qseries import ExactRational, QSeries, max_order, op_u, series_mul
 
 @dataclass(frozen=True)
 class HurwitzTable:
-    """H(N) for 0 <= N <= n_max, with 12*H(N) always an integer."""
+    """12*H(N) as the int twelfths[N]; table[N] gives H(N) as a Fraction."""
 
-    values: tuple[ExactRational, ...]
-    n_max: int
+    twelfths: tuple[int, ...]
 
     def __getitem__(self, n: int) -> ExactRational:
-        return self.values[n]
-
-    def __len__(self) -> int:
-        return self.n_max + 1
+        return Fraction(self.twelfths[n], 12)
 
 
 def hurwitz_single(N: int) -> ExactRational:
@@ -86,8 +86,7 @@ def hurwitz_batch(n_max: int) -> HurwitzTable:
             cmax = (n_max + b * b) // (4 * a)
             for c in range(a, cmax + 1):
                 twelfths[4 * a * c - b * b] += _weight12(a, b, c)
-    values = tuple(Fraction(t, 12) for t in twelfths)
-    return HurwitzTable(values, n_max)
+    return HurwitzTable(tuple(twelfths))
 
 
 # Grown-on-demand cache behind hurwitz_series / hmm_sum; query results
@@ -95,17 +94,18 @@ def hurwitz_batch(n_max: int) -> HurwitzTable:
 _cache: HurwitzTable = hurwitz_batch(0)
 
 
-def _table(n_max: int) -> HurwitzTable:
+def _table(n_max: int) -> tuple[int, ...]:
+    """12*H(N) for at least 0 <= N <= n_max."""
     global _cache
-    if _cache.n_max < n_max:
-        _cache = hurwitz_batch(max(n_max, 2 * _cache.n_max, 1024))
-    return _cache
+    size = len(_cache.twelfths)
+    if size <= n_max:
+        _cache = hurwitz_batch(max(n_max, 2 * (size - 1), 1024))
+    return _cache.twelfths
 
 
 def hurwitz_series(order: int) -> QSeries:
     """Generating series sum_n H(n) q^n."""
-    table = _table(order)
-    return QSeries(table.values[: order + 1])
+    return QSeries([Fraction(t, 12) for t in _table(order)[: order + 1]])
 
 
 def hmm_sum(m: int, M: int, n: int) -> ExactRational:
@@ -114,14 +114,11 @@ def hmm_sum(m: int, M: int, n: int) -> ExactRational:
         raise ValueError("M must be positive")
     if n < 0:
         raise ValueError("n must be non-negative")
-    table = _table(4 * n)
+    twelfths = _table(4 * n)
     r = isqrt(4 * n)
-    a = -r + (m + r) % M  # least a >= -r in the residue class
-    total = Fraction(0)
-    while a * a <= 4 * n:
-        total += table[4 * n - a * a]
-        a += M
-    return total
+    first = -r + (m + r) % M  # least a >= -r in the residue class
+    total = sum(twelfths[4 * n - a * a] for a in range(first, r + 1, M))
+    return Fraction(total, 12)
 
 
 def hmm_series(m: int, M: int, order: int) -> QSeries:
@@ -136,11 +133,11 @@ def hmm_series(m: int, M: int, order: int) -> QSeries:
     return op_u(product, 4)
 
 
-def hurwitz_kronecker_lhs_rhs(n: int) -> tuple[ExactRational, ExactRational]:
+def hurwitz_kronecker_lhs_rhs(n: int) -> tuple[ExactRational, int]:
     """Both sides of sum_a H(4n - a^2) = 2 sigma(n) - sum_{d|n} min(d, n/d).
 
     The two sides are computed independently: the left from the class
-    number table, the right from a divisor loop.
+    number table, the right, an int, from a divisor loop.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -152,4 +149,4 @@ def hurwitz_kronecker_lhs_rhs(n: int) -> tuple[ExactRational, ExactRational]:
             # the pair {d, e} contributes 2d + 2e - min - min = 2e (d < e),
             # or 2d - d = d when d = e
             rhs += 2 * e if e != d else d
-    return lhs, Fraction(rhs)
+    return lhs, rhs

@@ -179,9 +179,9 @@ def g_series(order: int) -> QSeries:
 
 def ap_pairs(p_max: int) -> Iterator[tuple[int, int, int]]:
     """(p, a_p by point count, a_p by CM) for each odd prime p <= p_max, p != 7."""
-    for p in primes_up_to(p_max):
-        if p not in (2, 7):
-            yield p, newform_ap(p), cm_ap(p)
+    if p_max < 3:
+        raise ValueError("p_max must be at least 3")
+    return ((p, newform_ap(p), cm_ap(p)) for p in primes_up_to(p_max) if p not in (2, 7))
 
 
 def cross_check_ap(p_max: int) -> list[int]:

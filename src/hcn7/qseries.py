@@ -65,16 +65,6 @@ class QSeries:
     def zero(cls, order: int) -> "QSeries":
         return cls([_ZERO] * (order + 1))
 
-    @classmethod
-    def from_terms(cls, order: int, terms: dict[int, ExactRational]) -> "QSeries":
-        """Series of the given order with the listed exponent -> value terms."""
-        coeffs = [_ZERO] * (order + 1)
-        for n, c in terms.items():
-            if not 0 <= n <= order:
-                raise ValueError(f"exponent {n} outside 0..{order}")
-            coeffs[n] = Fraction(c)
-        return cls(coeffs)
-
     def __getitem__(self, n: int) -> ExactRational:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} unknown beyond order {self.order}")

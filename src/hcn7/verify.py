@@ -17,7 +17,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
 from typing import Callable, Iterable, Iterator
 
 from .arith import d_pa_series, d_series, lambda_series, LambdaSpec, prop31_rhs, psi_k, theta_chi1, theta_mM
@@ -46,10 +45,10 @@ def sturm_bound(k: int, n1: int, n2: int) -> int:
         raise ValueError("weight must be positive")
     if n1 < 1 or n2 < 1 or n1 % n2:
         raise ValueError("need n2 dividing n1")
-    index = Fraction(n1 * euler_phi(n2))
+    index = n1 * euler_phi(n2)
     for p in prime_factors(n1):
-        index *= Fraction(p + 1, p)
-    return floor(Fraction(k) * index / 12)
+        index = index // p * (p + 1)  # exact: p divides n1, so p divides index
+    return k * index // 12
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,7 @@ CASES = [
     ("usage-verify-bound-50", ["verify", "--suite", "all", "--bound", "50"], 2, None),
     ("usage-verify-bad-suite", ["verify", "--suite", "bogus"], 2, None),
     ("usage-newform-nmax-0", ["newform", "--nmax", "0", "--format", "csv"], 2, None),
+    ("usage-newform-cross-nmax-2", ["newform", "--nmax", "2", "--method", "cross"], 2, None),
     ("usage-series-unknown", ["series", "bogus", "--format", "json"], 2, None),
     ("usage-no-command", ["nope"], 2, None),
 ]
