@@ -10,6 +10,11 @@ Exit codes: 0 success, 1 verification/cross-check failure, 2 usage error,
 nothing written to stderr.  The HCN_MAX_ORDER environment variable caps
 internal series expansion (default 3000); a value that is not a positive
 integer is a usage error.
+
+Inputs are capped before anything is allocated: MAX_H_INDEX bounds the
+largest H(N) index a command would tabulate (N for `hurwitz --max N`, 4n
+for `sum --n n`, 4P for `table --pmax P`) and MAX_NEWFORM_N bounds
+`newform --nmax`.  An input over its cap is a usage error.
 """
 
 from __future__ import annotations
@@ -27,6 +32,19 @@ from .hurwitz import hmm_sum, hurwitz_batch, hurwitz_series, hurwitz_single
 from .newform49 import ap_pairs, cm_ap, g_series, newform_an, newform_ap
 from .qseries import QSeries, chi_minus7
 from .verify import SUITE_NAMES, main_table_rows, run_suite
+
+# Sized so that `table --pmax 10**6` and `newform --nmax 10**6` stay admissible.
+MAX_H_INDEX = 4 * 10**6
+MAX_NEWFORM_N = 10**6
+
+
+def _check_h_index(option: str, value: int, index: int) -> None:
+    """Reject, before any allocation, an input that tabulates H past MAX_H_INDEX."""
+    if index > MAX_H_INDEX:
+        raise ValueError(
+            f"{option} {value} would tabulate H up to index {index}, "
+            f"over the cap MAX_H_INDEX = {MAX_H_INDEX}"
+        )
 
 
 def fmt_rat(x) -> str:
@@ -59,6 +77,7 @@ def emit_record(fmt: str, kind: str, record: dict, value: str) -> None:
 
 def cmd_hurwitz(args) -> int:
     if args.max is not None:
+        _check_h_index("--max", args.max, args.max)
         table = hurwitz_batch(args.max)
         pairs = [(n, fmt_rat(table[n])) for n in range(args.max + 1)]
         emit(
@@ -78,6 +97,7 @@ def cmd_hurwitz(args) -> int:
 
 
 def cmd_sum(args) -> int:
+    _check_h_index("--n", args.n, 4 * args.n)
     value = fmt_rat(hmm_sum(args.m, args.M, args.n))
     emit_record(args.format, "sum", {"m": args.m, "M": args.M, "n": args.n, "value": value}, value)
     return 0
@@ -93,6 +113,7 @@ def _table_line(r) -> str:
 
 
 def cmd_table(args) -> int:
+    _check_h_index("--pmax", args.pmax, 4 * args.pmax)
     rows = list(main_table_rows(args.pmax))
     all_ok = all(r.ok for r in rows)
     emit(
@@ -166,6 +187,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_newform(args) -> int:
+    if args.nmax > MAX_NEWFORM_N:
+        raise ValueError(f"--nmax {args.nmax} is over the cap MAX_NEWFORM_N = {MAX_NEWFORM_N}")
     if args.method != "cross":
         values = newform_an(args.nmax, cm_ap if args.method == "cm" else newform_ap).a[1:]
         emit(

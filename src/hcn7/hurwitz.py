@@ -81,11 +81,25 @@ def hurwitz_batch(n_max: int) -> HurwitzTable:
         raise ValueError("n_max must be non-negative")
     twelfths = [0] * (n_max + 1)
     twelfths[0] = -1
+    # Form (a, b, c) lands at index 4ac - b^2; for fixed (a, b) the indices
+    # with c > a step by 4a.  The weights are _weight12's, by loop position.
     for a in range(1, isqrt(n_max // 3) + 1):
-        for b in range(a + 1):
-            cmax = (n_max + b * b) // (4 * a)
-            for c in range(a, cmax + 1):
-                twelfths[4 * a * c - b * b] += _weight12(a, b, c)
+        step = 4 * a
+        # b = 0: a(x^2 + y^2) at c = a, weight 12 for c > a
+        if step * a <= n_max:
+            twelfths[step * a] += 6
+        for n in range(step * (a + 1), n_max + 1, step):
+            twelfths[n] += 12
+        # 0 < b < a: weight 12 at c = a, 24 for c > a (the forms +-b)
+        for b in range(1, a):
+            if step * a - b * b <= n_max:
+                twelfths[step * a - b * b] += 12
+            for n in range(step * (a + 1) - b * b, n_max + 1, step):
+                twelfths[n] += 24
+        # b = a: a(x^2 + xy + y^2) at c = a, weight 12 for c > a
+        twelfths[3 * a * a] += 4
+        for n in range(step * (a + 1) - a * a, n_max + 1, step):
+            twelfths[n] += 12
     return HurwitzTable(tuple(twelfths))
 
 

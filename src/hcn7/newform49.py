@@ -4,7 +4,16 @@ Two fully independent routes to the prime coefficients a_p:
 
   * point counting on the attached elliptic curve
         y^2 + xy = x^3 - x^2 - 2x - 1
-    over F_p, giving a_p = p + 1 - #E(F_p) for p != 7;
+    over F_p, giving a_p = p + 1 - #E(F_p) for p != 7.  For p > 7 the
+    group order is found by Shanks-Mestre baby-step/giant-step inside the
+    Hasse interval |#E - p - 1| <= 2 sqrt(p), in O(p^(1/4)) group
+    operations per point tried.  Points come from the twist trick: each x
+    gives a point on either E or its quadratic twist, whose order is
+    2p + 2 - #E, with no square root taken.  Each point keeps only the
+    candidates m in the interval with m P = O (2p + 2 - m for a point on
+    the twist), and #E always stays by Lagrange.  Where 40 points leave
+    more than one candidate, and for p = 3, 5, the count is an O(p)
+    Legendre scan;
 
   * the CM closed form: a_p = 0 for p = 3, 5, 6 (mod 7), and otherwise
     a_p = 2 chi(x) x where chi is the quadratic character mod 7 and
@@ -20,6 +29,7 @@ multiplicativity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import isqrt
 from typing import Callable, Iterator
 
@@ -30,9 +40,11 @@ from .qseries import QSeries, chi_minus7
 def ec_point_count(p: int) -> int:
     """#E(F_p), including the point at infinity.
 
-    For odd p the y-count per x is 1 + legendre(disc) with
-    disc = x^2 + 4 rhs = 4x^3 - 3x^2 - 8x - 4; p = 2 is done by
-    exhaustive (x, y) enumeration to avoid dividing by 2.
+    For odd p > 5 the group order comes from _bsgs_count: baby-step/
+    giant-step inside the Hasse interval on the short model, at O(p^(1/4))
+    group operations per point tried.  p = 3, 5, and any p where that does
+    not settle #E, fall back to _scan_count, the O(p) Legendre scan.  p = 2
+    is done by exhaustive (x, y) enumeration to avoid dividing by 2.
     """
     if p == 7:
         raise ValueError("additive reduction at p = 7; a_7 is fixed separately")
@@ -46,6 +58,13 @@ def ec_point_count(p: int) -> int:
                 if (y * y + x * y - rhs) % 2 == 0:
                     count += 1
         return count
+    count = _bsgs_count(p) if p > 5 else None
+    return _scan_count(p) if count is None else count
+
+
+def _scan_count(p: int) -> int:
+    """#E(F_p) for odd p by a scan over x: the y-count per x is
+    1 + legendre(disc) with disc = x^2 + 4 rhs = 4x^3 - 3x^2 - 8x - 4."""
     square = bytearray(p)
     for t in range(p // 2 + 1):
         square[t * t % p] = 1
@@ -55,6 +74,100 @@ def ec_point_count(p: int) -> int:
         if disc:
             count += 1 if square[disc] else -1
     return count
+
+
+# Short model y^2 = x^3 + A x + B of E.  The curve has b2 = -3, b4 = -4,
+# b6 = -4, hence c4 = b2^2 - 24 b4 = 105 and c6 = -b2^3 + 36 b2 b4 - 216 b6
+# = 1323, and (x, y) -> (36x + 3 b2, 108(2y + x)) maps it onto
+# y^2 = x^3 - 27 c4 x - 54 c6, an isomorphism over F_p for p not in {2, 3}.
+# E has discriminant -7^3, so for p not in {2, 3, 7} the model is smooth.
+_A = -27 * 105
+_B = -54 * 1323
+_MAX_POINTS = 40  # points tried before _bsgs_count gives up
+
+
+def _add(P, Q, a: int, p: int):
+    """P + Q on y^2 = x^3 + a x + b over F_p; None is the point at infinity."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        slope = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (slope * slope - x1 - x2) % p
+    return x3, (slope * (x1 - x3) - y1) % p
+
+
+def _mul(k: int, P, a: int, p: int):
+    """k P for k >= 0, by double-and-add."""
+    result = None
+    while k:
+        if k & 1:
+            result = _add(result, P, a, p)
+        P = _add(P, P, a, p)
+        k >>= 1
+    return result
+
+
+def _multiples_in(P, a: int, p: int, low: int, high: int) -> set[int] | None:
+    """Every m in [low, high] with m P = O, by baby-step/giant-step, or
+    None if the order of P is below s = isqrt(high - low) + 1.
+
+    Baby steps store -jP for 0 <= j < s, all distinct when the order is at
+    least s; giant steps walk (low + i s) P, and (low + i s) P = -jP means
+    m = low + i s + j.  Since s^2 > high - low every such m is found.
+    """
+    s = isqrt(high - low) + 1
+    baby = {}
+    R = None
+    for j in range(s):
+        if j and R is None:
+            return None
+        baby[None if R is None else (R[0], -R[1] % p)] = j
+        R = _add(R, P, a, p)
+    found = set()  # R is now s P, the giant step
+    Q = _mul(low, P, a, p)
+    for m in range(low, high + 1, s):
+        j = baby.get(Q, -1)
+        if j >= 0 and m + j <= high:
+            found.add(m + j)
+        Q = _add(Q, R, a, p)
+    return found
+
+
+def _bsgs_count(p: int) -> int | None:
+    """#E(F_p) for a prime p > 7 by Shanks-Mestre baby-step/giant-step,
+    or None if _MAX_POINTS points leave it undecided.
+
+    For x = 0, 1, 2, ... with f = x^3 + A x + B != 0, the point (f x, f^2)
+    lies on y^2 = X^3 + A f^2 X + B f^3, which is E when f is a square
+    mod p and otherwise the quadratic twist E', with #E' = 2p + 2 - #E;
+    no square root is needed.  Both orders lie in the Hasse interval
+    [low, high] = [p + 1 - isqrt(4p), p + 1 + isqrt(4p)].  By Lagrange #E
+    is among the m in it with m P = O for every point P on E, and
+    2p + 2 - #E among those for every P on E'.  The candidates are
+    intersected over the points tried until one is left; a point of small
+    order, which _multiples_in skips, cuts nothing.
+    """
+    low, high = p + 1 - isqrt(4 * p), p + 1 + isqrt(4 * p)
+    points = ((x, f) for x in range(p) if (f := (x * x * x + _A * x + _B) % p))
+    candidates = None
+    for x, f in islice(points, _MAX_POINTS):
+        found = _multiples_in((f * x % p, f * f % p), _A * f * f % p, p, low, high)
+        if found is None:
+            continue
+        if pow(f, (p - 1) // 2, p) != 1:  # P is on the twist
+            found = {2 * p + 2 - m for m in found}
+        candidates = found if candidates is None else candidates & found
+        if len(candidates) == 1:
+            return candidates.pop()
+    return None
 
 
 _ap_cache: dict[int, int] = {7: 0}
