@@ -39,7 +39,7 @@ from .qseries import (
 )
 
 
-def sigma(n: int, l: int = 1) -> ExactRational:
+def sigma(n: int, l: int = 1) -> int:
     """Sum of d^l over the positive divisors d of n."""
     if n < 1:
         raise ValueError("n must be positive")
@@ -50,7 +50,7 @@ def sigma(n: int, l: int = 1) -> ExactRational:
             e = n // d
             if e != d:
                 total += e**l
-    return Fraction(total)
+    return total
 
 
 def d_series(order: int) -> QSeries:
@@ -62,7 +62,7 @@ def d_series(order: int) -> QSeries:
     return QSeries(coeffs)
 
 
-def phi_pa(n: int, l: int, p: int, a: int) -> ExactRational:
+def phi_pa(n: int, l: int, p: int, a: int) -> int:
     """Two-sided divisor sum with classes -a (weak boundary) and a (strict).
 
     Only divisors d with d*d <= n can appear; the cofactor n/d never does.
@@ -77,7 +77,7 @@ def phi_pa(n: int, l: int, p: int, a: int) -> ExactRational:
             total += d**l
         if d * d < n and (d - a) % p == 0:
             total += d**l
-    return Fraction(total)
+    return total
 
 
 def d_pa_series(l: int, p: int, a: int, order: int) -> QSeries:
@@ -148,7 +148,7 @@ def lambda_coeff(spec: LambdaSpec, n: int) -> ExactRational:
 
 def lambda_series(spec: LambdaSpec, order: int) -> QSeries:
     """Generating series of lambda_coeff, starting at n = 1."""
-    coeffs = [Fraction(0)] * (order + 1)
+    coeffs = [0] * (order + 1)
     for n in range(1, order + 1):
         coeffs[n] = lambda_coeff(spec, n)
     return QSeries(coeffs)

@@ -7,14 +7,17 @@ decimals, never as floats.
 
 Exit codes: 0 success, 1 verification/cross-check failure, 2 usage error,
 141 when the reader closes stdout early (as in `hcn7 ... | head`), with
-nothing written to stderr.  The HCN_MAX_ORDER environment variable caps
-internal series expansion (default 3000); a value that is not a positive
-integer is a usage error.
+nothing written to stderr.  The HCN_MAX_ORDER environment variable
+(default 3000) is validated before any command runs, so a value that is
+not a positive integer is a usage error for every command.  It binds only
+in the product route for H_{m,M} (the thm35 suite), which needs internal
+order 4 times its bound and fails naming the variable when that is over.
 
 Inputs are capped before anything is allocated: MAX_H_INDEX bounds the
 largest H(N) index a command would tabulate (N for `hurwitz --max N`, 4n
 for `sum --n n`, 4P for `table --pmax P`) and MAX_NEWFORM_N bounds
-`newform --nmax`.  An input over its cap is a usage error.
+`newform --nmax` and `series --order`.  An input over its cap is a usage
+error.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from fractions import Fraction
 from .arith import d_pa_series, d_series, lambda_series, LambdaSpec, psi_k, theta_mM
 from .hurwitz import hmm_sum, hurwitz_batch, hurwitz_series, hurwitz_single
 from .newform49 import ap_pairs, cm_ap, g_series, newform_an, newform_ap
-from .qseries import QSeries, chi_minus7
+from .qseries import QSeries, chi_minus7, max_order
 from .verify import SUITE_NAMES, main_table_rows, run_suite
 
 # Sized so that `table --pmax 10**6` and `newform --nmax 10**6` stay admissible.
@@ -190,7 +193,7 @@ def cmd_newform(args) -> int:
     if args.nmax > MAX_NEWFORM_N:
         raise ValueError(f"--nmax {args.nmax} is over the cap MAX_NEWFORM_N = {MAX_NEWFORM_N}")
     if args.method != "cross":
-        values = newform_an(args.nmax, cm_ap if args.method == "cm" else newform_ap).a[1:]
+        values = newform_an(args.nmax, cm_ap if args.method == "cm" else newform_ap).coeffs[1:]
         emit(
             args.format,
             "newform",
@@ -243,6 +246,8 @@ def named_series(name: str, order: int) -> QSeries:
 
 
 def cmd_series(args) -> int:
+    if args.order > MAX_NEWFORM_N:
+        raise ValueError(f"--order {args.order} is over the cap MAX_NEWFORM_N = {MAX_NEWFORM_N}")
     series = named_series(args.name, args.order)
     coeffs = [fmt_rat(c) for c in series.coeffs]
     emit(
@@ -312,6 +317,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        max_order()  # reject an invalid HCN_MAX_ORDER whatever the command
         code = args.func(args)
         # flush here, so that a reader gone early is caught below and not
         # at interpreter exit

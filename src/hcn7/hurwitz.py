@@ -18,8 +18,9 @@ hmm_series as the series product (H-series * theta_{m,M}) with every
 4th coefficient extracted.
 
 The weights 1/2 and 1/3 and H(0) = -1/12 make every 12*H(N) an integer,
-so both H routes count in twelfths and the table and the direct sums stay
-ints; a Fraction is built only for a value that leaves this module.
+so both H routes count in twelfths, and the table, the direct sums and
+the series product stay ints; the division by 12 happens once, at the
+end of each route.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .arith import theta_mM
-from .qseries import ExactRational, QSeries, max_order, op_u, series_mul
+from .qseries import ExactRational, QSeries, max_order, op_u, series_mul, series_scale
 
 
 @dataclass(frozen=True)
@@ -143,8 +144,9 @@ def hmm_series(m: int, M: int, order: int) -> QSeries:
             f"internal order {internal} exceeds the cap {max_order()}; "
             "raise HCN_MAX_ORDER to go further"
         )
-    product = series_mul(hurwitz_series(internal), theta_mM(m, M, internal))
-    return op_u(product, 4)
+    twelfths = QSeries(_table(internal)[: internal + 1])
+    product = series_mul(twelfths, theta_mM(m, M, internal))
+    return series_scale(op_u(product, 4), Fraction(1, 12))
 
 
 def hurwitz_kronecker_lhs_rhs(n: int) -> tuple[ExactRational, int]:

@@ -181,23 +181,11 @@ def newform_ap(p: int) -> int:
     return ap
 
 
-@dataclass(frozen=True)
-class NewformCoefficients:
-    """a_1..a_n_max; a[0] is a padding zero so a[n] reads naturally."""
-
-    a: tuple[int, ...]
-    n_max: int
-
-    def __getitem__(self, n: int) -> int:
-        if not 1 <= n <= self.n_max:
-            raise IndexError(f"coefficient index {n} outside 1..{self.n_max}")
-        return self.a[n]
-
-
-def newform_an(n_max: int, ap: Callable[[int], int] = newform_ap) -> NewformCoefficients:
-    """All a_n up to n_max via the Hecke recursion and multiplicativity,
-    with each prime coefficient a_p (p != 7) from the route ap: newform_ap
-    (point counts) or cm_ap (CM closed form)."""
+def newform_an(n_max: int, ap: Callable[[int], int] = newform_ap) -> QSeries:
+    """The q-expansion a_0 = 0, a_1, ..., a_n_max, with a_n for n >= 2 from
+    the Hecke recursion and multiplicativity and each prime coefficient a_p
+    (p != 7) from the route ap: newform_ap (point counts) or cm_ap (CM
+    closed form)."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     spf = list(range(n_max + 1))  # smallest prime factor
@@ -223,7 +211,7 @@ def newform_an(n_max: int, ap: Callable[[int], int] = newform_ap) -> NewformCoef
             a[n] = ap(p)
         else:
             a[n] = a[p] * a[pe // p] - p * a[pe // (p * p)]
-    return NewformCoefficients(tuple(a), n_max)
+    return QSeries(a)
 
 
 @dataclass(frozen=True)
@@ -286,8 +274,7 @@ def g_series(order: int) -> QSeries:
         return QSeries.zero(order)
     # point counts, never cm_ap: the lemma42 check compares G against the
     # x^2 + 7y^2 lattice sum, so G must not be built from that lattice
-    an = newform_an(order, newform_ap)
-    return QSeries(an.a)
+    return newform_an(order, newform_ap)
 
 
 def ap_pairs(p_max: int) -> Iterator[tuple[int, int, int]]:

@@ -3,8 +3,9 @@
 A QSeries holds the coefficients a(0)..a(order) of a formal power series
 sum_n a(n) q^n.  Coefficients beyond the truncation order are unknown, not
 zero: binary operations return the minimum of the operand orders and never
-fabricate terms.  All coefficients are fractions.Fraction, so every
-operation is exact and equality is structural.
+fabricate terms.  Coefficients are exact ints or fractions.Fraction, kept
+as the builder gave them: an int and the equal Fraction compare and hash
+alike, so every operation is exact and equality is by value.
 
 The coefficient operators provided here act purely on exponents and
 coefficient values:
@@ -14,8 +15,9 @@ coefficient values:
     op_sieve(f, M, r) keep exponents n == r (mod M)
     op_twist(f, chi)  multiply a(n) by chi(n)
 
-Dilation grows the order by a factor M; the growth is capped by the
-HCN_MAX_ORDER environment variable (default 3000) to bound memory.
+The HCN_MAX_ORDER environment variable (default 3000), read by
+max_order(), caps the internal order of the product route
+hurwitz.hmm_series.
 """
 
 from __future__ import annotations
@@ -24,16 +26,15 @@ import math
 import os
 from fractions import Fraction
 
-# Exact rational scalar; every series coefficient is one of these.
+# Exact rational scalar.  Series coefficients are exact ints or Fractions:
+# an int is the ExactRational of denominator 1, equal to it and hashed alike.
 ExactRational = Fraction
-
-_ZERO = Fraction(0)
 
 DEFAULT_MAX_ORDER = 3000
 
 
 def max_order() -> int:
-    """Cap on series expansion by dilation, overridable via HCN_MAX_ORDER."""
+    """Cap on the product route's internal order, overridable via HCN_MAX_ORDER."""
     raw = os.environ.get("HCN_MAX_ORDER")
     if raw is None:
         return DEFAULT_MAX_ORDER
@@ -52,7 +53,7 @@ class QSeries:
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs):
-        cs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+        cs = tuple(coeffs)
         if not cs:
             raise ValueError("a series needs at least the constant coefficient")
         object.__setattr__(self, "coeffs", cs)
@@ -63,7 +64,7 @@ class QSeries:
 
     @classmethod
     def zero(cls, order: int) -> "QSeries":
-        return cls([_ZERO] * (order + 1))
+        return cls([0] * (order + 1))
 
     def __getitem__(self, n: int) -> ExactRational:
         if not 0 <= n <= self.order:
@@ -115,7 +116,6 @@ def series_sub(f: QSeries, g: QSeries) -> QSeries:
 
 
 def series_scale(f: QSeries, c) -> QSeries:
-    c = Fraction(c)
     return QSeries([c * a for a in f.coeffs])
 
 
@@ -139,7 +139,7 @@ def series_mul(f: QSeries, g: QSeries) -> QSeries:
     a, b = f.coeffs, g.coeffs
     if _nonzeros(a, order) > _nonzeros(b, order):
         a, b = b, a
-    out = [_ZERO] * (order + 1)
+    out = [0] * (order + 1)
     for i in range(order + 1):
         c = a[i]
         if not c:
@@ -206,19 +206,14 @@ def op_u(f: QSeries, M: int) -> QSeries:
 def op_dilate(f: QSeries, M: int) -> QSeries:
     """Substitute q -> q^M: a(n) moves to exponent M n, zeros elsewhere.
 
-    The resulting order is f.order * M, capped at max_order().
+    The resulting order is f.order * M; callers truncate what they need.
     """
     if M < 1:
         raise ValueError("M must be positive")
     if M == 1:
         return f
-    order = min(f.order * M, max_order())
-    out = [_ZERO] * (order + 1)
-    for n, c in enumerate(f.coeffs):
-        e = n * M
-        if e > order:
-            break
-        out[e] = c
+    out = [0] * (f.order * M + 1)
+    out[::M] = f.coeffs
     return QSeries(out)
 
 
@@ -228,7 +223,7 @@ def op_sieve(f: QSeries, M: int, r: int) -> QSeries:
         raise ValueError("M must be positive")
     r %= M
     return QSeries(
-        [c if n % M == r else _ZERO for n, c in enumerate(f.coeffs)]
+        [c if n % M == r else 0 for n, c in enumerate(f.coeffs)]
     )
 
 

@@ -27,6 +27,6 @@ def test_cm_route_counts_no_odd_prime(monkeypatch, capsys):
     cm = nf.newform_an(500, nf.cm_ap)
     assert main(["newform", "--nmax", "500", "--method", "cm"]) == 0
     assert [p for p in counted if p != 2] == []
-    assert capsys.readouterr().out.strip() == ",".join(map(str, cm.a[1:]))
+    assert capsys.readouterr().out.strip() == ",".join(map(str, cm.coeffs[1:]))
     assert cm == nf.newform_an(500)
     assert len(counted) > 90  # the default route does count

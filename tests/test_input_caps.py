@@ -40,6 +40,8 @@ def no_allocation(monkeypatch):
         (["newform", "--nmax", str(MAX_NEWFORM_N + 1)], "MAX_NEWFORM_N"),
         (["newform", "--nmax", str(MAX_NEWFORM_N + 1), "--method", "cm"], "MAX_NEWFORM_N"),
         (["newform", "--nmax", str(MAX_NEWFORM_N + 1), "--method", "cross"], "MAX_NEWFORM_N"),
+        (["series", "H", "--order", str(MAX_NEWFORM_N + 1)], "MAX_NEWFORM_N"),
+        (["series", "G", "--order", str(MAX_NEWFORM_N + 1)], "MAX_NEWFORM_N"),
     ],
 )
 def test_over_the_cap_is_a_usage_error(no_allocation, capsys, argv, cap):

@@ -6,7 +6,6 @@ from math import isqrt
 import pytest
 
 from hcn7.newform49 import (
-    NewformCoefficients,
     Representation7,
     cm_ap,
     cross_check_ap,
@@ -145,10 +144,3 @@ def test_g_series():
     assert g[0] == 0
     assert [int(g[n]) for n in range(1, 10)] == [1, 1, 0, -1, 0, 0, 0, -3, -3]
     assert g[11] == 4
-
-
-def test_newform_coefficients_type():
-    nc = NewformCoefficients((0, 1, 1), 2)
-    assert nc[1] == 1 and nc[2] == 1
-    with pytest.raises(IndexError):
-        nc[0]

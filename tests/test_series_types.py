@@ -1,0 +1,41 @@
+"""Series coefficients are exact ints or Fractions, kept as built.
+
+QSeries stores what a builder hands it, so the integer series stay ints
+and a product of two int series is int work.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from hcn7.cli import named_series
+from hcn7.qseries import QSeries, series_mul
+
+NAMES = (
+    ["H", "D", "G", "Psi7"]
+    + [f"D1_7_{a}" for a in range(7)]
+    + [f"theta_{m}_7" for m in range(7)]
+    + [f"Lambda_1_{m}_7" for m in range(7)]
+)
+INTEGER_NAMES = [n for n in NAMES if n != "H" and not n.startswith("Lambda")]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_every_named_series_is_exact(name):
+    assert all(type(c) in (int, Fraction) for c in named_series(name, 60).coeffs)
+
+
+@pytest.mark.parametrize("name", INTEGER_NAMES)
+def test_integer_series_stay_ints(name):
+    assert all(type(c) is int for c in named_series(name, 60).coeffs)
+
+
+def test_product_of_int_series_is_int():
+    rng = random.Random(7)
+    f = QSeries([rng.randint(-9, 9) for _ in range(80)])
+    g = QSeries([rng.randint(-9, 9) for _ in range(60)])
+    product = series_mul(f, g)
+    assert product.order == 59
+    assert all(type(c) is int for c in product.coeffs)
+    assert product == series_mul(QSeries(map(Fraction, f.coeffs)), g)
