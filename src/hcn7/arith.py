@@ -147,11 +147,23 @@ def lambda_coeff(spec: LambdaSpec, n: int) -> ExactRational:
 
 
 def lambda_series(spec: LambdaSpec, order: int) -> QSeries:
-    """Generating series of lambda_coeff, starting at n = 1."""
-    coeffs = [0] * (order + 1)
-    for n in range(1, order + 1):
-        coeffs[n] = lambda_coeff(spec, n)
-    return QSeries(coeffs)
+    """Generating series of lambda_coeff, starting at n = 1.
+
+    Built by sieving over the factor pairs n = u v, u <= v of equal
+    parity, with lambda_coeff's weights; integral coefficients stay ints.
+    """
+    m, M, l = spec.m, spec.M, spec.l
+    doubled = [0] * (order + 1)
+    for u in range(1, isqrt(order) + 1):
+        ul = u**l
+        for v in range(u, order // u + 1, 2):
+            t = (u + v) // 2
+            value = ul if u == v else 2 * ul
+            if (t - m) % M == 0:
+                doubled[u * v] += value
+            if (t + m) % M == 0:
+                doubled[u * v] += value
+    return QSeries([Fraction(d, 2) if d % 2 else d // 2 for d in doubled])
 
 
 def _lopsided_series(l: int, p: int, m: int, order: int) -> QSeries:
@@ -210,29 +222,20 @@ def prop31_rhs(k: int, m: int, p: int, order: int) -> QSeries:
         base = d_pa_series(l, 1, 0, -(-order // (p * p)))  # ceil(order / p^2)
         tail = series_truncate(op_dilate(base, p * p), order)
         total = series_add(total, series_scale(tail, p**l))
-    else:
-        for a in range(p):
-            if a == m or a == (-m) % p:
-                continue
-            half = series_scale(
-                series_add(
-                    d_pa_series(l, p, (m - a) * inv2 % p, order),
-                    d_pa_series(l, p, (a - m) * inv2 % p, order),
-                ),
-                Fraction(1, 2),
-            )
-            total = series_add(
-                total, op_sieve(half, p, (m * m - a * a) * inv4 % p)
-            )
-        middle = series_scale(
-            series_add(
-                d_pa_series(l, p, m, order), d_pa_series(l, p, -m % p, order)
-            ),
-            Fraction(1, 2),
+        return series_scale(total, 2**l)
+    # total accumulates twice the bracket, so that it stays in ints
+    for a in range(p):
+        if a == m or a == (-m) % p:
+            continue
+        pair = series_add(
+            d_pa_series(l, p, (m - a) * inv2 % p, order),
+            d_pa_series(l, p, (a - m) * inv2 % p, order),
         )
-        total = series_add(total, op_sieve(middle, p, 0))
-        total = series_add(total, _lopsided_series(l, p, m, order))
-    return series_scale(total, 2**l)
+        total = series_add(total, op_sieve(pair, p, (m * m - a * a) * inv4 % p))
+    pair = series_add(d_pa_series(l, p, m, order), d_pa_series(l, p, -m % p, order))
+    total = series_add(total, op_sieve(pair, p, 0))
+    total = series_add(total, series_scale(_lopsided_series(l, p, m, order), 2))
+    return series_scale(total, 2 ** (l - 1))
 
 
 def theta_mM(m: int, M: int, order: int) -> QSeries:

@@ -246,6 +246,8 @@ def named_series(name: str, order: int) -> QSeries:
 
 
 def cmd_series(args) -> int:
+    if args.order < 0:
+        raise ValueError("--order must be non-negative")
     if args.order > MAX_NEWFORM_N:
         raise ValueError(f"--order {args.order} is over the cap MAX_NEWFORM_N = {MAX_NEWFORM_N}")
     series = named_series(args.name, args.order)

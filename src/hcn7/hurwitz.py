@@ -82,45 +82,67 @@ def hurwitz_batch(n_max: int) -> HurwitzTable:
         raise ValueError("n_max must be non-negative")
     twelfths = [0] * (n_max + 1)
     twelfths[0] = -1
-    # Form (a, b, c) lands at index 4ac - b^2; for fixed (a, b) the indices
-    # with c > a step by 4a.  The weights are _weight12's, by loop position.
-    for a in range(1, isqrt(n_max // 3) + 1):
-        step = 4 * a
-        # b = 0: a(x^2 + y^2) at c = a, weight 12 for c > a
-        if step * a <= n_max:
-            twelfths[step * a] += 6
-        for n in range(step * (a + 1), n_max + 1, step):
-            twelfths[n] += 12
-        # 0 < b < a: weight 12 at c = a, 24 for c > a (the forms +-b)
-        for b in range(1, a):
-            if step * a - b * b <= n_max:
-                twelfths[step * a - b * b] += 12
-            for n in range(step * (a + 1) - b * b, n_max + 1, step):
-                twelfths[n] += 24
-        # b = a: a(x^2 + xy + y^2) at c = a, weight 12 for c > a
-        twelfths[3 * a * a] += 4
-        for n in range(step * (a + 1) - a * a, n_max + 1, step):
-            twelfths[n] += 12
+    _sieve(twelfths, 1)
     return HurwitzTable(tuple(twelfths))
 
 
-# Grown-on-demand cache behind hurwitz_series / hmm_sum; query results
-# are pure, the cache only avoids rebuilding tables.
+def _sieve(twelfths: list[int], lo: int) -> None:
+    """Add 12 times the weight of every reduced form (a, b, c) whose index
+    4ac - b^2 lies in [lo, len(twelfths)), lo >= 1.
+
+    For fixed (a, b) the indices with c > a step by 4a; each progression
+    starts at its first term >= lo.  The weights are _weight12's, by loop
+    position.
+    """
+    n_max = len(twelfths) - 1
+
+    def tail(first: int, step: int) -> range:
+        return range(first if first >= lo else lo + (first - lo) % step, n_max + 1, step)
+
+    for a in range(1, isqrt(n_max // 3) + 1):
+        step = 4 * a
+        # b = 0: a(x^2 + y^2) at c = a, weight 12 for c > a
+        if lo <= step * a <= n_max:
+            twelfths[step * a] += 6
+        for n in tail(step * (a + 1), step):
+            twelfths[n] += 12
+        # 0 < b < a: weight 12 at c = a, 24 for c > a (the forms +-b)
+        for b in range(1, a):
+            if lo <= step * a - b * b <= n_max:
+                twelfths[step * a - b * b] += 12
+            for n in tail(step * (a + 1) - b * b, step):
+                twelfths[n] += 24
+        # b = a: a(x^2 + xy + y^2) at c = a, weight 12 for c > a
+        if lo <= 3 * a * a:
+            twelfths[3 * a * a] += 4
+        for n in tail(step * (a + 1) - a * a, step):
+            twelfths[n] += 12
+
+
+# Cache behind hurwitz_series, hmm_sum and hmm_series; query results are
+# pure.  It grows by sieving only the indices it lacks, to at least twice
+# its last index and at least 1,024, so that callers asking in small steps
+# sieve few times; the hk and main suites and `hcn7 table` ask for their
+# whole range up front.
 _cache: HurwitzTable = hurwitz_batch(0)
 
 
-def _table(n_max: int) -> tuple[int, ...]:
-    """12*H(N) for at least 0 <= N <= n_max."""
+def twelfths_upto(n_max: int) -> tuple[int, ...]:
+    """12*H(N) for at least 0 <= N <= n_max, from the cache."""
     global _cache
     size = len(_cache.twelfths)
     if size <= n_max:
-        _cache = hurwitz_batch(max(n_max, 2 * (size - 1), 1024))
+        twelfths = list(_cache.twelfths) + [0] * (max(n_max, 2 * (size - 1), 1024) + 1 - size)
+        _sieve(twelfths, size)
+        _cache = HurwitzTable(tuple(twelfths))
     return _cache.twelfths
 
 
 def hurwitz_series(order: int) -> QSeries:
     """Generating series sum_n H(n) q^n."""
-    return QSeries([Fraction(t, 12) for t in _table(order)[: order + 1]])
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    return QSeries([Fraction(t, 12) for t in twelfths_upto(order)[: order + 1]])
 
 
 def hmm_sum(m: int, M: int, n: int) -> ExactRational:
@@ -129,7 +151,7 @@ def hmm_sum(m: int, M: int, n: int) -> ExactRational:
         raise ValueError("M must be positive")
     if n < 0:
         raise ValueError("n must be non-negative")
-    twelfths = _table(4 * n)
+    twelfths = twelfths_upto(4 * n)
     r = isqrt(4 * n)
     first = -r + (m + r) % M  # least a >= -r in the residue class
     total = sum(twelfths[4 * n - a * a] for a in range(first, r + 1, M))
@@ -144,7 +166,7 @@ def hmm_series(m: int, M: int, order: int) -> QSeries:
             f"internal order {internal} exceeds the cap {max_order()}; "
             "raise HCN_MAX_ORDER to go further"
         )
-    twelfths = QSeries(_table(internal)[: internal + 1])
+    twelfths = QSeries(twelfths_upto(internal)[: internal + 1])
     product = series_mul(twelfths, theta_mM(m, M, internal))
     return series_scale(op_u(product, 4), Fraction(1, 12))
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from .arith import d_pa_series, d_series, lambda_series, LambdaSpec, prop31_rhs, psi_k, theta_chi1, theta_mM
-from .hurwitz import hmm_series, hmm_sum, hurwitz_kronecker_lhs_rhs
+from .hurwitz import hmm_series, hmm_sum, hurwitz_kronecker_lhs_rhs, twelfths_upto
 from .newform49 import g_series, represent_7
 from .primes import euler_phi, prime_factors, primes_up_to
 from .qseries import (
@@ -247,8 +247,10 @@ def verify_hurwitz_kronecker(n_max: int) -> VerificationReport:
     """Both sides of the classical class number relation for 1 <= n <= n_max."""
     if n_max < 1:
         raise ValueError("n_max must be positive")
+    start = time.perf_counter()
+    twelfths_upto(4 * n_max)  # one sieve for every hmm_sum below
     pairs = ((n, *hurwitz_kronecker_lhs_rhs(n)) for n in range(1, n_max + 1))
-    return _report("hurwitz-kronecker", n_max, time.perf_counter(), pairs)
+    return _report("hurwitz-kronecker", n_max, start, pairs)
 
 
 def verify_prop31(k: int, m: int, order: int) -> VerificationReport:
@@ -347,6 +349,7 @@ def main_table_rows(p_max: int) -> Iterator[TableRow]:
     """main_table_row for every odd prime p <= p_max, p != 7, in order."""
     if p_max < 3:
         raise ValueError("p_max must be at least 3")
+    twelfths_upto(4 * p_max)  # one sieve for every hmm_sum below
     return (main_table_row(p) for p in primes_up_to(p_max) if p not in (2, 7))
 
 

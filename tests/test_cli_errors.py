@@ -1,6 +1,6 @@
 """Error paths of the hcn7 command: a reader that leaves early, an invalid
-HCN_MAX_ORDER, and a small HCN_MAX_ORDER, which binds only in the product
-route."""
+HCN_MAX_ORDER, a small HCN_MAX_ORDER, which binds only in the product
+route, and a negative series order."""
 
 import os
 import subprocess
@@ -89,3 +89,11 @@ def test_small_max_order_fails_where_it_binds(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "HCN_MAX_ORDER" in captured.err
+
+
+@pytest.mark.parametrize("name", ["Psi7", "H"])
+def test_negative_series_order_is_usage_error(capsys, name):
+    assert main(["series", name, "--order", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --order must be non-negative\n"

@@ -104,6 +104,12 @@ def test_series():
     assert (12 * big[1348]).denominator == 1
 
 
+def test_series_rejects_negative_order_after_the_cache_grew():
+    hmm_sum(0, 1, 100)  # the cache now holds more than 400 entries
+    with pytest.raises(ValueError, match="non-negative"):
+        hurwitz_series(-5)
+
+
 def test_hmm_sum_examples():
     assert hmm_sum(0, 7, 11) == 4
     assert hmm_sum(1, 7, 3) == 1

@@ -23,6 +23,8 @@ def no_allocation(monkeypatch):
     for module, name in [
         (hcn7.cli, "hurwitz_batch"),
         (hcn7.hurwitz, "hurwitz_batch"),
+        (hcn7.hurwitz, "twelfths_upto"),
+        (hcn7.verify, "twelfths_upto"),
         (hcn7.cli, "newform_an"),
         (hcn7.newform49, "newform_an"),
         (hcn7.verify, "primes_up_to"),

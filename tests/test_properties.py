@@ -3,10 +3,11 @@
 Both H routes (reduced-form enumeration and the sieve) and both H_{m,M}
 routes (direct sum and series product) are compared on drawn arguments,
 with M != 7 so that the moduli differ from the ones the acceptance tests
-fix.  The cache behind hmm_sum and hurwitz_series is reset to its
-one-entry start before each draw, so that the draws make it grow across
-its first doubling boundaries (N = 1024, 2048) and not only read a table
-some earlier test left behind.
+fix.  The cache behind hmm_sum and hurwitz_series is reset before each
+draw, so that the draws make it grow (it sieves only the indices it
+lacks) and not only read a table some earlier test left behind.  The
+correction series built by its factor-pair sieve is compared with its
+per-coefficient definition.
 """
 
 from contextlib import contextmanager
@@ -16,12 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hcn7.hurwitz
+from hcn7.arith import LambdaSpec, lambda_coeff, lambda_series
 from hcn7.hurwitz import (
     hmm_series,
     hmm_sum,
     hurwitz_batch,
     hurwitz_kronecker_lhs_rhs,
     hurwitz_single,
+    twelfths_upto,
 )
 
 PROPERTY = settings(deadline=None, max_examples=50, database=None)
@@ -29,11 +32,22 @@ PROPERTY = settings(deadline=None, max_examples=50, database=None)
 moduli = st.integers(1, 12).filter(lambda M: M != 7)
 
 
+# Table sizes, among them indices where a progression of the sieve starts
+# (4a(a+1) - b^2 for 0 <= b <= a) and their neighbours.
+progression_starts = st.builds(
+    lambda a, b, shift: 4 * a * (a + 1) - min(a, b) ** 2 + shift,
+    st.integers(1, 35),
+    st.integers(0, 35),
+    st.integers(-1, 1),
+)
+table_sizes = st.one_of(st.integers(0, 5000), progression_starts.filter(lambda n: n <= 5000))
+
+
 @contextmanager
-def fresh_cache():
-    """The H table cache starts from hurwitz_batch(0) inside the block."""
+def fresh_cache(n_max=0):
+    """The H table cache starts from hurwitz_batch(n_max) inside the block."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hcn7.hurwitz, "_cache", hurwitz_batch(0))
+        mp.setattr(hcn7.hurwitz, "_cache", hurwitz_batch(n_max))
         yield
 
 
@@ -49,6 +63,20 @@ def test_sieve_counts_twelfths_in_ints(n_max):
     twelfths = hurwitz_batch(n_max).twelfths
     assert len(twelfths) == n_max + 1
     assert all(type(t) is int for t in twelfths)
+
+
+@PROPERTY
+@given(start=table_sizes, sizes=st.lists(table_sizes, min_size=1, max_size=4))
+def test_cache_grown_by_range_matches_sieve(start, sizes):
+    # the first growth sieves from index start + 1, a progression start
+    # when start is one below it
+    with fresh_cache(start):
+        for size in sorted(sizes):
+            twelfths = twelfths_upto(size)
+            assert twelfths is hcn7.hurwitz._cache.twelfths
+            assert len(twelfths) > size
+            assert twelfths == hurwitz_batch(len(twelfths) - 1).twelfths
+            assert all(type(t) is int for t in twelfths)
 
 
 @PROPERTY
@@ -72,3 +100,15 @@ def test_residue_sums_add_to_hurwitz_kronecker(M, n):
     with fresh_cache():
         total = sum(hmm_sum(m, M, n) for m in range(M))
     assert total == hurwitz_kronecker_lhs_rhs(n)[1]
+
+
+lambda_specs = st.integers(1, 12).flatmap(
+    lambda M: st.builds(LambdaSpec, st.sampled_from([1, 3, 5]), st.integers(0, M - 1), st.just(M))
+)
+
+
+@PROPERTY
+@given(spec=lambda_specs, order=st.integers(0, 400))
+def test_lambda_series_matches_its_coefficients(spec, order):
+    expected = [0] + [lambda_coeff(spec, n) for n in range(1, order + 1)]
+    assert list(lambda_series(spec, order).coeffs) == expected

@@ -1,7 +1,8 @@
 """Series coefficients are exact ints or Fractions, kept as built.
 
 QSeries stores what a builder hands it, so the integer series stay ints
-and a product of two int series is int work.
+and a product of two int series is int work.  The divisor-sum side of
+Prop. 3.1 is integral and is built in ints.
 """
 
 import random
@@ -9,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from hcn7.arith import prop31_rhs
 from hcn7.cli import named_series
 from hcn7.qseries import QSeries, series_mul
 
@@ -39,3 +41,9 @@ def test_product_of_int_series_is_int():
     assert product.order == 59
     assert all(type(c) is int for c in product.coeffs)
     assert product == series_mul(QSeries(map(Fraction, f.coeffs)), g)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("m", range(7))
+def test_prop31_rhs_is_int(k, m):
+    assert all(type(c) is int for c in prop31_rhs(k, m, 7, 300).coeffs)

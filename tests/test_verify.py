@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from hcn7.hurwitz import hmm_sum
+import hcn7.hurwitz
+from hcn7.hurwitz import hmm_sum, hurwitz_batch
 from hcn7.qseries import QSeries
 from hcn7.verify import (
     IdentitySpec,
@@ -12,6 +13,7 @@ from hcn7.verify import (
     THM35_BOUND_M0,
     build_thm35_suite,
     main_table_row,
+    main_table_rows,
     run_suite,
     sturm_bound,
     table_formula,
@@ -186,3 +188,20 @@ def test_run_suite_names():
     assert reports[0].checked_upto == 100
     with pytest.raises(ValueError):
         run_suite("nope")
+
+
+def test_hk_and_main_sieve_the_table_to_their_size(monkeypatch):
+    # hk needs H(N) for N <= 4 * 5000, main for N <= 4 * 10000; growing by
+    # doubling instead would overshoot to 65,473 entries
+    monkeypatch.setattr(hcn7.hurwitz, "_cache", hurwitz_batch(0))
+    run_suite("hk")
+    run_suite("main")
+    assert len(hcn7.hurwitz._cache.twelfths) == 40_001
+
+
+def test_table_rows_sieve_the_table_once(monkeypatch):
+    # growing by doubling from 1,024 would end at 16,385 entries
+    monkeypatch.setattr(hcn7.hurwitz, "_cache", hurwitz_batch(0))
+    rows = list(main_table_rows(3000))
+    assert rows[-1].p == 2999
+    assert len(hcn7.hurwitz._cache.twelfths) == 12_001
