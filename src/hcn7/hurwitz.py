@@ -20,7 +20,7 @@ hmm_series as the series product (H-series * theta_{m,M}) with every
 The weights 1/2 and 1/3 and H(0) = -1/12 make every 12*H(N) an integer,
 so both H routes count in twelfths, and the table, the direct sums and
 the series product stay ints; the division by 12 happens once, at the
-end of each route.
+end of each route, and gives an int wherever H_{m,M}(n) is integral.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .arith import theta_mM
-from .qseries import ExactRational, QSeries, max_order, op_u, series_mul, series_scale
+from .qseries import ExactRational, QSeries, max_order, op_u, series_mul
 
 
 @dataclass(frozen=True)
@@ -146,20 +146,35 @@ def hurwitz_series(order: int) -> QSeries:
 
 
 def hmm_sum(m: int, M: int, n: int) -> ExactRational:
-    """H_{m,M}(n) summed directly over all integers a = m (mod M)."""
+    """H_{m,M}(n) summed directly over all integers a = m (mod M).
+
+    The twelfths are added in a plain loop; the value is an int when it is
+    integral and a Fraction otherwise.
+    """
     if M < 1:
         raise ValueError("M must be positive")
     if n < 0:
         raise ValueError("n must be non-negative")
-    twelfths = twelfths_upto(4 * n)
-    r = isqrt(4 * n)
+    four_n = 4 * n
+    twelfths = twelfths_upto(four_n)
+    r = isqrt(four_n)
     first = -r + (m + r) % M  # least a >= -r in the residue class
-    total = sum(twelfths[4 * n - a * a] for a in range(first, r + 1, M))
-    return Fraction(total, 12)
+    total = 0
+    for a in range(first, r + 1, M):
+        total += twelfths[four_n - a * a]
+    return total // 12 if total % 12 == 0 else Fraction(total, 12)
 
 
 def hmm_series(m: int, M: int, order: int) -> QSeries:
-    """H_{m,M} by the product route: (H-series * theta_{m,M}) | U_4."""
+    """H_{m,M} by the product route: (H-series * theta_{m,M}) | U_4.
+
+    The product is taken in twelfths, an int series, and each coefficient
+    of its U_4 image is divided by 12 on its own: an int where it is
+    integral, a Fraction otherwise.  The product costs one row add per
+    nonzero of theta_{m,M} (see qseries.series_mul).
+    """
+    if order < 0:
+        raise ValueError("order must be non-negative")
     internal = 4 * order
     if internal > max_order():
         raise ValueError(
@@ -167,8 +182,8 @@ def hmm_series(m: int, M: int, order: int) -> QSeries:
             "raise HCN_MAX_ORDER to go further"
         )
     twelfths = QSeries(twelfths_upto(internal)[: internal + 1])
-    product = series_mul(twelfths, theta_mM(m, M, internal))
-    return series_scale(op_u(product, 4), Fraction(1, 12))
+    product = op_u(series_mul(twelfths, theta_mM(m, M, internal)), 4)
+    return QSeries(t // 12 if t % 12 == 0 else Fraction(t, 12) for t in product.coeffs)
 
 
 def hurwitz_kronecker_lhs_rhs(n: int) -> tuple[ExactRational, int]:

@@ -6,6 +6,7 @@ from math import isqrt
 
 import pytest
 
+import hcn7.hurwitz
 from hcn7.hurwitz import (
     hmm_series,
     hmm_sum,
@@ -108,6 +109,17 @@ def test_series_rejects_negative_order_after_the_cache_grew():
     hmm_sum(0, 1, 100)  # the cache now holds more than 400 entries
     with pytest.raises(ValueError, match="non-negative"):
         hurwitz_series(-5)
+
+
+@pytest.mark.parametrize("grow_to", [0, 2000])
+def test_hmm_series_rejects_negative_order_whatever_the_cache_holds(monkeypatch, grow_to):
+    monkeypatch.setattr(hcn7.hurwitz, "_cache", hurwitz_batch(0))
+    if grow_to:
+        hmm_sum(0, 1, grow_to)  # the cache now holds more than 8000 entries
+    cache = hcn7.hurwitz._cache
+    with pytest.raises(ValueError, match="order must be non-negative"):
+        hmm_series(0, 7, -1)
+    assert hcn7.hurwitz._cache is cache
 
 
 def test_hmm_sum_examples():

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcn7.qseries import (
     DirichletCharacter,
@@ -212,6 +214,46 @@ def test_mul_commutative_and_associative():
         h = rand_series(rng, max_order=40)
         assert series_mul(f, g) == series_mul(g, f)
         assert series_mul(series_mul(f, g), h) == series_mul(f, series_mul(g, h))
+
+
+def schoolbook_mul(f, g):
+    """Reference Cauchy product: the plain double loop over both operands."""
+    order = min(f.order, g.order)
+    out = [0] * (order + 1)
+    for i in range(order + 1):
+        c = f.coeffs[i]
+        if not c:
+            continue
+        for j in range(order - i + 1):
+            d = g.coeffs[j]
+            if d:
+                out[i + j] += c * d
+    return out
+
+
+# Coefficients: zero, one (a row added without a product), small and
+# negative ints, ints beyond 2^64, and Fractions; a list may mix them all.
+coefficients = st.one_of(
+    st.just(0),
+    st.just(1),
+    st.integers(-9, 9),
+    st.integers(-(2**80), 2**80),
+    st.fractions(max_denominator=24),
+)
+series = st.one_of(
+    st.lists(coefficients, min_size=1, max_size=40),
+    st.integers(1, 40).map(lambda n: [0] * n),
+).map(QSeries)
+
+
+@settings(deadline=None, max_examples=300, database=None)
+@given(series, series)
+def test_mul_matches_schoolbook(f, g):
+    product = series_mul(f, g)
+    assert product.order == min(f.order, g.order)
+    assert list(product.coeffs) == schoolbook_mul(f, g)
+    if all(type(c) is int for c in f.coeffs + g.coeffs):
+        assert all(type(c) is int for c in product.coeffs)
 
 
 def test_scale_truncate_operators():

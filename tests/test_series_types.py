@@ -2,7 +2,8 @@
 
 QSeries stores what a builder hands it, so the integer series stay ints
 and a product of two int series is int work.  The divisor-sum side of
-Prop. 3.1 is integral and is built in ints.
+Prop. 3.1 is integral and is built in ints.  Both H_{m,M} routes give an
+int exactly where the value is integral.
 """
 
 import random
@@ -12,6 +13,7 @@ import pytest
 
 from hcn7.arith import prop31_rhs
 from hcn7.cli import named_series
+from hcn7.hurwitz import hmm_series, hmm_sum
 from hcn7.qseries import QSeries, series_mul
 
 NAMES = (
@@ -47,3 +49,16 @@ def test_product_of_int_series_is_int():
 @pytest.mark.parametrize("m", range(7))
 def test_prop31_rhs_is_int(k, m):
     assert all(type(c) is int for c in prop31_rhs(k, m, 7, 300).coeffs)
+
+
+@pytest.mark.parametrize("M", [1, 2, 4, 7])
+def test_hmm_routes_give_ints_exactly_where_integral(M):
+    kinds = set()
+    for m in range(M):
+        for n, value in enumerate(hmm_series(m, M, 150).coeffs):
+            direct = hmm_sum(m, M, n)
+            assert direct == value, (m, n)
+            kind = int if Fraction(value).denominator == 1 else Fraction
+            assert type(value) is kind and type(direct) is kind, (m, n)
+            kinds.add(kind)
+    assert kinds == {int, Fraction}
