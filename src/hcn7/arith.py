@@ -16,6 +16,8 @@ Contents:
     theta_chi1               weight-3/2 theta: coefficient chi(x) x at x^2
     psi_k                    lattice sum over x^2 + k y^2 = n of chi(x) x, halved
 
+with chi = chi_minus7, the quadratic character mod 7, in the last two.
+
 Everything is exact; square-root boundaries are decided by integer
 comparison (d*d <= n), never by floating point.
 """
@@ -28,9 +30,9 @@ from math import isqrt
 
 from .primes import is_prime
 from .qseries import (
-    DirichletCharacter,
     ExactRational,
     QSeries,
+    chi_minus7,
     op_dilate,
     op_sieve,
     series_add,
@@ -250,34 +252,31 @@ def theta_mM(m: int, M: int, order: int) -> QSeries:
     return QSeries(coeffs)
 
 
-def theta_chi1(chi: DirichletCharacter, order: int) -> QSeries:
-    """Halved signed theta (1/2) sum_x chi(x) x q^(x^2) for odd chi.
+def theta_chi1(order: int) -> QSeries:
+    """Halved signed theta (1/2) sum_x chi(x) x q^(x^2), chi = chi_minus7.
 
-    For odd chi the x and -x terms agree, so the coefficient at x^2 is
+    chi is odd, so the x and -x terms agree: the coefficient at x^2 is
     chi(x) x for x >= 1 and the result has integer coefficients.
     """
-    if not chi.is_odd():
-        raise ValueError("character must be odd (chi(-1) = -1)")
     coeffs = [0] * (order + 1)
     for x in range(1, isqrt(order) + 1):
-        coeffs[x * x] = chi(x) * x
+        coeffs[x * x] = chi_minus7(x) * x
     return QSeries(coeffs)
 
 
-def psi_k(chi: DirichletCharacter, k: int, order: int) -> QSeries:
-    """Halved lattice sum of chi(x) x over x^2 + k y^2 = n, all (x, y).
+def psi_k(k: int, order: int) -> QSeries:
+    """Halved lattice sum of chi(x) x over x^2 + k y^2 = n, all (x, y),
+    chi = chi_minus7.
 
     Direct enumeration; the +-x pairing absorbs the 1/2 exactly as in
     theta_chi1, while y runs over both signs independently.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    if not chi.is_odd():
-        raise ValueError("character must be odd (chi(-1) = -1)")
     coeffs = [0] * (order + 1)
     ymax = isqrt(order // k)
     for y in range(-ymax, ymax + 1):
         rest = order - k * y * y
         for x in range(1, isqrt(rest) + 1):
-            coeffs[x * x + k * y * y] += chi(x) * x
+            coeffs[x * x + k * y * y] += chi_minus7(x) * x
     return QSeries(coeffs)

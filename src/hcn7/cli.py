@@ -7,15 +7,13 @@ decimals, never as floats.
 
 Exit codes: 0 success, 1 verification/cross-check failure, 2 usage error,
 141 when the reader closes stdout early (as in `hcn7 ... | head`), with
-nothing written to stderr.  The HCN_MAX_ORDER environment variable
-(default 3000) is validated before any command runs, so a value that is
-not a positive integer is a usage error for every command.  It binds only
-in the product route for H_{m,M} (the thm35 suite), which needs internal
-order 4 times its bound and fails naming the variable when that is over.
+nothing written to stderr.  No environment variable changes what a
+command does.
 
 Inputs are capped before anything is allocated: MAX_H_INDEX bounds the
 largest H(N) index a command would tabulate (N for `hurwitz --max N`, 4n
-for `sum --n n`, 4P for `table --pmax P`) and MAX_NEWFORM_N bounds
+for `sum --n n`, 4P for `table --pmax P`; the product route for H_{m,M}
+checks its internal order against it too) and MAX_NEWFORM_N bounds
 `newform --nmax` and `series --order`.  An input over its cap is a usage
 error.
 """
@@ -33,11 +31,9 @@ from fractions import Fraction
 from .arith import d_pa_series, d_series, lambda_series, LambdaSpec, psi_k, theta_mM
 from .hurwitz import hmm_sum, hurwitz_batch, hurwitz_series, hurwitz_single
 from .newform49 import ap_pairs, cm_ap, g_series, newform_an, newform_ap
-from .qseries import QSeries, chi_minus7, max_order
+from .qseries import MAX_H_INDEX, QSeries
 from .verify import SUITE_NAMES, main_table_rows, run_suite
 
-# Sized so that `table --pmax 10**6` and `newform --nmax 10**6` stay admissible.
-MAX_H_INDEX = 4 * 10**6
 MAX_NEWFORM_N = 10**6
 
 
@@ -227,7 +223,7 @@ _SERIES_PATTERNS = [
     (re.compile(r"^H$"), lambda m, order: hurwitz_series(order)),
     (re.compile(r"^D$"), lambda m, order: d_series(order)),
     (re.compile(r"^G$"), lambda m, order: g_series(order)),
-    (re.compile(r"^Psi7$"), lambda m, order: psi_k(chi_minus7(), 7, order)),
+    (re.compile(r"^Psi7$"), lambda m, order: psi_k(7, order)),
     (re.compile(r"^D1_7_([0-6])$"), lambda m, order: d_pa_series(1, 7, int(m.group(1)), order)),
     (re.compile(r"^theta_([0-6])_7$"), lambda m, order: theta_mM(int(m.group(1)), 7, order)),
     (re.compile(r"^Lambda_1_([0-6])_7$"), lambda m, order: lambda_series(LambdaSpec(1, int(m.group(1)), 7), order)),
@@ -319,7 +315,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        max_order()  # reject an invalid HCN_MAX_ORDER whatever the command
         code = args.func(args)
         # flush here, so that a reader gone early is caught below and not
         # at interpreter exit

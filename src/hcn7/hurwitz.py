@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .arith import theta_mM
-from .qseries import ExactRational, QSeries, max_order, op_u, series_mul
+from .qseries import MAX_H_INDEX, ExactRational, QSeries, op_u, series_mul
 
 
 @dataclass(frozen=True)
@@ -171,16 +171,15 @@ def hmm_series(m: int, M: int, order: int) -> QSeries:
     The product is taken in twelfths, an int series, and each coefficient
     of its U_4 image is divided by 12 on its own: an int where it is
     integral, a Fraction otherwise.  The product costs one row add per
-    nonzero of theta_{m,M} (see qseries.series_mul).
+    nonzero of theta_{m,M} (see qseries.series_mul).  The internal order
+    4*order is an H index, so MAX_H_INDEX caps it, checked before the
+    table is read.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
     internal = 4 * order
-    if internal > max_order():
-        raise ValueError(
-            f"internal order {internal} exceeds the cap {max_order()}; "
-            "raise HCN_MAX_ORDER to go further"
-        )
+    if internal > MAX_H_INDEX:
+        raise ValueError(f"internal order {internal} is over the cap MAX_H_INDEX = {MAX_H_INDEX}")
     twelfths = QSeries(twelfths_upto(internal)[: internal + 1])
     product = op_u(series_mul(twelfths, theta_mM(m, M, internal)), 4)
     return QSeries(t // 12 if t % 12 == 0 else Fraction(t, 12) for t in product.coeffs)

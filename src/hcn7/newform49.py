@@ -28,7 +28,6 @@ multiplicativity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from math import isqrt
 from typing import Callable, Iterator
@@ -214,21 +213,8 @@ def newform_an(n_max: int, ap: Callable[[int], int] = newform_ap) -> QSeries:
     return QSeries(a)
 
 
-@dataclass(frozen=True)
-class Representation7:
-    """The unique positive solution of p = x^2 + 7 y^2."""
-
-    p: int
-    x: int
-    y: int
-
-    def __post_init__(self):
-        if self.x < 1 or self.y < 1 or self.p != self.x**2 + 7 * self.y**2:
-            raise ValueError(f"({self.x}, {self.y}) does not represent {self.p}")
-
-
-def represent_7(p: int) -> Representation7:
-    """Find the unique (x, y) with x, y > 0 and p = x^2 + 7 y^2.
+def represent_7(p: int) -> tuple[int, int]:
+    """The unique (x, y) with x, y > 0 and p = x^2 + 7 y^2.
 
     Exists exactly for odd primes p = 1, 2, 4 (mod 7); a full scan over y
     is kept so that non-uniqueness would be detected, not silently eaten.
@@ -246,8 +232,7 @@ def represent_7(p: int) -> Representation7:
             f"expected exactly one representation of {p} = x^2 + 7y^2, "
             f"found {hits or 'none'}"
         )
-    x, y = hits[0]
-    return Representation7(p, x, y)
+    return hits[0]
 
 
 def cm_ap(p: int) -> int:
@@ -264,8 +249,8 @@ def cm_ap(p: int) -> int:
         raise ValueError(f"{p} is not prime")
     if p % 7 in (3, 5, 6):
         return 0
-    rep = represent_7(p)
-    return 2 * chi_minus7()(rep.x) * rep.x
+    x, _ = represent_7(p)
+    return 2 * chi_minus7(x) * x
 
 
 def g_series(order: int) -> QSeries:
@@ -282,8 +267,3 @@ def ap_pairs(p_max: int) -> Iterator[tuple[int, int, int]]:
     if p_max < 3:
         raise ValueError("p_max must be at least 3")
     return ((p, newform_ap(p), cm_ap(p)) for p in primes_up_to(p_max) if p not in (2, 7))
-
-
-def cross_check_ap(p_max: int) -> list[int]:
-    """Primes p <= p_max (odd, != 7) where the two a_p routes disagree."""
-    return [p for p, ec, cm in ap_pairs(p_max) if ec != cm]

@@ -13,17 +13,16 @@ coefficient values:
     op_u(f, M)        a(M n) re-indexed to n
     op_dilate(f, M)   a(n) moved to exponent M n   (q -> q^M)
     op_sieve(f, M, r) keep exponents n == r (mod M)
-    op_twist(f, chi)  multiply a(n) by chi(n)
+    op_twist(f, chi)  multiply a(n) by chi(n), for any callable chi
 
-The HCN_MAX_ORDER environment variable (default 3000), read by
-max_order(), caps the internal order of the product route
-hurwitz.hmm_series.
+chi_minus7 is the one character the paper uses, the quadratic character
+mod 7.  MAX_H_INDEX caps every H(N) index the package tabulates, and with
+it the internal order of the product route hurwitz.hmm_series.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 from itertools import islice, repeat
 from operator import add, mul
@@ -32,21 +31,14 @@ from operator import add, mul
 # an int is the ExactRational of denominator 1, equal to it and hashed alike.
 ExactRational = Fraction
 
-DEFAULT_MAX_ORDER = 3000
+# Largest H(N) index anything tabulates.  Sized so that `table --pmax 10**6`
+# and `newform --nmax 10**6` stay admissible.
+MAX_H_INDEX = 4 * 10**6
 
 
 def max_order() -> int:
-    """Cap on the product route's internal order, overridable via HCN_MAX_ORDER."""
-    raw = os.environ.get("HCN_MAX_ORDER")
-    if raw is None:
-        return DEFAULT_MAX_ORDER
-    try:
-        cap = int(raw)
-        if cap >= 1:
-            return cap
-    except ValueError:
-        pass
-    raise ValueError(f"HCN_MAX_ORDER must be a positive integer, not {raw!r}")
+    """Cap on the product route's internal order, an H index: MAX_H_INDEX."""
+    return MAX_H_INDEX
 
 
 class QSeries:
@@ -239,65 +231,15 @@ def op_sieve(f: QSeries, M: int, r: int) -> QSeries:
     )
 
 
-def op_twist(f: QSeries, chi: "DirichletCharacter") -> QSeries:
+def op_twist(f: QSeries, chi) -> QSeries:
     """Multiply the coefficient at n by chi(n)."""
     return QSeries([chi(n) * c for n, c in enumerate(f.coeffs)])
 
 
-class DirichletCharacter:
-    """Periodic completely multiplicative map on residues, zero off units."""
-
-    __slots__ = ("modulus", "values")
-
-    def __init__(self, modulus: int, values):
-        values = tuple(int(v) for v in values)
-        if modulus < 1 or len(values) != modulus:
-            raise ValueError("need exactly one value per residue class")
-        for r in range(modulus):
-            if math.gcd(r, modulus) > 1 and values[r] != 0:
-                raise ValueError(f"nonzero value at non-unit residue {r}")
-        units = [r for r in range(modulus) if math.gcd(r, modulus) == 1]
-        for r in units:
-            for s in units:
-                if values[r * s % modulus] != values[r] * values[s]:
-                    raise ValueError("values are not completely multiplicative")
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DirichletCharacter is immutable")
-
-    def __call__(self, n: int) -> int:
-        return self.values[n % self.modulus]
-
-    def is_odd(self) -> bool:
-        return self(-1) == -1
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DirichletCharacter)
-            and self.modulus == other.modulus
-            and self.values == other.values
-        )
-
-    def __hash__(self):
-        return hash((self.modulus, self.values))
-
-    def __repr__(self):
-        return f"DirichletCharacter(mod {self.modulus}, {list(self.values)})"
-
-    @classmethod
-    def principal(cls, modulus: int) -> "DirichletCharacter":
-        return cls(
-            modulus,
-            [1 if math.gcd(r, modulus) == 1 else 0 for r in range(modulus)],
-        )
-
-
 # The quadratic character mod 7: +1 on {1,2,4}, -1 on {3,5,6}, 0 on 7Z.
-_CHI_MINUS7 = DirichletCharacter(7, [0, 1, 1, -1, 1, -1, -1])
+_CHI_MINUS7 = (0, 1, 1, -1, 1, -1, -1)
 
 
-def chi_minus7() -> DirichletCharacter:
-    """The non-principal real character mod 7 (odd: chi(-1) = -1)."""
-    return _CHI_MINUS7
+def chi_minus7(n: int) -> int:
+    """The non-principal real character mod 7 at n (odd: chi(-1) = -1)."""
+    return _CHI_MINUS7[n % 7]

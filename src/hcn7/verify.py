@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
@@ -139,58 +140,61 @@ THM35_BOUND_M0 = 56 + 1  # one past the Sturm bound for Gamma0(196)
 
 def _drop_sevens(f: QSeries) -> QSeries:
     """Twist twice by the quadratic character mod 7: zero multiples of 7."""
-    chi = chi_minus7()
-    return op_twist(op_twist(f, chi), chi)
+    return op_twist(op_twist(f, chi_minus7), chi_minus7)
 
 
-def _thm35_nonzero(m: int, a: int, bound: int) -> IdentitySpec:
+def _thm35_nonzero(m: int, a: int, bound: int, hmm, d, g) -> IdentitySpec:
     extras, c_d, c_g = _THM35_ROWS[(m, a)]
 
     def lhs(b: int) -> QSeries:
-        acc = op_sieve(hmm_series(m, 7, b), 7, a)
+        acc = op_sieve(hmm(m, 7, b), 7, a)
         for coeff, cls in extras:
             acc = series_add(acc, series_scale(op_sieve(d_pa_series(1, 7, cls, b), 7, a), coeff))
         return acc
 
     def rhs(b: int) -> QSeries:
-        acc = series_scale(op_sieve(d_series(b), 7, a), c_d)
+        acc = series_scale(op_sieve(d(b), 7, a), c_d)
         if c_g:
-            acc = series_add(acc, series_scale(op_sieve(g_series(b), 7, a), c_g))
+            acc = series_add(acc, series_scale(op_sieve(g(b), 7, a), c_g))
         return acc
 
     return IdentitySpec(f"thm35.m{m}.s{a}", lhs, rhs, bound)
 
 
-def _thm35_m0(bound: int) -> IdentitySpec:
+def _thm35_m0(bound: int, hmm, d, g) -> IdentitySpec:
     def lhs(b: int) -> QSeries:
-        acc = _drop_sevens(hmm_series(0, 7, b))
+        acc = _drop_sevens(hmm(0, 7, b))
         for cls, sieve in ((1, 6), (2, 3), (3, 5)):
             acc = series_add(acc, series_scale(op_sieve(d_pa_series(1, 7, cls, b), 7, sieve), 2))
         return acc
 
     def rhs(b: int) -> QSeries:
-        dd = d_series(b)
+        dd = d(b)
         acc = series_scale(_drop_sevens(dd), Fraction(1, 4))
         # sigma(n) chi(n)(chi(n) - 1) / 24: nonzero only on residues where
         # the mod-7 character is -1, where it contributes sigma(n) / 12
-        chi = chi_minus7()
         mid = QSeries(
-            [dd[n] * chi(n) * (chi(n) - 1) for n in range(b + 1)]
+            [dd[n] * chi_minus7(n) * (chi_minus7(n) - 1) for n in range(b + 1)]
         )
         acc = series_add(acc, series_scale(mid, Fraction(1, 24)))
-        return series_add(acc, series_scale(_drop_sevens(g_series(b)), Fraction(1, 4)))
+        return series_add(acc, series_scale(_drop_sevens(g(b)), Fraction(1, 4)))
 
     return IdentitySpec("thm35.m0", lhs, rhs, bound)
 
 
 def build_thm35_suite(bound: int | None = None, bound_m0: int | None = None) -> list[IdentitySpec]:
-    """All 19 identity specs, default bounds 337 (m != 0) and 57 (m = 0)."""
+    """All 19 identity specs, default bounds 337 (m != 0) and 57 (m = 0).
+
+    The specs share one build of each H_{m,7}, D and G series per bound:
+    the six rows of an m read the same hmm_series(m, 7, b).
+    """
     b = THM35_BOUND if bound is None else bound
     b0 = THM35_BOUND_M0 if bound_m0 is None else bound_m0
-    specs = [_thm35_m0(b0)]
+    series = cache(hmm_series), cache(d_series), cache(g_series)
+    specs = [_thm35_m0(b0, *series)]
     for m in (1, 2, 3):
         for a in range(1, 7):
-            specs.append(_thm35_nonzero(m, a, b))
+            specs.append(_thm35_nonzero(m, a, b, *series))
     return specs
 
 
@@ -204,7 +208,7 @@ def verify_lemma42(order: int) -> VerificationReport:
         raise ValueError("order must cover the Sturm bound 56")
 
     def lhs(b: int) -> QSeries:
-        return psi_k(chi_minus7(), 7, b)
+        return psi_k(7, b)
 
     def rhs(b: int) -> QSeries:
         g = g_series(b)
@@ -219,7 +223,7 @@ def verify_lemma42_literal_u(order: int = 56) -> VerificationReport:
     breaks immediately (already at n = 1, where the right side is -4)."""
 
     def lhs(b: int) -> QSeries:
-        return psi_k(chi_minus7(), 7, b)
+        return psi_k(7, b)
 
     def rhs(b: int) -> QSeries:
         g = g_series(4 * b)
@@ -233,12 +237,12 @@ def verify_prop41(order: int) -> VerificationReport:
     """Product form of the lattice sum: Psi_7 = theta(chi,1) * theta0(q^7)."""
 
     def lhs(b: int) -> QSeries:
-        return psi_k(chi_minus7(), 7, b)
+        return psi_k(7, b)
 
     def rhs(b: int) -> QSeries:
         theta0 = theta_mM(0, 1, -(-b // 7))
         dil = series_truncate(op_dilate(theta0, 7), b)
-        return series_mul(theta_chi1(chi_minus7(), b), dil)
+        return series_mul(theta_chi1(b), dil)
 
     return verify_identity(IdentitySpec("prop41", lhs, rhs, order))
 
@@ -310,8 +314,8 @@ def table_formula(p: int, m: int) -> ExactRational:
         raise ValueError("table columns are m = 0..3")
     e = 0
     if r in (1, 2, 4):
-        rep = represent_7(p)
-        e = chi_minus7()(rep.x) * rep.x
+        x, _ = represent_7(p)
+        e = chi_minus7(x) * x
     return _TABLE_CELLS[(r, m)](p, e)
 
 
@@ -335,8 +339,7 @@ def main_table_row(p: int) -> TableRow:
     r = p % 7
     x = y = None
     if r in (1, 2, 4):
-        rep = represent_7(p)
-        x, y = rep.x, rep.y
+        x, y = represent_7(p)
     cells = []
     for m in range(4):
         direct = hmm_sum(m, 7, p)

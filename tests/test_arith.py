@@ -19,7 +19,7 @@ from hcn7.arith import (
     theta_chi1,
     theta_mM,
 )
-from hcn7.qseries import DirichletCharacter, chi_minus7, op_dilate, op_u, series_mul, series_truncate
+from hcn7.qseries import op_dilate, op_u, series_mul, series_truncate
 
 
 def divisors(n):
@@ -165,35 +165,28 @@ def test_theta_mM():
 
 
 def test_theta_chi1():
-    chi = chi_minus7()
-    t = theta_chi1(chi, 50)
+    t = theta_chi1(50)
     assert t[1] == 1 and t[4] == 2 and t[9] == -3
     assert t[2] == 0
-    with pytest.raises(ValueError):
-        theta_chi1(DirichletCharacter.principal(7), 10)
-    with pytest.raises(ValueError):
-        theta_chi1(DirichletCharacter.principal(1), 10)
 
 
 def test_psi7():
-    ps = psi_k(chi_minus7(), 7, 60)
+    ps = psi_k(7, 60)
     assert ps[11] == 4
     assert ps[2] == 0
     assert ps[9] == -3
     assert ps[0] == 0
     with pytest.raises(ValueError):
-        psi_k(chi_minus7(), 1, 10)
-    with pytest.raises(ValueError):
-        psi_k(DirichletCharacter.principal(7), 7, 10)
+        psi_k(1, 10)
 
 
 def test_theta_product_identity():
     # lattice sum factors as signed theta times the 7-fold dilated theta
     order = 500
-    lhs = psi_k(chi_minus7(), 7, order)
+    lhs = psi_k(7, order)
     theta0 = theta_mM(0, 1, order // 7 + 1)
     rhs = series_mul(
-        theta_chi1(chi_minus7(), order),
+        theta_chi1(order),
         series_truncate(op_dilate(theta0, 7), order),
     )
     assert lhs == rhs
@@ -202,7 +195,7 @@ def test_theta_product_identity():
 def test_integer_coefficients():
     for s in (
         theta_mM(3, 7, 100),
-        theta_chi1(chi_minus7(), 100),
-        psi_k(chi_minus7(), 7, 100),
+        theta_chi1(100),
+        psi_k(7, 100),
     ):
         assert all(c.denominator == 1 for c in s.coeffs)

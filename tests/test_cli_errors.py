@@ -1,6 +1,5 @@
-"""Error paths of the hcn7 command: a reader that leaves early, an invalid
-HCN_MAX_ORDER, a small HCN_MAX_ORDER, which binds only in the product
-route, and a negative series order."""
+"""Error paths of the hcn7 command: a reader that leaves early and a
+negative series order."""
 
 import os
 import subprocess
@@ -46,49 +45,6 @@ def test_reader_gone_before_short_output_exits_141_quietly(tmp_path):
         os.close(write_end)
     assert proc.returncode == 141
     assert (tmp_path / "stderr").read_bytes() == b""
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-1"])
-def test_invalid_max_order_is_usage_error(monkeypatch, capsys, value):
-    monkeypatch.setenv("HCN_MAX_ORDER", value)
-    assert main(["verify", "--suite", "lemma42"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: HCN_MAX_ORDER must be a positive integer, not {value!r}\n"
-
-
-def test_invalid_max_order_is_rejected_by_every_command(monkeypatch, capsys):
-    monkeypatch.setenv("HCN_MAX_ORDER", "abc")
-    assert main(["hurwitz", "5"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "HCN_MAX_ORDER" in captured.err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify", "--suite", "lemma42", "--format", "csv"],
-        ["verify", "--suite", "prop31", "--bound", "300", "--format", "csv"],
-    ],
-)
-def test_small_max_order_leaves_dilations_alone(monkeypatch, capsys, argv):
-    # lemma42 dilates G of order 1000 by 4, prop31 a divisor series by 49 to
-    # order 343; both truncate, so a cap of 100 must not bind
-    assert main(argv) == 0
-    default = capsys.readouterr().out
-    monkeypatch.setenv("HCN_MAX_ORDER", "100")
-    assert main(argv) == 0
-    assert capsys.readouterr().out == default
-
-
-def test_small_max_order_fails_where_it_binds(monkeypatch, capsys):
-    # thm35's product route needs internal order 4 * 337
-    monkeypatch.setenv("HCN_MAX_ORDER", "100")
-    assert main(["verify", "--suite", "thm35"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "HCN_MAX_ORDER" in captured.err
 
 
 @pytest.mark.parametrize("name", ["Psi7", "H"])

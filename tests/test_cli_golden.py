@@ -47,8 +47,7 @@ def _break_hk(mp):
 
 
 def _break_cm(mp):
-    chi = chi_minus7()
-    mp.setattr(hcn7.newform49, "chi_minus7", lambda: lambda n: -chi(n))
+    mp.setattr(hcn7.newform49, "chi_minus7", lambda n: -chi_minus7(n))
 
 
 _FORMATTED = [

@@ -1,0 +1,65 @@
+"""Design rules of the package, checked on its source: exact arithmetic
+only (no float literal, no float() call, no math.sqrt, math.log or
+math.exp) and no knobs (no read of os.environ or os.getenv).  Division by
+`/` is allowed: Fraction / int is exact."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "hcn7").glob("*.py"))
+
+BANNED_ATTRIBUTES = {
+    "math": {"sqrt", "log", "exp"},
+    "os": {"environ", "getenv"},
+}
+
+
+def violations(tree: ast.AST) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append(f"line {node.lineno}: float literal {node.value!r}")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            found.append(f"line {node.lineno}: float() call")
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.attr in BANNED_ATTRIBUTES.get(node.value.id, ())
+        ):
+            found.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module in BANNED_ATTRIBUTES:
+            for alias in node.names:
+                if alias.name in BANNED_ATTRIBUTES[node.module]:
+                    found.append(f"line {node.lineno}: from {node.module} import {alias.name}")
+    return found
+
+
+def test_sources_found():
+    assert {p.name for p in SOURCES} >= {"cli.py", "hurwitz.py", "qseries.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_float_and_no_knobs(path):
+    assert violations(ast.parse(path.read_text(), str(path))) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "x = 0.5",
+        "x = 1e3",
+        "x = float(n)",
+        "import math\nx = math.sqrt(n)",
+        "import math\nx = math.log(n)",
+        "import math\nx = math.exp(n)",
+        "from math import sqrt",
+        "import os\nx = os.environ.get('N')",
+        "import os\nx = os.environ['N']",
+        "import os\nx = os.getenv('N')",
+        "from os import environ",
+    ],
+)
+def test_rules_catch(source):
+    assert violations(ast.parse(source))

@@ -15,6 +15,7 @@ from hcn7.hurwitz import (
     hurwitz_series,
     hurwitz_single,
 )
+from hcn7.qseries import MAX_H_INDEX
 
 # Frozen values, each recomputable by listing reduced forms by hand:
 # H(3) <- (1,1,1) at weight 1/3; H(4) <- (1,0,1) at 1/2; H(11) <- (1,1,3);
@@ -156,10 +157,13 @@ def test_hmm_series_examples():
 
 
 def test_hmm_series_respects_order_cap(monkeypatch):
-    monkeypatch.setenv("HCN_MAX_ORDER", "100")
-    with pytest.raises(ValueError):
-        hmm_series(0, 7, 26)  # would need internal order 104
-    assert hmm_series(0, 7, 25)[11] == 4
+    def unreachable(n_max):
+        raise AssertionError("hmm_series read the table before checking its cap")
+
+    monkeypatch.setattr(hcn7.hurwitz, "twelfths_upto", unreachable)
+    # internal order 4 * order just over MAX_H_INDEX
+    with pytest.raises(ValueError, match="MAX_H_INDEX"):
+        hmm_series(0, 7, MAX_H_INDEX // 4 + 1)
 
 
 def test_hurwitz_kronecker():

@@ -6,9 +6,8 @@ from math import isqrt
 import pytest
 
 from hcn7.newform49 import (
-    Representation7,
+    ap_pairs,
     cm_ap,
-    cross_check_ap,
     ec_point_count,
     g_series,
     newform_an,
@@ -96,9 +95,9 @@ def test_inert_primes_vanish():
 
 
 def test_representations():
-    assert (represent_7(11).x, represent_7(11).y) == (2, 1)
-    assert (represent_7(23).x, represent_7(23).y) == (4, 1)
-    assert (represent_7(29).x, represent_7(29).y) == (1, 2)
+    assert represent_7(11) == (2, 1)
+    assert represent_7(23) == (4, 1)
+    assert represent_7(29) == (1, 2)
 
 
 def test_representation_uniqueness_full_scan():
@@ -112,8 +111,7 @@ def test_representation_uniqueness_full_scan():
             if x > 0 and x * x == p - 7 * y * y
         ]
         assert len(hits) == 1, (p, hits)
-        rep = represent_7(p)
-        assert (rep.x, rep.y) == hits[0]
+        assert represent_7(p) == hits[0]
 
 
 def test_representation_errors():
@@ -123,8 +121,6 @@ def test_representation_errors():
         represent_7(7)
     with pytest.raises(ValueError):
         represent_7(15)
-    with pytest.raises(ValueError):
-        Representation7(11, 1, 1)
 
 
 def test_cm_ap():
@@ -136,7 +132,7 @@ def test_cm_ap():
 
 
 def test_cm_matches_point_counts():
-    assert cross_check_ap(2000) == []
+    assert [p for p, ec, cm in ap_pairs(2000) if ec != cm] == []
 
 
 def test_g_series():

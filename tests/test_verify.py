@@ -1,10 +1,12 @@
 """Sturm bounds, identity reports, the 19-identity battery, closing table."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import hcn7.hurwitz
+import hcn7.verify
 from hcn7.hurwitz import hmm_sum, hurwitz_batch
 from hcn7.qseries import QSeries
 from hcn7.verify import (
@@ -103,6 +105,26 @@ def test_thm35_all_hold_small():
         assert rep.ok, str(rep)
 
 
+def test_thm35_builds_each_series_once(monkeypatch):
+    calls = Counter()
+
+    def counting(name):
+        fn = getattr(hcn7.verify, name)
+
+        def wrapper(*args):
+            calls[(name, *args)] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("hmm_series", "d_series", "g_series"):
+        monkeypatch.setattr(hcn7.verify, name, counting(name))
+    assert all(rep.ok for rep in run_suite("thm35"))
+    assert sum(n for (name, *_), n in calls.items() if name == "hmm_series") == 4
+    assert calls[("g_series", THM35_BOUND)] == 1
+    assert max(calls.values()) == 1
+
+
 def test_lemma42():
     rep = verify_lemma42(300)
     assert rep.ok
@@ -112,9 +134,8 @@ def test_lemma42():
 
 def test_lemma42_worked_values():
     from hcn7.arith import psi_k
-    from hcn7.qseries import chi_minus7
 
-    ps = psi_k(chi_minus7(), 7, 10)
+    ps = psi_k(7, 10)
     assert ps[4] == 2  # a4 - a2 + 4 a1
     assert ps[8] == 2  # a8 - a4 + 4 a2
     assert ps[1] == 1  # a1
