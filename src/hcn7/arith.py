@@ -246,9 +246,9 @@ def theta_mM(m: int, M: int, order: int) -> QSeries:
         raise ValueError("M must be positive")
     coeffs = [0] * (order + 1)
     r = isqrt(order)
-    for n in range(-r, r + 1):
-        if (n - m) % M == 0:
-            coeffs[n * n] += 1
+    first = -r + (m + r) % M  # least n >= -r in the residue class
+    for n in range(first, r + 1, M):
+        coeffs[n * n] += 1
     return QSeries(coeffs)
 
 

@@ -155,6 +155,8 @@ def _mismatch(r) -> tuple[int, str, str] | None:
 
 
 def cmd_verify(args) -> int:
+    if args.bound is not None and args.bound < 0:
+        raise ValueError("--bound must be non-negative")
     reports = run_suite(args.suite, args.bound)
     all_ok = all(r.ok for r in reports)
     emit(

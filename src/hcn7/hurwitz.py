@@ -14,8 +14,8 @@ residue-restricted sums
     H_{m,M}(n) = sum over a = m (mod M) of H(4n - a^2)
 
 are likewise computed two ways: hmm_sum by direct summation and
-hmm_series as the series product (H-series * theta_{m,M}) with every
-4th coefficient extracted.
+hmm_series as the series product (H-series * theta_{m,M}) | U_4, of
+which only the coefficients U_4 keeps are computed.
 
 The weights 1/2 and 1/3 and H(0) = -1/12 make every 12*H(N) an integer,
 so both H routes count in twelfths, and the table, the direct sums and
@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .arith import theta_mM
-from .qseries import MAX_H_INDEX, ExactRational, QSeries, op_u, series_mul
+from .qseries import MAX_H_INDEX, ExactRational, QSeries, series_mul_u
 
 
 @dataclass(frozen=True)
@@ -168,10 +168,11 @@ def hmm_sum(m: int, M: int, n: int) -> ExactRational:
 def hmm_series(m: int, M: int, order: int) -> QSeries:
     """H_{m,M} by the product route: (H-series * theta_{m,M}) | U_4.
 
-    The product is taken in twelfths, an int series, and each coefficient
-    of its U_4 image is divided by 12 on its own: an int where it is
-    integral, a Fraction otherwise.  The product costs one row add per
-    nonzero of theta_{m,M} (see qseries.series_mul).  The internal order
+    The product is taken in twelfths, an int series, by
+    qseries.series_mul_u, which computes only the coefficients at 4n: one
+    row add of order + 1 - ceil(a^2 / 4) terms per nonzero q^(a^2) of
+    theta_{m,M}.  Each coefficient is then divided by 12 on its own: an
+    int where it is integral, a Fraction otherwise.  The internal order
     4*order is an H index, so MAX_H_INDEX caps it, checked before the
     table is read.
     """
@@ -181,8 +182,8 @@ def hmm_series(m: int, M: int, order: int) -> QSeries:
     if internal > MAX_H_INDEX:
         raise ValueError(f"internal order {internal} is over the cap MAX_H_INDEX = {MAX_H_INDEX}")
     twelfths = QSeries(twelfths_upto(internal)[: internal + 1])
-    product = op_u(series_mul(twelfths, theta_mM(m, M, internal)), 4)
-    return QSeries(t // 12 if t % 12 == 0 else Fraction(t, 12) for t in product.coeffs)
+    product = series_mul_u(twelfths, theta_mM(m, M, internal), 4)
+    return QSeries([t // 12 if t % 12 == 0 else Fraction(t, 12) for t in product.coeffs])
 
 
 def hurwitz_kronecker_lhs_rhs(n: int) -> tuple[ExactRational, int]:

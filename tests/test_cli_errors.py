@@ -1,5 +1,5 @@
-"""Error paths of the hcn7 command: a reader that leaves early and a
-negative series order."""
+"""Error paths of the hcn7 command: a reader that leaves early, a
+negative series order and a negative verify bound."""
 
 import os
 import subprocess
@@ -53,3 +53,11 @@ def test_negative_series_order_is_usage_error(capsys, name):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --order must be non-negative\n"
+
+
+@pytest.mark.parametrize("suite", ["thm35", "lemma42", "prop31", "prop41", "hk", "main", "all"])
+def test_negative_verify_bound_is_usage_error(capsys, suite):
+    assert main(["verify", "--suite", suite, "--bound", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --bound must be non-negative\n"

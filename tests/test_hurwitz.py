@@ -7,6 +7,7 @@ from math import isqrt
 import pytest
 
 import hcn7.hurwitz
+from hcn7.arith import theta_mM
 from hcn7.hurwitz import (
     hmm_series,
     hmm_sum,
@@ -14,8 +15,9 @@ from hcn7.hurwitz import (
     hurwitz_kronecker_lhs_rhs,
     hurwitz_series,
     hurwitz_single,
+    twelfths_upto,
 )
-from hcn7.qseries import MAX_H_INDEX
+from hcn7.qseries import MAX_H_INDEX, QSeries, op_u, series_mul
 
 # Frozen values, each recomputable by listing reduced forms by hand:
 # H(3) <- (1,1,1) at weight 1/3; H(4) <- (1,0,1) at 1/2; H(11) <- (1,1,3);
@@ -148,6 +150,32 @@ def test_hmm_series_matches_direct_sum():
         s = hmm_series(m, 7, 120)
         for n in range(121):
             assert s[n] == hmm_sum(m, 7, n), (m, n)
+
+
+def composed_hmm_series(m, M, order):
+    """Reference for hmm_series: the whole product of the twelfths with
+    theta_{m,M} to order 4*order, then op_u keeps every 4th coefficient,
+    then each is divided by 12."""
+    internal = 4 * order
+    twelfths = QSeries(twelfths_upto(internal)[: internal + 1])
+    product = op_u(series_mul(twelfths, theta_mM(m, M, internal)), 4)
+    return QSeries(Fraction(t, 12) for t in product.coeffs)
+
+
+def test_hmm_series_matches_composed_product():
+    for m in range(7):
+        assert hmm_series(m, 7, 337) == composed_hmm_series(m, 7, 337), m
+    for M in (1, 2, 4, 13, 22):
+        for m in {0, 1, M // 2, M - 1}:
+            assert hmm_series(m, M, 750) == composed_hmm_series(m, M, 750), (m, M)
+
+
+def test_hmm_series_does_not_use_the_direct_sum(monkeypatch):
+    def unreachable(m, M, n):
+        raise AssertionError("hmm_series called hmm_sum")
+
+    monkeypatch.setattr(hcn7.hurwitz, "hmm_sum", unreachable)
+    assert hmm_series(3, 7, 200) == composed_hmm_series(3, 7, 200)
 
 
 def test_hmm_series_examples():
