@@ -4,6 +4,7 @@ Contents:
 
     sigma(n, l)              sum of d^l over divisors d of n
     d_series(order)          sum_{n>=1} sigma(n) q^n
+    hk_rhs_series(order)     sum_{n>=1} (2 sigma(n) - sum_{d|n} min(d, n/d)) q^n
     phi_pa / d_pa_series     the two-sided divisor sums
                                  phi_l^(p,a)(n) = sum_{d|n, d<=sqrt(n), d=-a (p)} d^l
                                                 + sum_{d|n, d<sqrt(n),  d= a (p)} d^l
@@ -27,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from operator import add
 
 from .primes import is_prime
 from .qseries import (
@@ -61,6 +63,23 @@ def d_series(order: int) -> QSeries:
     for d in range(1, order + 1):
         for n in range(d, order + 1, d):
             coeffs[n] += d
+    return QSeries(coeffs)
+
+
+def hk_rhs_series(order: int) -> QSeries:
+    """Right side of the Hurwitz-Kronecker relation,
+    2 sigma(n) - sum_{d|n} min(d, n/d), with constant term 0.
+
+    Sieved over factor pairs d e = n, d <= e: the pair {d, e} contributes
+    2d + 2e - 2 min(d, e) = 2e when d < e, and 2d - d = d when d = e.  For
+    each d the pairs with e > d sit at n = d e, a slice of step d, added
+    as one C-level map.
+    """
+    coeffs = [0] * (order + 1)
+    for d in range(1, isqrt(order) + 1):
+        coeffs[d * d] += d
+        tail = slice(d * (d + 1), None, d)
+        coeffs[tail] = map(add, coeffs[tail], range(2 * (d + 1), 2 * (order // d) + 1, 2))
     return QSeries(coeffs)
 
 

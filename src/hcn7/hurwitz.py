@@ -122,8 +122,8 @@ def _sieve(twelfths: list[int], lo: int) -> None:
 # Cache behind hurwitz_series, hmm_sum and hmm_series; query results are
 # pure.  It grows by sieving only the indices it lacks, to at least twice
 # its last index and at least 1,024, so that callers asking in small steps
-# sieve few times; the hk and main suites and `hcn7 table` ask for their
-# whole range up front.
+# sieve few times; the main suite and `hcn7 table` ask for their whole
+# range up front, and the hk suite reads it once, through hmm_series.
 _cache: HurwitzTable = hurwitz_batch(0)
 
 
@@ -185,21 +185,3 @@ def hmm_series(m: int, M: int, order: int) -> QSeries:
     product = series_mul_u(twelfths, theta_mM(m, M, internal), 4)
     return QSeries([t // 12 if t % 12 == 0 else Fraction(t, 12) for t in product.coeffs])
 
-
-def hurwitz_kronecker_lhs_rhs(n: int) -> tuple[ExactRational, int]:
-    """Both sides of sum_a H(4n - a^2) = 2 sigma(n) - sum_{d|n} min(d, n/d).
-
-    The two sides are computed independently: the left from the class
-    number table, the right, an int, from a divisor loop.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    lhs = hmm_sum(0, 1, n)
-    rhs = 0
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            e = n // d
-            # the pair {d, e} contributes 2d + 2e - min - min = 2e (d < e),
-            # or 2d - d = d when d = e
-            rhs += 2 * e if e != d else d
-    return lhs, rhs

@@ -113,7 +113,9 @@ def series_sub(f: QSeries, g: QSeries) -> QSeries:
 
 
 def series_scale(f: QSeries, c) -> QSeries:
-    return QSeries([c * a for a in f.coeffs])
+    """c times each coefficient; a zero coefficient stays the int 0, equal
+    to c * 0 and hashed alike, without building a Fraction zero."""
+    return QSeries([c * a if a else 0 for a in f.coeffs])
 
 
 def series_truncate(f: QSeries, order: int) -> QSeries:

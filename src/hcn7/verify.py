@@ -20,10 +20,10 @@ from functools import cache
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .arith import d_pa_series, d_series, lambda_series, LambdaSpec, prop31_rhs, psi_k, theta_chi1, theta_mM
-from .hurwitz import hmm_series, hmm_sum, hurwitz_kronecker_lhs_rhs, twelfths_upto
+from .arith import d_pa_series, d_series, hk_rhs_series, lambda_series, LambdaSpec, prop31_rhs, psi_k, theta_chi1, theta_mM
+from .hurwitz import hmm_series, hmm_sum, twelfths_upto
 from .newform49 import g_series, represent_7
-from .primes import euler_phi, prime_factors, primes_up_to
+from .primes import euler_phi, is_prime, prime_factors, primes_up_to
 from .qseries import (
     ExactRational,
     QSeries,
@@ -248,13 +248,14 @@ def verify_prop41(order: int) -> VerificationReport:
 
 
 def verify_hurwitz_kronecker(n_max: int) -> VerificationReport:
-    """Both sides of the classical class number relation for 1 <= n <= n_max."""
+    """Both sides of the classical class number relation for 1 <= n <= n_max:
+    hmm_series(0, 1, n_max) from the H table, hk_rhs_series reading no H."""
     if n_max < 1:
         raise ValueError("n_max must be positive")
     start = time.perf_counter()
-    twelfths_upto(4 * n_max)  # one sieve for every hmm_sum below
-    pairs = ((n, *hurwitz_kronecker_lhs_rhs(n)) for n in range(1, n_max + 1))
-    return _report("hurwitz-kronecker", n_max, start, pairs)
+    lhs = hmm_series(0, 1, n_max).coeffs
+    rhs = hk_rhs_series(n_max).coeffs
+    return _report("hurwitz-kronecker", n_max, start, zip(range(1, n_max + 1), lhs[1:], rhs[1:]))
 
 
 def verify_prop31(k: int, m: int, order: int) -> VerificationReport:
@@ -305,17 +306,25 @@ _TABLE_CELLS: dict[tuple[int, int], Callable[[int, int], Fraction]] = {
 }
 
 
-def table_formula(p: int, m: int) -> ExactRational:
-    """Predicted H_{m,7}(p) from the closing table, m in 0..3."""
+def _table_row_terms(p: int) -> tuple[int, int | None, int | None, int]:
+    """(r, x, y, chi(x) x) for r = p mod 7 and p = x^2 + 7y^2 in the split
+    rows 1, 2, 4, where represent_7 checks p; (r, None, None, 0) otherwise."""
     r = p % 7
     if r == 0:
         raise ValueError("p = 7 has no table row")
+    if r not in (1, 2, 4):
+        return r, None, None, 0
+    x, y = represent_7(p)
+    return r, x, y, chi_minus7(x) * x
+
+
+def table_formula(p: int, m: int) -> ExactRational:
+    """Predicted H_{m,7}(p) from the closing table, m in 0..3."""
     if m not in (0, 1, 2, 3):
         raise ValueError("table columns are m = 0..3")
-    e = 0
-    if r in (1, 2, 4):
-        x, _ = represent_7(p)
-        e = chi_minus7(x) * x
+    r, x, _, e = _table_row_terms(p)
+    if x is None and not is_prime(p):
+        raise ValueError("p must be an odd prime different from 7")
     return _TABLE_CELLS[(r, m)](p, e)
 
 
@@ -335,15 +344,13 @@ class TableRow:
 
 
 def main_table_row(p: int) -> TableRow:
-    """Direct sums against the table formulas for one odd prime p != 7."""
-    r = p % 7
-    x = y = None
-    if r in (1, 2, 4):
-        x, y = represent_7(p)
+    """Direct sums against the table formulas for one odd prime p != 7,
+    with one representation p = x^2 + 7y^2 for all four cells."""
+    r, x, y, e = _table_row_terms(p)
     cells = []
     for m in range(4):
         direct = hmm_sum(m, 7, p)
-        formula = table_formula(p, m)
+        formula = _TABLE_CELLS[(r, m)](p, e)
         cells.append((m, direct, formula, direct == formula))
     return TableRow(p, r, x, y, tuple(cells))
 
@@ -362,14 +369,17 @@ def verify_main_table(p_max: int) -> list[VerificationReport]:
     Returns one report per (residue row, column) cell keyed by the first
     mismatching prime, plus a report for the row-sum identity
     H_0 + 2H_1 + 2H_2 + 2H_3 = 2p.  Elapsed time of the shared scan is
-    recorded on every report.
+    recorded on every report.  p_max >= 29 gives every row a prime: row 1
+    starts at 29, rows 2 to 6 at 23, 3, 11, 5 and 13.
     """
+    if p_max < 29:
+        raise ValueError("p_max must be at least 29, the first prime p = 1 (mod 7)")
     start = time.perf_counter()
     first_bad: dict[tuple[int, int], tuple[int, ExactRational, ExactRational]] = {}
     rowsum_bad = None
     for row in main_table_rows(p_max):
         p = row.p
-        total = Fraction(0)
+        total = 0
         for m, direct, formula, match in row.cells:
             total += direct if m == 0 else 2 * direct
             key = (row.residue, m)

@@ -1,5 +1,6 @@
 """Error paths of the hcn7 command: a reader that leaves early, a
-negative series order and a negative verify bound."""
+negative series order, a negative verify bound and a main-suite bound
+that leaves a residue row without a prime."""
 
 import os
 import subprocess
@@ -61,3 +62,13 @@ def test_negative_verify_bound_is_usage_error(capsys, suite):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --bound must be non-negative\n"
+
+
+def test_main_suite_bound_below_first_row_1_prime_is_usage_error(capsys):
+    # 29 is the first prime p = 1 (mod 7); below it row 1 would pass on no prime
+    assert main(["verify", "--suite", "main", "--bound", "28"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "29" in captured.err
+    assert main(["verify", "--suite", "main", "--bound", "29", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.count(",1,29,,,") == 25  # 24 cells and the row sum

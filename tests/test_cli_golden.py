@@ -20,7 +20,7 @@ import pytest
 import hcn7.newform49
 import hcn7.verify
 from hcn7.cli import main
-from hcn7.qseries import chi_minus7
+from hcn7.qseries import QSeries, chi_minus7
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -32,18 +32,19 @@ def mask(text: str) -> str:
 
 
 def _break_table(mp):
-    formula = hcn7.verify.table_formula
-    mp.setattr(hcn7.verify, "table_formula", lambda p, m: formula(p, m) + (p == 11 and m == 2))
+    cell = hcn7.verify._TABLE_CELLS[(4, 2)]  # 11 = 4 (mod 7), column m = 2
+    mp.setitem(hcn7.verify._TABLE_CELLS, (4, 2), lambda p, e: cell(p, e) + (p == 11))
 
 
 def _break_hk(mp):
-    pair = hcn7.verify.hurwitz_kronecker_lhs_rhs
+    rhs_series = hcn7.verify.hk_rhs_series
 
-    def lhs_rhs(n):
-        lhs, rhs = pair(n)
-        return lhs, rhs + (n == 7)
+    def broken(order):
+        coeffs = list(rhs_series(order).coeffs)
+        coeffs[7] += 1
+        return QSeries(coeffs)
 
-    mp.setattr(hcn7.verify, "hurwitz_kronecker_lhs_rhs", lhs_rhs)
+    mp.setattr(hcn7.verify, "hk_rhs_series", broken)
 
 
 def _break_cm(mp):

@@ -12,7 +12,6 @@ from hcn7.hurwitz import (
     hmm_series,
     hmm_sum,
     hurwitz_batch,
-    hurwitz_kronecker_lhs_rhs,
     hurwitz_series,
     hurwitz_single,
     twelfths_upto,
@@ -194,11 +193,22 @@ def test_hmm_series_respects_order_cap(monkeypatch):
         hmm_series(0, 7, MAX_H_INDEX // 4 + 1)
 
 
+def hk_rhs_oracle(n):
+    """2 sigma(n) - sum_{d|n} min(d, n/d) by a divisor loop for one n >= 1:
+    the reference for arith.hk_rhs_series."""
+    rhs = 0
+    for d in range(1, isqrt(n) + 1):
+        if n % d == 0:
+            e = n // d
+            # the pair {d, e} contributes 2d + 2e - min - min = 2e (d < e),
+            # or 2d - d = d when d = e
+            rhs += 2 * e if e != d else d
+    return rhs
+
+
 def test_hurwitz_kronecker():
-    assert hurwitz_kronecker_lhs_rhs(1) == (1, 1)
-    assert hurwitz_kronecker_lhs_rhs(11) == (22, 22)
-    lhs, rhs = hurwitz_kronecker_lhs_rhs(4)
-    assert lhs == rhs
+    assert hmm_sum(0, 1, 1) == hk_rhs_oracle(1) == 1
+    assert hmm_sum(0, 1, 11) == hk_rhs_oracle(11) == 22
+    assert hmm_sum(0, 1, 4) == hk_rhs_oracle(4)
     for n in range(1, 600):
-        lhs, rhs = hurwitz_kronecker_lhs_rhs(n)
-        assert lhs == rhs, n
+        assert hmm_sum(0, 1, n) == hk_rhs_oracle(n), n

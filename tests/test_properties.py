@@ -7,25 +7,26 @@ fix.  The cache behind hmm_sum and hurwitz_series is reset before each
 draw, so that the draws make it grow (it sieves only the indices it
 lacks) and not only read a table some earlier test left behind.  The
 correction series built by its factor-pair sieve is compared with its
-per-coefficient definition.
+per-coefficient definition, and the right side of the Hurwitz-Kronecker
+relation, sieved, with its divisor loop per n.
 """
 
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hcn7.hurwitz
-from hcn7.arith import LambdaSpec, lambda_coeff, lambda_series
+from hcn7.arith import LambdaSpec, hk_rhs_series, lambda_coeff, lambda_series
 from hcn7.hurwitz import (
     hmm_series,
     hmm_sum,
     hurwitz_batch,
-    hurwitz_kronecker_lhs_rhs,
     hurwitz_single,
     twelfths_upto,
 )
+from test_hurwitz import hk_rhs_oracle
 
 PROPERTY = settings(deadline=None, max_examples=50, database=None)
 
@@ -99,7 +100,22 @@ def test_direct_sum_matches_product(M, m, n, ahead):
 def test_residue_sums_add_to_hurwitz_kronecker(M, n):
     with fresh_cache():
         total = sum(hmm_sum(m, M, n) for m in range(M))
-    assert total == hurwitz_kronecker_lhs_rhs(n)[1]
+    assert total == hk_rhs_oracle(n)
+
+
+# Orders where the last factor d = isqrt(N) has no pair d < e in range.
+perfect_squares = st.integers(1, 54).map(lambda k: k * k)
+
+
+@PROPERTY
+@given(N=st.one_of(st.integers(1, 3000), perfect_squares))
+@example(N=1)
+@example(N=2)
+@example(N=3)
+def test_hk_rhs_series_matches_divisor_loop(N):
+    series = hk_rhs_series(N)
+    assert series.coeffs == (0, *(hk_rhs_oracle(n) for n in range(1, N + 1)))
+    assert all(type(c) is int for c in series.coeffs)
 
 
 lambda_specs = st.integers(1, 12).flatmap(

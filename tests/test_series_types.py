@@ -3,7 +3,7 @@
 QSeries stores what a builder hands it, so the integer series stay ints
 and a product of two int series is int work.  The divisor-sum side of
 Prop. 3.1 is integral and is built in ints.  Both H_{m,M} routes give an
-int exactly where the value is integral.
+int exactly where the value is integral.  Scaling leaves a zero the int 0.
 """
 
 import random
@@ -14,7 +14,7 @@ import pytest
 from hcn7.arith import prop31_rhs
 from hcn7.cli import named_series
 from hcn7.hurwitz import hmm_series, hmm_sum
-from hcn7.qseries import QSeries, series_mul
+from hcn7.qseries import QSeries, series_mul, series_scale
 
 NAMES = (
     ["H", "D", "G", "Psi7"]
@@ -62,3 +62,12 @@ def test_hmm_routes_give_ints_exactly_where_integral(M):
             assert type(value) is kind and type(direct) is kind, (m, n)
             kinds.add(kind)
     assert kinds == {int, Fraction}
+
+
+def test_scale_keeps_zeros_int():
+    f = QSeries([0, Fraction(0), 3, Fraction(5, 2), -1])
+    for c in (Fraction(7, 24), Fraction(-1, 4), 2, Fraction(0)):
+        scaled = series_scale(f, c)
+        assert scaled == QSeries([c * a for a in f.coeffs])
+        assert type(scaled[0]) is int and type(scaled[1]) is int
+    assert [type(a) for a in series_scale(QSeries([0, 3, -2]), 5).coeffs] == [int] * 3

@@ -7,7 +7,9 @@ import pytest
 
 import hcn7.hurwitz
 import hcn7.verify
+from hcn7.arith import hk_rhs_series, sigma
 from hcn7.hurwitz import hmm_sum, hurwitz_batch
+from hcn7.primes import primes_up_to
 from hcn7.qseries import QSeries
 from hcn7.verify import (
     IdentitySpec,
@@ -156,6 +158,21 @@ def test_hurwitz_kronecker_report():
     assert rep.ok and rep.checked_upto == 800
 
 
+def test_hurwitz_kronecker_sides(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("unexpected call")
+
+    # the left side is the product route, the right side reads no H
+    monkeypatch.setattr(hcn7.verify, "hmm_sum", unreachable)
+    assert verify_hurwitz_kronecker(300).ok
+    monkeypatch.setattr(hcn7.hurwitz, "twelfths_upto", unreachable)
+    definition = [
+        2 * sigma(n) - sum(min(d, n // d) for d in range(1, n + 1) if n % d == 0)
+        for n in range(1, 61)
+    ]
+    assert hk_rhs_series(60) == QSeries([0] + definition)
+
+
 def test_prop31_reports():
     for k in (0, 1):
         for m in range(7):
@@ -173,6 +190,11 @@ def test_table_formula_anchors():
         table_formula(7, 0)
     with pytest.raises(ValueError):
         table_formula(11, 4)
+    # a composite in every residue row: 15, 9, 10, 25, 12, 20 = 1..6 (mod 7)
+    for n in (15, 9, 10, 25, 12, 20):
+        for m in range(4):
+            with pytest.raises(ValueError, match="p must be an odd prime different from 7"):
+                table_formula(n, m)
 
 
 def test_main_table_rows():
@@ -182,6 +204,20 @@ def test_main_table_rows():
     assert row.cells[0][1] == row.cells[0][2] == 4
     row = main_table_row(3)
     assert row.x is None and row.cells[0][1] == Fraction(4, 3)
+
+
+def test_main_table_represents_each_prime_once(monkeypatch):
+    calls = Counter()
+    represent = hcn7.verify.represent_7
+
+    def counted(p):
+        calls[p] += 1
+        return represent(p)
+
+    monkeypatch.setattr(hcn7.verify, "represent_7", counted)
+    assert all(r.ok for r in verify_main_table(600))
+    split = [p for p in primes_up_to(600) if p % 7 in (1, 2, 4) and p != 2]
+    assert calls == Counter(split)
 
 
 def test_main_table_small():
