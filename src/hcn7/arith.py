@@ -2,14 +2,12 @@
 
 Contents:
 
-    sigma(n, l)              sum of d^l over divisors d of n
-    d_series(order)          sum_{n>=1} sigma(n) q^n
+    d_series(order)          sum_{n>=1} sigma(n) q^n, sigma(n) = sum_{d|n} d
     hk_rhs_series(order)     sum_{n>=1} (2 sigma(n) - sum_{d|n} min(d, n/d)) q^n
-    phi_pa / d_pa_series     the two-sided divisor sums
+    d_pa_series              the two-sided divisor sums
                                  phi_l^(p,a)(n) = sum_{d|n, d<=sqrt(n), d=-a (p)} d^l
                                                 + sum_{d|n, d<sqrt(n),  d= a (p)} d^l
-    lambda_coeff / lambda_series
-                             the correction-series coefficients built from
+    lambda_series            the correction series built from
                              factorizations t^2 - s^2 = n
     prop31_rhs               the divisor-sum form of the corrected series
                              after extracting every 4th coefficient
@@ -32,7 +30,6 @@ from operator import add
 
 from .primes import is_prime
 from .qseries import (
-    ExactRational,
     QSeries,
     chi_minus7,
     op_dilate,
@@ -41,20 +38,6 @@ from .qseries import (
     series_scale,
     series_truncate,
 )
-
-
-def sigma(n: int, l: int = 1) -> int:
-    """Sum of d^l over the positive divisors d of n."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    total = 0
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            total += d**l
-            e = n // d
-            if e != d:
-                total += e**l
-    return total
 
 
 def d_series(order: int) -> QSeries:
@@ -81,24 +64,6 @@ def hk_rhs_series(order: int) -> QSeries:
         tail = slice(d * (d + 1), None, d)
         coeffs[tail] = map(add, coeffs[tail], range(2 * (d + 1), 2 * (order // d) + 1, 2))
     return QSeries(coeffs)
-
-
-def phi_pa(n: int, l: int, p: int, a: int) -> int:
-    """Two-sided divisor sum with classes -a (weak boundary) and a (strict).
-
-    Only divisors d with d*d <= n can appear; the cofactor n/d never does.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    total = 0
-    for d in range(1, isqrt(n) + 1):
-        if n % d:
-            continue
-        if (d + a) % p == 0:
-            total += d**l
-        if d * d < n and (d - a) % p == 0:
-            total += d**l
-    return total
 
 
 def d_pa_series(l: int, p: int, a: int, order: int) -> QSeries:
@@ -138,40 +103,17 @@ class LambdaSpec:
             raise ValueError("modulus M must be positive")
 
 
-def lambda_coeff(spec: LambdaSpec, n: int) -> ExactRational:
-    """Coefficient built from factorizations t^2 - s^2 = n.
+def lambda_series(spec: LambdaSpec, order: int) -> QSeries:
+    """Correction series built from factorizations t^2 - s^2 = n, n >= 1.
 
     Writing n = u v with u <= v of equal parity gives t = (u+v)/2,
     s = (v-u)/2 and contribution (t-s)^l = u^l.  A term with s = 0
     (n a perfect square) carries weight 1/2.  The two sign branches
     t = +m and t = -m (mod M) are both summed even when the residue
     classes coincide, so m = 0 contributes each solution twice.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    m, M, l = spec.m, spec.M, spec.l
-    doubled = 0
-    for u in range(1, isqrt(n) + 1):
-        if n % u:
-            continue
-        v = n // u
-        if (u + v) % 2:
-            continue
-        t = (u + v) // 2
-        weight2 = 1 if u == v else 2  # s = 0 exactly when u = v
-        value = weight2 * u**l
-        if (t - m) % M == 0:
-            doubled += value
-        if (t + m) % M == 0:
-            doubled += value
-    return Fraction(doubled, 2)
 
-
-def lambda_series(spec: LambdaSpec, order: int) -> QSeries:
-    """Generating series of lambda_coeff, starting at n = 1.
-
-    Built by sieving over the factor pairs n = u v, u <= v of equal
-    parity, with lambda_coeff's weights; integral coefficients stay ints.
+    Built by sieving over the factor pairs n = u v, in doubled weights;
+    integral coefficients stay ints.
     """
     m, M, l = spec.m, spec.M, spec.l
     doubled = [0] * (order + 1)

@@ -77,8 +77,7 @@ def emit_record(fmt: str, kind: str, record: dict, value: str) -> None:
 def cmd_hurwitz(args) -> int:
     if args.max is not None:
         _check_h_index("--max", args.max, args.max)
-        table = hurwitz_batch(args.max)
-        pairs = [(n, fmt_rat(table[n])) for n in range(args.max + 1)]
+        pairs = [(n, fmt_rat(Fraction(t, 12))) for n, t in enumerate(hurwitz_batch(args.max))]
         emit(
             args.format,
             "hurwitz-table",

@@ -25,22 +25,11 @@ end of each route, and gives an int wherever H_{m,M}(n) is integral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 from .arith import theta_mM
 from .qseries import MAX_H_INDEX, ExactRational, QSeries, series_mul_u
-
-
-@dataclass(frozen=True)
-class HurwitzTable:
-    """12*H(N) as the int twelfths[N]; table[N] gives H(N) as a Fraction."""
-
-    twelfths: tuple[int, ...]
-
-    def __getitem__(self, n: int) -> ExactRational:
-        return Fraction(self.twelfths[n], 12)
 
 
 def hurwitz_single(N: int) -> ExactRational:
@@ -76,14 +65,15 @@ def _weight12(a: int, b: int, c: int) -> int:
     return 12
 
 
-def hurwitz_batch(n_max: int) -> HurwitzTable:
-    """Table of H(N) for N <= n_max via one sieve over reduced forms."""
+def hurwitz_batch(n_max: int) -> tuple[int, ...]:
+    """12*H(N) for N <= n_max, an int at index N, via one sieve over
+    reduced forms."""
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     twelfths = [0] * (n_max + 1)
     twelfths[0] = -1
     _sieve(twelfths, 1)
-    return HurwitzTable(tuple(twelfths))
+    return tuple(twelfths)
 
 
 def _sieve(twelfths: list[int], lo: int) -> None:
@@ -124,18 +114,18 @@ def _sieve(twelfths: list[int], lo: int) -> None:
 # its last index and at least 1,024, so that callers asking in small steps
 # sieve few times; the main suite and `hcn7 table` ask for their whole
 # range up front, and the hk suite reads it once, through hmm_series.
-_cache: HurwitzTable = hurwitz_batch(0)
+_cache: tuple[int, ...] = hurwitz_batch(0)
 
 
 def twelfths_upto(n_max: int) -> tuple[int, ...]:
     """12*H(N) for at least 0 <= N <= n_max, from the cache."""
     global _cache
-    size = len(_cache.twelfths)
+    size = len(_cache)
     if size <= n_max:
-        twelfths = list(_cache.twelfths) + [0] * (max(n_max, 2 * (size - 1), 1024) + 1 - size)
+        twelfths = list(_cache) + [0] * (max(n_max, 2 * (size - 1), 1024) + 1 - size)
         _sieve(twelfths, size)
-        _cache = HurwitzTable(tuple(twelfths))
-    return _cache.twelfths
+        _cache = tuple(twelfths)
+    return _cache
 
 
 def hurwitz_series(order: int) -> QSeries:

@@ -7,13 +7,13 @@ fabricate terms.  Coefficients are exact ints or fractions.Fraction, kept
 as the builder gave them: an int and the equal Fraction compare and hash
 alike, so every operation is exact and equality is by value.
 
-The coefficient operators provided here act purely on exponents and
-coefficient values:
+Series arithmetic is spelled as functions only: series_add, series_sub,
+series_scale, series_truncate, series_mul and series_mul_u.  The
+coefficient operators act purely on exponents and coefficient values:
 
     op_u(f, M)        a(M n) re-indexed to n
     op_dilate(f, M)   a(n) moved to exponent M n   (q -> q^M)
     op_sieve(f, M, r) keep exponents n == r (mod M)
-    op_twist(f, chi)  multiply a(n) by chi(n), for any callable chi
 
 series_mul_u(f, g, M) equals op_u(series_mul(f, g), M) but computes only
 the coefficients op_u keeps; series_mul is its case M = 1.
@@ -25,7 +25,6 @@ it the internal order of the product route hurwitz.hmm_series.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import compress, islice, repeat
 from operator import add, mul
@@ -77,23 +76,6 @@ class QSeries:
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def __add__(self, other: "QSeries") -> "QSeries":
-        return series_add(self, other)
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        return series_sub(self, other)
-
-    def __neg__(self) -> "QSeries":
-        return series_scale(self, -1)
-
-    def __mul__(self, other):
-        if isinstance(other, QSeries):
-            return series_mul(self, other)
-        return series_scale(self, other)
-
-    def __rmul__(self, scalar) -> "QSeries":
-        return series_scale(self, scalar)
 
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:6])
@@ -167,49 +149,6 @@ def series_mul_u(f: QSeries, g: QSeries, M: int) -> QSeries:
     return QSeries(out)
 
 
-def series_qderiv(f: QSeries, s: int) -> QSeries:
-    """s-fold application of q d/dq: coefficient a(n) becomes n^s a(n)."""
-    if s < 0:
-        raise ValueError("derivative order must be non-negative")
-    if s == 0:
-        return f
-    return QSeries([(n**s) * c for n, c in enumerate(f.coeffs)])
-
-
-def gen_binomial(x, r: int) -> ExactRational:
-    """Generalized binomial x(x-1)...(x-r+1)/r!, exact for rational x."""
-    if r < 0:
-        raise ValueError("r must be non-negative")
-    num = Fraction(1)
-    x = Fraction(x)
-    for i in range(r):
-        num *= x - i
-    return num / math.factorial(r)
-
-
-def rankin_cohen(f: QSeries, k, g: QSeries, l, n: int) -> QSeries:
-    """Bracket sum_{r+s=n} (-1)^s C(k+n-1,r) C(l+n-1,s) f^(s) g^(r).
-
-    k and l are half-integer weights; level n = 0 is the plain product.
-    """
-    if n < 0:
-        raise ValueError("bracket level must be non-negative")
-    k = Fraction(k)
-    l = Fraction(l)
-    order = min(f.order, g.order)
-    out = QSeries.zero(order)
-    for r in range(n + 1):
-        s = n - r
-        coeff = gen_binomial(k + n - 1, r) * gen_binomial(l + n - 1, s)
-        if s % 2:
-            coeff = -coeff
-        if not coeff:
-            continue
-        term = series_mul(series_qderiv(f, s), series_qderiv(g, r))
-        out = series_add(out, series_scale(term, coeff))
-    return out
-
-
 def op_u(f: QSeries, M: int) -> QSeries:
     """Extract every M-th coefficient: a(M n) at index n."""
     if M < 1:
@@ -241,11 +180,6 @@ def op_sieve(f: QSeries, M: int, r: int) -> QSeries:
     return QSeries(
         [c if n % M == r else 0 for n, c in enumerate(f.coeffs)]
     )
-
-
-def op_twist(f: QSeries, chi) -> QSeries:
-    """Multiply the coefficient at n by chi(n)."""
-    return QSeries([chi(n) * c for n, c in enumerate(f.coeffs)])
 
 
 # The quadratic character mod 7: +1 on {1,2,4}, -1 on {3,5,6}, 0 on 7Z.

@@ -7,9 +7,10 @@ bound B = floor(k m / 12) with index
 
     m = [SL2(Z) : Gamma0(N1) n Gamma1(N2)] = N1 prod_{p|N1} (1 + 1/p) phi(N2)
 
-so equality of the leading B+1 coefficients proves equality of forms.
-Failures are reported, never raised: a VerificationReport records the
-first differing index with both values.
+so equality of the leading B+1 coefficients proves equality of forms;
+THM35_BOUND and THM35_BOUND_M0 are derived from sturm_bound.  Failures
+are reported, never raised: a VerificationReport records the first
+differing index with both values.
 """
 
 from __future__ import annotations
@@ -23,14 +24,13 @@ from typing import Callable, Iterable, Iterator
 from .arith import d_pa_series, d_series, hk_rhs_series, lambda_series, LambdaSpec, prop31_rhs, psi_k, theta_chi1, theta_mM
 from .hurwitz import hmm_series, hmm_sum, twelfths_upto
 from .newform49 import g_series, represent_7
-from .primes import euler_phi, is_prime, prime_factors, primes_up_to
+from .primes import euler_phi, prime_factors, primes_up_to
 from .qseries import (
     ExactRational,
     QSeries,
     chi_minus7,
     op_dilate,
     op_sieve,
-    op_twist,
     op_u,
     series_add,
     series_mul,
@@ -134,13 +134,14 @@ _THM35_ROWS: dict[tuple[int, int], tuple[list[tuple[Fraction, int]], Fraction, F
     (3, 6): ([], Fraction(1, 4), Fraction(0)),
 }
 
-THM35_BOUND = 336 + 1  # one past the Sturm bound for Gamma0(196) n Gamma1(7)
-THM35_BOUND_M0 = 56 + 1  # one past the Sturm bound for Gamma0(196)
+# One past the Sturm bound for Gamma0(196) n Gamma1(7), and for Gamma0(196).
+THM35_BOUND = sturm_bound(2, 196, 7) + 1
+THM35_BOUND_M0 = sturm_bound(2, 196, 1) + 1
 
 
 def _drop_sevens(f: QSeries) -> QSeries:
-    """Twist twice by the quadratic character mod 7: zero multiples of 7."""
-    return op_twist(op_twist(f, chi_minus7), chi_minus7)
+    """Zero the coefficients at multiples of 7: the twist by chi_minus7^2."""
+    return QSeries([c if n % 7 else 0 for n, c in enumerate(f.coeffs)])
 
 
 def _thm35_nonzero(m: int, a: int, bound: int, hmm, d, g) -> IdentitySpec:
@@ -201,11 +202,13 @@ def build_thm35_suite(bound: int | None = None, bound_m0: int | None = None) -> 
 def verify_lemma42(order: int) -> VerificationReport:
     """Lattice sum over x^2 + 7y^2 against G - G(q^2) + 4 G(q^4).
 
-    The dilation form is the one that holds; see verify_lemma42_literal_u
-    for the coefficient-extraction reading, which fails at n = 1.
+    The dilation form is the one that holds; the coefficient-extraction
+    reading, with U_2 and U_4 in place of the dilations, fails at n = 1.
+    order must cover the Sturm bound for Gamma0(196), as thm35.m0 does.
     """
-    if order < 56:
-        raise ValueError("order must cover the Sturm bound 56")
+    sturm = THM35_BOUND_M0 - 1
+    if order < sturm:
+        raise ValueError(f"order must cover the Sturm bound {sturm}")
 
     def lhs(b: int) -> QSeries:
         return psi_k(7, b)
@@ -216,21 +219,6 @@ def verify_lemma42(order: int) -> VerificationReport:
         return series_add(acc, series_scale(series_truncate(op_dilate(g, 4), b), 4))
 
     return verify_identity(IdentitySpec("lemma42", lhs, rhs, order))
-
-
-def verify_lemma42_literal_u(order: int = 56) -> VerificationReport:
-    """Negative control: with U-extraction instead of dilation the identity
-    breaks immediately (already at n = 1, where the right side is -4)."""
-
-    def lhs(b: int) -> QSeries:
-        return psi_k(7, b)
-
-    def rhs(b: int) -> QSeries:
-        g = g_series(4 * b)
-        acc = series_sub(series_truncate(g, b), op_u(g, 2))
-        return series_add(acc, series_scale(op_u(g, 4), 4))
-
-    return verify_identity(IdentitySpec("lemma42.literal-u", lhs, rhs, order))
 
 
 def verify_prop41(order: int) -> VerificationReport:
@@ -306,28 +294,6 @@ _TABLE_CELLS: dict[tuple[int, int], Callable[[int, int], Fraction]] = {
 }
 
 
-def _table_row_terms(p: int) -> tuple[int, int | None, int | None, int]:
-    """(r, x, y, chi(x) x) for r = p mod 7 and p = x^2 + 7y^2 in the split
-    rows 1, 2, 4, where represent_7 checks p; (r, None, None, 0) otherwise."""
-    r = p % 7
-    if r == 0:
-        raise ValueError("p = 7 has no table row")
-    if r not in (1, 2, 4):
-        return r, None, None, 0
-    x, y = represent_7(p)
-    return r, x, y, chi_minus7(x) * x
-
-
-def table_formula(p: int, m: int) -> ExactRational:
-    """Predicted H_{m,7}(p) from the closing table, m in 0..3."""
-    if m not in (0, 1, 2, 3):
-        raise ValueError("table columns are m = 0..3")
-    r, x, _, e = _table_row_terms(p)
-    if x is None and not is_prime(p):
-        raise ValueError("p must be an odd prime different from 7")
-    return _TABLE_CELLS[(r, m)](p, e)
-
-
 @dataclass(frozen=True)
 class TableRow:
     """One prime's worth of closing-table data, as shown by the CLI."""
@@ -343,10 +309,19 @@ class TableRow:
         return all(match for _, _, _, match in self.cells)
 
 
-def main_table_row(p: int) -> TableRow:
+def _main_table_row(p: int) -> TableRow:
     """Direct sums against the table formulas for one odd prime p != 7,
-    with one representation p = x^2 + 7y^2 for all four cells."""
-    r, x, y, e = _table_row_terms(p)
+    with one representation p = x^2 + 7y^2 for all four cells.
+
+    Only the split rows r = 1, 2, 4 have (x, y), found by represent_7, and
+    the error term chi(x) x; it is 0 in the inert rows.
+    """
+    r = p % 7
+    x = y = None
+    e = 0
+    if r in (1, 2, 4):
+        x, y = represent_7(p)
+        e = chi_minus7(x) * x
     cells = []
     for m in range(4):
         direct = hmm_sum(m, 7, p)
@@ -356,11 +331,15 @@ def main_table_row(p: int) -> TableRow:
 
 
 def main_table_rows(p_max: int) -> Iterator[TableRow]:
-    """main_table_row for every odd prime p <= p_max, p != 7, in order."""
+    """The closing-table row of every odd prime p <= p_max, p != 7, in order.
+
+    The rows are built only here, from the sieve, so no row is ever built
+    for a composite.
+    """
     if p_max < 3:
         raise ValueError("p_max must be at least 3")
     twelfths_upto(4 * p_max)  # one sieve for every hmm_sum below
-    return (main_table_row(p) for p in primes_up_to(p_max) if p not in (2, 7))
+    return (_main_table_row(p) for p in primes_up_to(p_max) if p not in (2, 7))
 
 
 def verify_main_table(p_max: int) -> list[VerificationReport]:

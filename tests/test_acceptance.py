@@ -12,30 +12,18 @@ from hcn7.arith import LambdaSpec, lambda_series, prop31_rhs
 from hcn7.hurwitz import hmm_series, hmm_sum
 from hcn7.newform49 import cm_ap, ec_point_count, newform_an
 from hcn7.primes import primes_up_to
-from hcn7.qseries import (
-    QSeries,
-    chi_minus7,
-    op_dilate,
-    op_sieve,
-    op_twist,
-    op_u,
-    rankin_cohen,
-    series_add,
-    series_mul,
-    series_sub,
-)
+from hcn7.qseries import QSeries, op_dilate, op_sieve, op_u, series_add
 from hcn7.verify import (
     build_thm35_suite,
+    main_table_rows,
     sturm_bound,
-    table_formula,
     verify_identity,
     verify_lemma42,
-    verify_lemma42_literal_u,
     verify_main_table,
     verify_prop31,
     verify_prop41,
 )
-from test_hurwitz import hk_rhs_oracle
+from oracles import hk_rhs_oracle, verify_lemma42_literal_u
 
 
 def _stamp(label, start):
@@ -117,10 +105,11 @@ def test_c08_main_table():
     reports = verify_main_table(10**4)
     for rep in reports:
         assert rep.ok, str(rep)
-    assert hmm_sum(0, 7, 11) == table_formula(11, 0) == 4
-    assert hmm_sum(1, 7, 11) == table_formula(11, 1) == 2
-    assert hmm_sum(0, 7, 23) == table_formula(23, 0) == 8
-    assert hmm_sum(0, 7, 3) == table_formula(3, 0) == Fraction(4, 3)
+    formula = {(row.p, m): f for row in main_table_rows(23) for m, _, f, _ in row.cells}
+    assert hmm_sum(0, 7, 11) == formula[11, 0] == 4
+    assert hmm_sum(1, 7, 11) == formula[11, 1] == 2
+    assert hmm_sum(0, 7, 23) == formula[23, 0] == 8
+    assert hmm_sum(0, 7, 3) == formula[3, 0] == Fraction(4, 3)
     for p in primes_up_to(10**4):
         if p in (2, 7):
             continue
@@ -162,13 +151,4 @@ def test_c10_operator_algebra():
         for r in range(M):
             total = series_add(total, op_sieve(f, M, r))
         assert total == f
-    for _ in range(100):
-        f = _random_series(rng, 200)
-        assert op_twist(op_twist(f, chi_minus7), chi_minus7) == series_sub(f, op_sieve(f, 7, 0))
-    for _ in range(100):
-        f = _random_series(rng, 200)
-        g = _random_series(rng, 200)
-        k = Fraction(rng.randint(1, 6), 2)
-        l = Fraction(rng.randint(1, 6), 2)
-        assert rankin_cohen(f, k, g, l, 0) == series_mul(f, g)
     _stamp("C10 operator algebra, 100 randomized cases per law", start)

@@ -10,16 +10,14 @@ from hcn7.arith import (
     LambdaSpec,
     d_pa_series,
     d_series,
-    lambda_coeff,
     lambda_series,
-    phi_pa,
     prop31_rhs,
     psi_k,
-    sigma,
     theta_chi1,
     theta_mM,
 )
-from hcn7.qseries import op_dilate, op_u, series_mul, series_truncate
+from hcn7.qseries import op_dilate, op_u, series_add, series_mul, series_truncate
+from oracles import lambda_coeff, phi_pa, sigma
 
 
 def divisors(n):
@@ -160,7 +158,7 @@ def test_theta_mM():
     assert theta_mM(2, 7, 300) == theta_mM(9, 7, 300)
     total = theta_mM(0, 7, 300)
     for r in range(1, 7):
-        total = total + theta_mM(r, 7, 300)
+        total = series_add(total, theta_mM(r, 7, 300))
     assert total == theta_mM(0, 1, 300)
 
 

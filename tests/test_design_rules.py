@@ -1,7 +1,8 @@
 """Design rules of the package, checked on its source: exact arithmetic
 only (no float literal, no float() call, no math.sqrt, math.log or
-math.exp) and no knobs (no read of os.environ or os.getenv).  Division by
-`/` is allowed: Fraction / int is exact."""
+math.exp), no knobs (no read of os.environ or os.getenv) and no dead code
+(every public top-level function and class is used somewhere in the
+package).  Division by `/` is allowed: Fraction / int is exact."""
 
 import ast
 from pathlib import Path
@@ -63,3 +64,44 @@ def test_no_float_and_no_knobs(path):
 )
 def test_rules_catch(source):
     assert violations(ast.parse(source))
+
+
+# Public names that no module of the package uses, each with its reason.
+UNREFERENCED_ALLOWED = {
+    "qseries.max_order": "read by bench/child.py",
+}
+
+
+def _names_used(node: ast.AST) -> set[str]:
+    """Names read, attributes taken and names imported anywhere in node."""
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            used.update(alias.name for alias in sub.names)
+    return used
+
+
+def unreferenced(sources) -> list[str]:
+    """module.name of each public top-level function or class in sources
+    that no top-level statement of sources uses, its own definition aside."""
+    defined = []  # (module.name, name, the definition)
+    uses = []  # (the statement, names it uses)
+    for path in sources:
+        for node in ast.parse(path.read_text(), str(path)).body:
+            uses.append((node, _names_used(node)))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined.append((f"{path.stem}.{node.name}", node.name, node))
+    return sorted(
+        qualified
+        for qualified, name, definition in defined
+        if not any(name in used for node, used in uses if node is not definition)
+    )
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    assert unreferenced(SOURCES) == sorted(UNREFERENCED_ALLOWED)
+

@@ -12,13 +12,14 @@ relation, sieved, with its divisor loop per n.
 """
 
 from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hcn7.hurwitz
-from hcn7.arith import LambdaSpec, hk_rhs_series, lambda_coeff, lambda_series
+from hcn7.arith import LambdaSpec, hk_rhs_series, lambda_series
 from hcn7.hurwitz import (
     hmm_series,
     hmm_sum,
@@ -26,7 +27,7 @@ from hcn7.hurwitz import (
     hurwitz_single,
     twelfths_upto,
 )
-from test_hurwitz import hk_rhs_oracle
+from oracles import hk_rhs_oracle, lambda_coeff
 
 PROPERTY = settings(deadline=None, max_examples=50, database=None)
 
@@ -55,13 +56,13 @@ def fresh_cache(n_max=0):
 @PROPERTY
 @given(N=st.integers(0, 3000), extra=st.integers(0, 300))
 def test_single_matches_sieve(N, extra):
-    assert hurwitz_single(N) == hurwitz_batch(N + extra)[N]
+    assert hurwitz_single(N) == Fraction(hurwitz_batch(N + extra)[N], 12)
 
 
 @PROPERTY
 @given(n_max=st.integers(0, 3000))
 def test_sieve_counts_twelfths_in_ints(n_max):
-    twelfths = hurwitz_batch(n_max).twelfths
+    twelfths = hurwitz_batch(n_max)
     assert len(twelfths) == n_max + 1
     assert all(type(t) is int for t in twelfths)
 
@@ -74,9 +75,9 @@ def test_cache_grown_by_range_matches_sieve(start, sizes):
     with fresh_cache(start):
         for size in sorted(sizes):
             twelfths = twelfths_upto(size)
-            assert twelfths is hcn7.hurwitz._cache.twelfths
+            assert twelfths is hcn7.hurwitz._cache
             assert len(twelfths) > size
-            assert twelfths == hurwitz_batch(len(twelfths) - 1).twelfths
+            assert twelfths == hurwitz_batch(len(twelfths) - 1)
             assert all(type(t) is int for t in twelfths)
 
 

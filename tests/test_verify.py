@@ -7,7 +7,7 @@ import pytest
 
 import hcn7.hurwitz
 import hcn7.verify
-from hcn7.arith import hk_rhs_series, sigma
+from hcn7.arith import hk_rhs_series
 from hcn7.hurwitz import hmm_sum, hurwitz_batch
 from hcn7.primes import primes_up_to
 from hcn7.qseries import QSeries
@@ -16,19 +16,17 @@ from hcn7.verify import (
     THM35_BOUND,
     THM35_BOUND_M0,
     build_thm35_suite,
-    main_table_row,
     main_table_rows,
     run_suite,
     sturm_bound,
-    table_formula,
     verify_hurwitz_kronecker,
     verify_identity,
     verify_lemma42,
-    verify_lemma42_literal_u,
     verify_main_table,
     verify_prop31,
     verify_prop41,
 )
+from oracles import sigma, verify_lemma42_literal_u
 
 
 def test_sturm_bound_values():
@@ -180,30 +178,18 @@ def test_prop31_reports():
             assert rep.ok, str(rep)
 
 
-def test_table_formula_anchors():
-    assert table_formula(11, 0) == 4
-    assert table_formula(11, 1) == 2
-    assert table_formula(23, 0) == 8
-    assert table_formula(3, 0) == Fraction(4, 3)
-    assert table_formula(13, 0) == Fraction(8, 3)
-    with pytest.raises(ValueError):
-        table_formula(7, 0)
-    with pytest.raises(ValueError):
-        table_formula(11, 4)
-    # a composite in every residue row: 15, 9, 10, 25, 12, 20 = 1..6 (mod 7)
-    for n in (15, 9, 10, 25, 12, 20):
-        for m in range(4):
-            with pytest.raises(ValueError, match="p must be an odd prime different from 7"):
-                table_formula(n, m)
-
-
 def test_main_table_rows():
-    row = main_table_row(11)
+    rows = {row.p: row for row in main_table_rows(23)}
+    assert sorted(rows) == [3, 5, 11, 13, 17, 19, 23]
+    row = rows[11]
     assert row.residue == 4 and (row.x, row.y) == (2, 1)
     assert row.ok
     assert row.cells[0][1] == row.cells[0][2] == 4
-    row = main_table_row(3)
-    assert row.x is None and row.cells[0][1] == Fraction(4, 3)
+    assert row.cells[1][2] == 2
+    row = rows[3]
+    assert row.x is None and row.cells[0][1] == row.cells[0][2] == Fraction(4, 3)
+    assert rows[23].cells[0][2] == 8
+    assert rows[13].cells[0][2] == Fraction(8, 3)
 
 
 def test_main_table_represents_each_prime_once(monkeypatch):
@@ -253,7 +239,7 @@ def test_hk_and_main_sieve_the_table_to_their_size(monkeypatch):
     monkeypatch.setattr(hcn7.hurwitz, "_cache", hurwitz_batch(0))
     run_suite("hk")
     run_suite("main")
-    assert len(hcn7.hurwitz._cache.twelfths) == 40_001
+    assert len(hcn7.hurwitz._cache) == 40_001
 
 
 def test_table_rows_sieve_the_table_once(monkeypatch):
@@ -261,4 +247,4 @@ def test_table_rows_sieve_the_table_once(monkeypatch):
     monkeypatch.setattr(hcn7.hurwitz, "_cache", hurwitz_batch(0))
     rows = list(main_table_rows(3000))
     assert rows[-1].p == 2999
-    assert len(hcn7.hurwitz._cache.twelfths) == 12_001
+    assert len(hcn7.hurwitz._cache) == 12_001
