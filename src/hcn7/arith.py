@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import isqrt
 from operator import add
 
-from .primes import is_prime
+from .primes import prime_factors
 from .qseries import (
     QSeries,
     chi_minus7,
@@ -170,7 +170,7 @@ def prop31_rhs(k: int, m: int, p: int, order: int) -> QSeries:
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    if p < 3 or p % 2 == 0 or not is_prime(p):
+    if p < 3 or prime_factors(p) != [p]:
         raise ValueError("p must be an odd prime")
     l = 2 * k + 1
     inv2 = pow(2, -1, p)

@@ -75,6 +75,8 @@ def emit_record(fmt: str, kind: str, record: dict, value: str) -> None:
 
 
 def cmd_hurwitz(args) -> int:
+    if (args.N is None) == (args.max is None):
+        raise ValueError("give a single N or --max N, exactly one of the two")
     if args.max is not None:
         _check_h_index("--max", args.max, args.max)
         pairs = [(n, fmt_rat(Fraction(t, 12))) for n, t in enumerate(hurwitz_batch(args.max))]
@@ -87,8 +89,6 @@ def cmd_hurwitz(args) -> int:
             lambda: (f"{n} {h}" for n, h in pairs),
         )
         return 0
-    if args.N is None:
-        raise ValueError("give a single N or --max N")
     value = fmt_rat(hurwitz_single(args.N))
     emit_record(args.format, "hurwitz", {"N": args.N, "H": value}, value)
     return 0

@@ -2,7 +2,7 @@
 
 Two fully independent routes to the prime coefficients a_p:
 
-  * point counting on the attached elliptic curve
+  * point counting on the attached elliptic curve 49a1
         y^2 + xy = x^3 - x^2 - 2x - 1
     over F_p, giving a_p = p + 1 - #E(F_p) for p != 7.  For p > 7 the
     group order is found by Shanks-Mestre baby-step/giant-step inside the
@@ -32,12 +32,25 @@ from itertools import islice
 from math import isqrt
 from typing import Callable, Iterator
 
-from .primes import is_prime, primes_up_to
+from .primes import primes_up_to
 from .qseries import QSeries, chi_minus7
+
+# 49a1 as y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6, its one statement;
+# the rest is derived (Silverman, AEC III.1).  Completing the square gives
+# (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6, and
+# (x, y) -> (36x + 3 b2, 108(2y + a1 x + a3)) maps E onto the short model
+# y^2 = x^3 + A x + B, A = -27 c4 and B = -54 c6, an isomorphism over F_p
+# for p not in {2, 3}.  E has discriminant -7^3, so for p not in {2, 3, 7}
+# the short model is smooth.
+_A1, _A2, _A3, _A4, _A6 = 1, -1, 0, -2, -1
+_B2, _B4, _B6 = _A1 * _A1 + 4 * _A2, 2 * _A4 + _A1 * _A3, _A3 * _A3 + 4 * _A6
+_A = -27 * (_B2 * _B2 - 24 * _B4)  # -27 c4
+_B = -54 * (-(_B2**3) + 36 * _B2 * _B4 - 216 * _B6)  # -54 c6
 
 
 def ec_point_count(p: int) -> int:
-    """#E(F_p), including the point at infinity.
+    """#E(F_p), including the point at infinity, for a prime p from the
+    caller's sieve; nothing re-checks it.
 
     For odd p > 5 the group order comes from _bsgs_count: baby-step/
     giant-step inside the Hasse interval on the short model, at O(p^(1/4))
@@ -47,15 +60,12 @@ def ec_point_count(p: int) -> int:
     """
     if p == 7:
         raise ValueError("additive reduction at p = 7; a_7 is fixed separately")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if p == 2:
         count = 1  # infinity
         for x in (0, 1):
-            rhs = x**3 - x**2 - 2 * x - 1
+            rhs = x**3 + _A2 * x * x + _A4 * x + _A6
             for y in (0, 1):
-                if (y * y + x * y - rhs) % 2 == 0:
-                    count += 1
+                count += (y * y + _A1 * x * y + _A3 * y - rhs) % 2 == 0
         return count
     count = _bsgs_count(p) if p > 5 else None
     return _scan_count(p) if count is None else count
@@ -63,25 +73,18 @@ def ec_point_count(p: int) -> int:
 
 def _scan_count(p: int) -> int:
     """#E(F_p) for odd p by a scan over x: the y-count per x is
-    1 + legendre(disc) with disc = x^2 + 4 rhs = 4x^3 - 3x^2 - 8x - 4."""
+    1 + legendre(disc) with disc = 4x^3 + b2 x^2 + 2 b4 x + b6."""
     square = bytearray(p)
     for t in range(p // 2 + 1):
         square[t * t % p] = 1
     count = p + 1
     for x in range(p):
-        disc = (((4 * x - 3) * x - 8) * x - 4) % p
+        disc = (((4 * x + _B2) * x + 2 * _B4) * x + _B6) % p
         if disc:
             count += 1 if square[disc] else -1
     return count
 
 
-# Short model y^2 = x^3 + A x + B of E.  The curve has b2 = -3, b4 = -4,
-# b6 = -4, hence c4 = b2^2 - 24 b4 = 105 and c6 = -b2^3 + 36 b2 b4 - 216 b6
-# = 1323, and (x, y) -> (36x + 3 b2, 108(2y + x)) maps it onto
-# y^2 = x^3 - 27 c4 x - 54 c6, an isomorphism over F_p for p not in {2, 3}.
-# E has discriminant -7^3, so for p not in {2, 3, 7} the model is smooth.
-_A = -27 * 105
-_B = -54 * 1323
 _MAX_POINTS = 40  # points tried before _bsgs_count gives up
 
 
@@ -187,12 +190,9 @@ def newform_an(n_max: int, ap: Callable[[int], int] = newform_ap) -> QSeries:
     closed form)."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    spf = list(range(n_max + 1))  # smallest prime factor
-    for p in range(2, isqrt(n_max) + 1):
-        if spf[p] == p:
-            for q in range(p * p, n_max + 1, p):
-                if spf[q] == q:
-                    spf[q] = p
+    spf = list(range(n_max + 1))  # smallest prime factor: the last p written
+    for p in reversed(primes_up_to(isqrt(n_max))):
+        spf[p * p :: p] = [p] * ((n_max - p * p) // p + 1)
     a = [0] * (n_max + 1)
     a[1] = 1
     for n in range(2, n_max + 1):
@@ -214,13 +214,12 @@ def newform_an(n_max: int, ap: Callable[[int], int] = newform_ap) -> QSeries:
 
 
 def represent_7(p: int) -> tuple[int, int]:
-    """The unique (x, y) with x, y > 0 and p = x^2 + 7 y^2.
+    """The unique (x, y) with x, y > 0 and p = x^2 + 7 y^2, for a prime p
+    from the caller's sieve; nothing re-checks it.
 
-    Exists exactly for odd primes p = 1, 2, 4 (mod 7); a full scan over y
-    is kept so that non-uniqueness would be detected, not silently eaten.
+    Exists exactly for odd primes p = 1, 2, 4 (mod 7).  The full scan over
+    y detects non-uniqueness, and raises for 2, 7 and the inert primes.
     """
-    if not is_prime(p) or p == 2 or p == 7:
-        raise ValueError("p must be an odd prime different from 7")
     hits = []
     for y in range(1, isqrt(p // 7) + 1):
         rest = p - 7 * y * y
@@ -236,17 +235,14 @@ def represent_7(p: int) -> tuple[int, int]:
 
 
 def cm_ap(p: int) -> int:
-    """a_p from the CM closed form, with no point counting for odd p.
-
-    p = 2 is the one genuine exception: x^2 + 7y^2 never represents 2,
-    so the value defers to the curve count.
+    """a_p from the CM closed form, for a prime p from the caller's sieve;
+    nothing re-checks it.  No odd p is point counted.  p = 2 is the one
+    exception: x^2 + 7y^2 never represents 2, so it defers to the curve count.
     """
     if p == 2:
         return newform_ap(2)
     if p == 7:
         return 0
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if p % 7 in (3, 5, 6):
         return 0
     x, _ = represent_7(p)

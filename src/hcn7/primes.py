@@ -1,19 +1,7 @@
-"""Small prime utilities shared by the arithmetic modules."""
+"""Small prime utilities: every prime the package handles comes out of
+primes_up_to, and prime_factors is its one trial division."""
 
 from math import isqrt
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def primes_up_to(n: int) -> list[int]:

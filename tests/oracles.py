@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import isqrt
 
 from hcn7.arith import LambdaSpec, psi_k
-from hcn7.newform49 import g_series
+from hcn7.newform49 import g_series, newform_ap
 from hcn7.qseries import QSeries, op_u, series_add, series_scale, series_sub, series_truncate
 from hcn7.verify import IdentitySpec, VerificationReport, verify_identity
 
@@ -59,6 +59,35 @@ def phi_pa(n: int, l: int, p: int, a: int) -> int:
         if d * d < n and (d - a) % p == 0:
             total += d**l
     return total
+
+
+def newform_an_oracle(n: int) -> int:
+    """a_n of the level-49 newform for one n >= 1: the reference for
+    newform49.newform_an.
+
+    n is factored by trial division; each a(p^k) comes from newform_ap by
+    the Hecke recursion a(p^(k+1)) = a_p a(p^k) - p a(p^(k-1)), a(7^k) = 0
+    for k >= 1, and the prime powers multiply.
+    """
+    an = 1
+    p = 2
+    while n > 1:
+        if p * p > n:
+            p = n  # what is left is prime
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        if k:
+            if p == 7:
+                return 0
+            ap = newform_ap(p)
+            prev, cur = 1, ap  # a(p^0), a(p^1)
+            for _ in range(k - 1):
+                prev, cur = cur, ap * cur - p * prev
+            an *= cur
+        p += 1
+    return an
 
 
 def lambda_coeff(spec: LambdaSpec, n: int) -> Fraction:

@@ -1,6 +1,7 @@
 """Error paths of the hcn7 command: a reader that leaves early, a
-negative series order, a negative verify bound and a main-suite bound
-that leaves a residue row without a prime."""
+negative series order, a negative verify bound, a main-suite bound
+that leaves a residue row without a prime, and `hurwitz` given both a
+single N and --max."""
 
 import os
 import subprocess
@@ -72,3 +73,11 @@ def test_main_suite_bound_below_first_row_1_prime_is_usage_error(capsys):
     assert "29" in captured.err
     assert main(["verify", "--suite", "main", "--bound", "29", "--format", "csv"]) == 0
     assert capsys.readouterr().out.count(",1,29,,,") == 25  # 24 cells and the row sum
+
+
+def test_hurwitz_n_and_max_together_is_usage_error(capsys):
+    # before, `hurwitz 44 --max 3` printed H(0..3) and dropped the 44
+    assert main(["hurwitz", "44", "--max", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: give a single N or --max N, exactly one of the two\n"

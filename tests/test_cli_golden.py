@@ -72,6 +72,7 @@ CASES = [
     for fmt in ("text", "csv", "json")
 ] + [
     ("usage-hurwitz-no-n", ["hurwitz"], 2, None),
+    ("usage-hurwitz-n-and-max", ["hurwitz", "44", "--max", "3"], 2, None),
     ("usage-table-pmax-2", ["table", "--pmax", "2"], 2, None),
     ("usage-verify-bound-50", ["verify", "--suite", "all", "--bound", "50"], 2, None),
     ("usage-verify-bad-suite", ["verify", "--suite", "bogus"], 2, None),

@@ -5,6 +5,10 @@ from math import isqrt
 
 import pytest
 
+import hcn7.arith
+import hcn7.newform49
+import hcn7.primes
+import hcn7.verify
 from hcn7.newform49 import (
     ap_pairs,
     cm_ap,
@@ -15,6 +19,8 @@ from hcn7.newform49 import (
     represent_7,
 )
 from hcn7.primes import primes_up_to
+from hcn7.verify import main_table_rows
+from oracles import newform_an_oracle
 
 
 def brute_points(p):
@@ -44,8 +50,6 @@ def test_point_count_against_brute_force():
 def test_point_count_validation():
     with pytest.raises(ValueError):
         ec_point_count(7)
-    with pytest.raises(ValueError):
-        ec_point_count(10)
 
 
 def test_ap_values():
@@ -62,6 +66,12 @@ def test_an_expansion():
     assert an[49] == 0
     with pytest.raises(IndexError):
         an[50]
+
+
+def test_an_matches_factoring_oracle():
+    an = newform_an(5000)
+    assert an[0] == 0
+    assert [n for n in range(1, 5001) if an[n] != newform_an_oracle(n)] == []
 
 
 def test_an_multiplicative():
@@ -116,6 +126,8 @@ def test_representation_uniqueness_full_scan():
 
 def test_representation_errors():
     with pytest.raises(ValueError):
+        represent_7(2)
+    with pytest.raises(ValueError):
         represent_7(3)  # inert, no representation
     with pytest.raises(ValueError):
         represent_7(7)
@@ -140,3 +152,20 @@ def test_g_series():
     assert g[0] == 0
     assert [int(g[n]) for n in range(1, 10)] == [1, 1, 0, -1, 0, 0, 0, -3, -3]
     assert g[11] == 4
+
+
+def test_primes_come_only_from_the_sieve(monkeypatch):
+    """With every trial-division routine failing and a cold a_p cache,
+    each route over primes still runs: its primes come from the sieve."""
+
+    def forbidden(*args):
+        raise AssertionError("a prime was re-checked by trial division")
+
+    for module in (hcn7.primes, hcn7.arith, hcn7.verify, hcn7.newform49):
+        for name in ("prime_factors", "is_prime"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(hcn7.newform49, "_ap_cache", {7: 0})
+    assert [p for p, ec, cm in ap_pairs(3000) if ec != cm] == []
+    assert newform_an(3000) == newform_an(3000, cm_ap)
+    assert all(r.ok for r in main_table_rows(3000))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import hcn7.newform49
 from hcn7.newform49 import _scan_count, ec_point_count
-from hcn7.primes import is_prime, primes_up_to
+from hcn7.primes import primes_up_to
 from test_newform49 import brute_points
 
 
@@ -24,7 +24,7 @@ def test_bsgs_matches_scan_below_5000():
 
 
 @settings(deadline=None, max_examples=25, database=None)
-@given(st.integers(11, 2 * 10**5).filter(is_prime))
+@given(st.sampled_from([p for p in primes_up_to(2 * 10**5) if p >= 11]))
 def test_bsgs_matches_scan_on_random_primes(p):
     assert ec_point_count(p) == _scan_count(p)
 
