@@ -23,7 +23,6 @@ comparison (d*d <= n), never by floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from operator import add
@@ -88,22 +87,7 @@ def d_pa_series(l: int, p: int, a: int, order: int) -> QSeries:
     return QSeries(coeffs)
 
 
-@dataclass(frozen=True)
-class LambdaSpec:
-    """Parameters (exponent, residue, modulus) of a correction series."""
-
-    l: int
-    m: int
-    M: int
-
-    def __post_init__(self):
-        if self.l < 1 or self.l % 2 == 0:
-            raise ValueError("exponent l must be odd and positive")
-        if self.M < 1:
-            raise ValueError("modulus M must be positive")
-
-
-def lambda_series(spec: LambdaSpec, order: int) -> QSeries:
+def lambda_series(l: int, m: int, M: int, order: int) -> QSeries:
     """Correction series built from factorizations t^2 - s^2 = n, n >= 1.
 
     Writing n = u v with u <= v of equal parity gives t = (u+v)/2,
@@ -115,7 +99,6 @@ def lambda_series(spec: LambdaSpec, order: int) -> QSeries:
     Built by sieving over the factor pairs n = u v, in doubled weights;
     integral coefficients stay ints.
     """
-    m, M, l = spec.m, spec.M, spec.l
     doubled = [0] * (order + 1)
     for u in range(1, isqrt(order) + 1):
         ul = u**l

@@ -28,7 +28,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .arith import d_pa_series, d_series, lambda_series, LambdaSpec, psi_k, theta_mM
+from .arith import d_pa_series, d_series, lambda_series, psi_k, theta_mM
 from .hurwitz import hmm_sum, hurwitz_batch, hurwitz_series, hurwitz_single
 from .newform49 import ap_pairs, cm_ap, g_series, newform_an, newform_ap
 from .qseries import MAX_H_INDEX, QSeries
@@ -153,6 +153,16 @@ def _mismatch(r) -> tuple[int, str, str] | None:
     return n, fmt_rat(lhs), fmt_rat(rhs)
 
 
+def _report_line(r) -> str:
+    if r.ok:
+        return f"{r.id}: ok, n <= {r.checked_upto} ({r.elapsed:.2f}s)"
+    n, lhs, rhs = _mismatch(r)
+    return (
+        f"{r.id}: FAIL at n = {n}: lhs = {lhs}, rhs = {rhs} "
+        f"(checked n <= {r.checked_upto}, {r.elapsed:.2f}s)"
+    )
+
+
 def cmd_verify(args) -> int:
     if args.bound is not None and args.bound < 0:
         raise ValueError("--bound must be non-negative")
@@ -181,7 +191,7 @@ def cmd_verify(args) -> int:
             [r.id, int(r.ok), r.checked_upto, *(_mismatch(r) or ("", "", ""))]
             for r in reports
         ),
-        lambda: reports,
+        lambda: map(_report_line, reports),
     )
     return 0 if all_ok else 1
 
@@ -227,7 +237,7 @@ _SERIES_PATTERNS = [
     (re.compile(r"^Psi7$"), lambda m, order: psi_k(7, order)),
     (re.compile(r"^D1_7_([0-6])$"), lambda m, order: d_pa_series(1, 7, int(m.group(1)), order)),
     (re.compile(r"^theta_([0-6])_7$"), lambda m, order: theta_mM(int(m.group(1)), 7, order)),
-    (re.compile(r"^Lambda_1_([0-6])_7$"), lambda m, order: lambda_series(LambdaSpec(1, int(m.group(1)), 7), order)),
+    (re.compile(r"^Lambda_1_([0-6])_7$"), lambda m, order: lambda_series(1, int(m.group(1)), 7, order)),
 ]
 
 

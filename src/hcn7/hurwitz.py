@@ -112,8 +112,9 @@ def _sieve(twelfths: list[int], lo: int) -> None:
 # Cache behind hurwitz_series, hmm_sum and hmm_series; query results are
 # pure.  It grows by sieving only the indices it lacks, to at least twice
 # its last index and at least 1,024, so that callers asking in small steps
-# sieve few times; the main suite and `hcn7 table` ask for their whole
-# range up front, and the hk suite reads it once, through hmm_series.
+# sieve few times, but past MAX_H_INDEX only as far as a caller asks; the
+# main suite and `hcn7 table` ask for their whole range up front, and the
+# hk suite reads it once, through hmm_series.
 _cache: tuple[int, ...] = hurwitz_batch(0)
 
 
@@ -122,7 +123,8 @@ def twelfths_upto(n_max: int) -> tuple[int, ...]:
     global _cache
     size = len(_cache)
     if size <= n_max:
-        twelfths = list(_cache) + [0] * (max(n_max, 2 * (size - 1), 1024) + 1 - size)
+        grown = max(n_max, min(max(2 * (size - 1), 1024), MAX_H_INDEX))
+        twelfths = list(_cache) + [0] * (grown + 1 - size)
         _sieve(twelfths, size)
         _cache = tuple(twelfths)
     return _cache

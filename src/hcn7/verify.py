@@ -21,7 +21,7 @@ from functools import cache
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .arith import d_pa_series, d_series, hk_rhs_series, lambda_series, LambdaSpec, prop31_rhs, psi_k, theta_chi1, theta_mM
+from .arith import d_pa_series, d_series, hk_rhs_series, lambda_series, prop31_rhs, psi_k, theta_chi1, theta_mM
 from .hurwitz import hmm_series, hmm_sum, twelfths_upto
 from .newform49 import g_series, represent_7
 from .primes import euler_phi, prime_factors, primes_up_to
@@ -69,15 +69,6 @@ class VerificationReport:
     ok: bool
     first_mismatch: tuple[int, ExactRational, ExactRational] | None
     elapsed: float
-
-    def __str__(self):
-        if self.ok:
-            return f"{self.id}: ok, n <= {self.checked_upto} ({self.elapsed:.2f}s)"
-        n, lhs, rhs = self.first_mismatch
-        return (
-            f"{self.id}: FAIL at n = {n}: lhs = {lhs}, rhs = {rhs} "
-            f"(checked n <= {self.checked_upto}, {self.elapsed:.2f}s)"
-        )
 
 
 def _report(id: str, upto: int, start: float, triples: Iterable) -> VerificationReport:
@@ -250,7 +241,7 @@ def verify_prop31(k: int, m: int, order: int) -> VerificationReport:
     """Correction series | U_4 against its divisor-sum form, exponent 2k+1."""
 
     def lhs(b: int) -> QSeries:
-        return op_u(lambda_series(LambdaSpec(2 * k + 1, m, 7), 4 * b), 4)
+        return op_u(lambda_series(2 * k + 1, m, 7, 4 * b), 4)
 
     def rhs(b: int) -> QSeries:
         return prop31_rhs(k, m, 7, b)
@@ -260,37 +251,21 @@ def verify_prop31(k: int, m: int, order: int) -> VerificationReport:
 
 # --------------------------------------------------------------------------
 # The closing table: H_{m,7}(p) for odd primes p != 7, by residue row
-# r = p mod 7 and column m = 0..3.  chi_x stands for chi(x) x with (x, y)
-# the positive representation p = x^2 + 7y^2 (split rows only).  The two
-# split-row cells of the form (p+1)/4 - chi(x)/2 carry the factor x like
-# every other error term; without it the row sums fail to reach 2p.
+# r = p mod 7 and column m = 0..3.  Each cell is (c_p p + c_1 + c_a a_p) / 24
+# with the integer weights (c_p, c_1, c_a) below and a_p the prime
+# coefficient of 49.2.a.a: a_p = 2 chi(x) x with p = x^2 + 7y^2 in the
+# split rows r = 1, 2, 4, and 0 in the inert rows.  In every row
+# c_0 + 2(c_1 + c_2 + c_3) = (48, 0, 0), the row law
+# H_0 + 2H_1 + 2H_2 + 2H_3 = 2p for every p and a_p.
 # --------------------------------------------------------------------------
 
-_TABLE_CELLS: dict[tuple[int, int], Callable[[int, int], Fraction]] = {
-    (1, 0): lambda p, e: Fraction(p + 1, 4) + Fraction(e, 2),
-    (1, 1): lambda p, e: Fraction(p + 1, 3),
-    (1, 2): lambda p, e: Fraction(7 * p - 17, 24) + Fraction(e, 4),
-    (1, 3): lambda p, e: Fraction(p + 1, 4) - Fraction(e, 2),
-    (2, 0): lambda p, e: Fraction(p + 1, 4) + Fraction(e, 2),
-    (2, 1): lambda p, e: Fraction(7 * p + 7, 24) + Fraction(e, 4),
-    (2, 2): lambda p, e: Fraction(p + 1, 4) - Fraction(e, 2),
-    (2, 3): lambda p, e: Fraction(p - 2, 3),
-    (3, 0): lambda p, e: Fraction(p + 1, 3),
-    (3, 1): lambda p, e: Fraction(p + 1, 4),
-    (3, 2): lambda p, e: Fraction(p + 1, 4),
-    (3, 3): lambda p, e: Fraction(p - 2, 3),
-    (4, 0): lambda p, e: Fraction(p + 1, 4) + Fraction(e, 2),
-    (4, 1): lambda p, e: Fraction(p + 1, 4) - Fraction(e, 2),
-    (4, 2): lambda p, e: Fraction(p - 2, 3),
-    (4, 3): lambda p, e: Fraction(7 * p + 7, 24) + Fraction(e, 4),
-    (5, 0): lambda p, e: Fraction(p + 1, 3),
-    (5, 1): lambda p, e: Fraction(p - 2, 3),
-    (5, 2): lambda p, e: Fraction(p + 1, 4),
-    (5, 3): lambda p, e: Fraction(p + 1, 4),
-    (6, 0): lambda p, e: Fraction(p - 5, 3),
-    (6, 1): lambda p, e: Fraction(p + 1, 4),
-    (6, 2): lambda p, e: Fraction(p + 1, 3),
-    (6, 3): lambda p, e: Fraction(p + 1, 4),
+_TABLE_WEIGHTS: dict[int, tuple[tuple[int, int, int], ...]] = {
+    1: ((6, 6, 6), (8, 8, 0), (7, -17, 3), (6, 6, -6)),
+    2: ((6, 6, 6), (7, 7, 3), (6, 6, -6), (8, -16, 0)),
+    3: ((8, 8, 0), (6, 6, 0), (6, 6, 0), (8, -16, 0)),
+    4: ((6, 6, 6), (6, 6, -6), (8, -16, 0), (7, 7, 3)),
+    5: ((8, 8, 0), (8, -16, 0), (6, 6, 0), (6, 6, 0)),
+    6: ((8, -40, 0), (6, 6, 0), (8, 8, 0), (6, 6, 0)),
 }
 
 
@@ -314,18 +289,18 @@ def _main_table_row(p: int) -> TableRow:
     with one representation p = x^2 + 7y^2 for all four cells.
 
     Only the split rows r = 1, 2, 4 have (x, y), found by represent_7, and
-    the error term chi(x) x; it is 0 in the inert rows.
+    a_p = 2 chi(x) x; a_p is 0 in the inert rows.
     """
     r = p % 7
     x = y = None
-    e = 0
+    ap = 0
     if r in (1, 2, 4):
         x, y = represent_7(p)
-        e = chi_minus7(x) * x
+        ap = 2 * chi_minus7(x) * x
     cells = []
-    for m in range(4):
+    for m, (c_p, c_1, c_a) in enumerate(_TABLE_WEIGHTS[r]):
         direct = hmm_sum(m, 7, p)
-        formula = _TABLE_CELLS[(r, m)](p, e)
+        formula = Fraction(c_p * p + c_1 + c_a * ap, 24)
         cells.append((m, direct, formula, direct == formula))
     return TableRow(p, r, x, y, tuple(cells))
 

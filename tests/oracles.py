@@ -8,7 +8,7 @@ divisor loop, and shares no code with the series builder it checks.
 from fractions import Fraction
 from math import isqrt
 
-from hcn7.arith import LambdaSpec, psi_k
+from hcn7.arith import psi_k
 from hcn7.newform49 import g_series, newform_ap
 from hcn7.qseries import QSeries, op_u, series_add, series_scale, series_sub, series_truncate
 from hcn7.verify import IdentitySpec, VerificationReport, verify_identity
@@ -90,7 +90,7 @@ def newform_an_oracle(n: int) -> int:
     return an
 
 
-def lambda_coeff(spec: LambdaSpec, n: int) -> Fraction:
+def lambda_coeff(l: int, m: int, M: int, n: int) -> Fraction:
     """Coefficient n >= 1 of arith.lambda_series, from the factorizations
     n = u v, u <= v of equal parity, one at a time.
 
@@ -100,7 +100,6 @@ def lambda_coeff(spec: LambdaSpec, n: int) -> Fraction:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    m, M, l = spec.m, spec.M, spec.l
     doubled = 0
     for u in range(1, isqrt(n) + 1):
         if n % u:

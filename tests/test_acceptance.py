@@ -8,7 +8,7 @@ import random
 import time
 from fractions import Fraction
 
-from hcn7.arith import LambdaSpec, lambda_series, prop31_rhs
+from hcn7.arith import lambda_series, prop31_rhs
 from hcn7.hurwitz import hmm_series, hmm_sum
 from hcn7.newform49 import cm_ap, ec_point_count, newform_an
 from hcn7.primes import primes_up_to
@@ -52,10 +52,10 @@ def test_c03_prop31_to_300():
         for m in range(7):
             rep = verify_prop31(k, m, 300)
             assert rep.ok, str(rep)
-    anchor = op_u(lambda_series(LambdaSpec(1, 1, 7), 32), 4)
+    anchor = op_u(lambda_series(1, 1, 7, 32), 4)
     assert anchor[8] == 4
     assert prop31_rhs(0, 1, 7, 8)[8] == 4
-    anchor0 = op_u(lambda_series(LambdaSpec(1, 0, 7), 196), 4)
+    anchor0 = op_u(lambda_series(1, 0, 7, 196), 4)
     assert anchor0[49] == 14
     assert prop31_rhs(0, 0, 7, 49)[49] == 14
     _stamp("C3 correction series identity, k in {0,1}, n<=300", start)

@@ -7,7 +7,6 @@ from math import isqrt
 import pytest
 
 from hcn7.arith import (
-    LambdaSpec,
     d_pa_series,
     d_series,
     lambda_series,
@@ -73,13 +72,6 @@ def test_phi_complement_oracle():
         assert phi_pa(n, 1, p, a) + phi_pa(n, 1, p, -a) == expected, (n, p, a)
 
 
-def test_lambda_spec_validation():
-    with pytest.raises(ValueError):
-        LambdaSpec(2, 1, 7)
-    with pytest.raises(ValueError):
-        LambdaSpec(1, 1, 0)
-
-
 def brute_lambda(l, m, M, n):
     """Oracle: enumerate (t, s) pairs directly from t^2 - s^2 = n.
 
@@ -99,10 +91,9 @@ def brute_lambda(l, m, M, n):
 
 
 def test_lambda_coeff_examples():
-    spec = LambdaSpec(1, 1, 7)
-    assert lambda_coeff(spec, 32) == 4
-    assert lambda_coeff(spec, 4) == 0
-    assert lambda_coeff(LambdaSpec(1, 0, 7), 196) == 14
+    assert lambda_coeff(1, 1, 7, 32) == 4
+    assert lambda_coeff(1, 1, 7, 4) == 0
+    assert lambda_coeff(1, 0, 7, 196) == 14
 
 
 def test_lambda_against_brute_force():
@@ -111,17 +102,16 @@ def test_lambda_against_brute_force():
         n = rng.randint(1, 500)
         l = rng.choice([1, 3])
         m = rng.randint(0, 6)
-        spec = LambdaSpec(l, m, 7)
-        assert lambda_coeff(spec, n) == brute_lambda(l, m, 7, n), (l, m, n)
+        assert lambda_coeff(l, m, 7, n) == brute_lambda(l, m, 7, n), (l, m, n)
 
 
 def test_lambda_series_after_u4():
-    ls = op_u(lambda_series(LambdaSpec(1, 1, 7), 40), 4)
+    ls = op_u(lambda_series(1, 1, 7, 40), 4)
     assert ls[8] == 4
-    ls0 = op_u(lambda_series(LambdaSpec(1, 0, 7), 200), 4)
+    ls0 = op_u(lambda_series(1, 0, 7, 200), 4)
     assert ls0[49] == 14
     # no even/odd-compatible factorization -> zero
-    assert lambda_coeff(LambdaSpec(1, 1, 7), 2) == 0
+    assert lambda_coeff(1, 1, 7, 2) == 0
 
 
 def test_prop31_rhs_anchors():
@@ -143,7 +133,7 @@ def test_prop31_rhs_validation():
 def test_prop31_identity_small():
     for k in (0, 1):
         for m in range(7):
-            lhs = op_u(lambda_series(LambdaSpec(2 * k + 1, m, 7), 400), 4)
+            lhs = op_u(lambda_series(2 * k + 1, m, 7, 400), 4)
             rhs = prop31_rhs(k, m, 7, 100)
             for n in range(101):
                 assert lhs[n] == rhs[n], (k, m, n)

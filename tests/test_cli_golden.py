@@ -32,8 +32,12 @@ def mask(text: str) -> str:
 
 
 def _break_table(mp):
-    cell = hcn7.verify._TABLE_CELLS[(4, 2)]  # 11 = 4 (mod 7), column m = 2
-    mp.setitem(hcn7.verify._TABLE_CELLS, (4, 2), lambda p, e: cell(p, e) + (p == 11))
+    # 24 more on c_1 of row 4, column 2: one more on H_{2,7}(p) at every
+    # p = 4 (mod 7), of which 11 is the only one up to 30
+    row = list(hcn7.verify._TABLE_WEIGHTS[4])
+    c_p, c_1, c_a = row[2]
+    row[2] = (c_p, c_1 + 24, c_a)
+    mp.setitem(hcn7.verify._TABLE_WEIGHTS, 4, tuple(row))
 
 
 def _break_hk(mp):

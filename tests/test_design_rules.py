@@ -1,8 +1,9 @@
 """Design rules of the package, checked on its source: exact arithmetic
 only (no float literal, no float() call, no math.sqrt, math.log or
-math.exp), no knobs (no read of os.environ or os.getenv) and no dead code
+math.exp), no knobs (no read of os.environ or os.getenv), no dead code
 (every public top-level function and class is used somewhere in the
-package).  Division by `/` is allowed: Fraction / int is exact."""
+package) and no unused import (every imported name is read in its
+module).  Division by `/` is allowed: Fraction / int is exact."""
 
 import ast
 from pathlib import Path
@@ -105,3 +106,49 @@ def unreferenced(sources) -> list[str]:
 def test_every_public_name_has_a_caller_in_the_package():
     assert unreferenced(SOURCES) == sorted(UNREFERENCED_ALLOWED)
 
+
+
+# Imported names that their module never reads, each with its reason.
+UNREAD_IMPORTS_ALLOWED = {
+    "__init__.hmm_series": "re-exported: bench/child.py reads it",
+    "__init__.hmm_sum": "re-exported: bench/child.py reads it",
+}
+
+
+def unread_imports(tree: ast.AST) -> list[str]:
+    """Each name an import binds in tree that tree never reads; the
+    __future__ imports are directives, not names."""
+    imported = []
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.extend(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.extend(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+    return [name for name in imported if name not in read]
+
+
+def test_every_imported_name_is_read():
+    unread = [
+        f"{path.stem}.{name}"
+        for path in SOURCES
+        for name in unread_imports(ast.parse(path.read_text(), str(path)))
+    ]
+    assert sorted(unread) == sorted(UNREAD_IMPORTS_ALLOWED)
+
+
+@pytest.mark.parametrize(
+    "source, unread",
+    [
+        ("import os\nx = 1", ["os"]),
+        ("import os.path\nx = os.sep", []),
+        ("from dataclasses import dataclass\nx = 1", ["dataclass"]),
+        ("from .arith import LambdaSpec, lambda_series\nx = lambda_series(1, 1, 7, 9)", ["LambdaSpec"]),
+        ("from typing import Iterator as It\ndef f() -> It[int]: ...", []),
+        ("from __future__ import annotations", []),
+    ],
+)
+def test_unread_import_rule(source, unread):
+    assert unread_imports(ast.parse(source)) == unread

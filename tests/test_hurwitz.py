@@ -125,6 +125,15 @@ def test_hmm_series_rejects_negative_order_whatever_the_cache_holds(monkeypatch,
     assert hcn7.hurwitz._cache is cache
 
 
+def test_cache_doubling_stops_at_the_cap(monkeypatch):
+    # H_{0,7}(875) reads index 3500; doubling a 3001-entry cache would
+    # sieve to 6000, past the cap
+    monkeypatch.setattr(hcn7.hurwitz, "MAX_H_INDEX", 5000)
+    monkeypatch.setattr(hcn7.hurwitz, "_cache", hurwitz_batch(3000))
+    hmm_sum(0, 7, 875)
+    assert hcn7.hurwitz._cache == hurwitz_batch(5000)
+
+
 def test_hmm_sum_examples():
     assert hmm_sum(0, 7, 11) == 4
     assert hmm_sum(1, 7, 3) == 1

@@ -6,12 +6,15 @@ from fractions import Fraction
 import pytest
 
 import hcn7.hurwitz
+import hcn7.newform49
 import hcn7.verify
 from hcn7.arith import hk_rhs_series
 from hcn7.hurwitz import hmm_sum, hurwitz_batch
+from hcn7.newform49 import newform_ap
 from hcn7.primes import primes_up_to
 from hcn7.qseries import QSeries
 from hcn7.verify import (
+    _TABLE_WEIGHTS,
     IdentitySpec,
     THM35_BOUND,
     THM35_BOUND_M0,
@@ -67,7 +70,6 @@ def test_verify_identity_reports():
     )
     rep = verify_identity(bad)
     assert not rep.ok and rep.first_mismatch == (2, 2, 3)
-    assert "FAIL" in str(rep)
 
     short = IdentitySpec("toy.short", lambda b: QSeries([1]), lambda b: QSeries([1]), 5)
     with pytest.raises(ValueError):
@@ -222,6 +224,29 @@ def test_rowsum_identity():
             continue
         total = hmm_sum(0, 7, p) + 2 * sum(hmm_sum(m, 7, p) for m in (1, 2, 3))
         assert total == 2 * p, p
+
+
+def test_table_weights_obey_the_row_law():
+    # H_0 + 2H_1 + 2H_2 + 2H_3 = 2p whatever p and a_p: (48, 0, 0) / 24
+    assert sorted(_TABLE_WEIGHTS) == [1, 2, 3, 4, 5, 6]
+    for r, row in _TABLE_WEIGHTS.items():
+        assert len(row) == 4
+        law = [row[0][i] + 2 * (row[1][i] + row[2][i] + row[3][i]) for i in range(3)]
+        assert law == [48, 0, 0], r
+
+
+def test_table_weights_hold_with_the_curve_ap(monkeypatch):
+    # a_p by point counts on 49a1, so no cell reads x^2 + 7y^2
+    def unreachable(p):
+        raise AssertionError("represent_7 called")
+
+    monkeypatch.setattr(hcn7.newform49, "represent_7", unreachable)
+    for p in primes_up_to(3000):
+        if p in (2, 7):
+            continue
+        ap = newform_ap(p)
+        for m, (c_p, c_1, c_a) in enumerate(_TABLE_WEIGHTS[p % 7]):
+            assert Fraction(c_p * p + c_1 + c_a * ap, 24) == hmm_sum(m, 7, p), (p, m)
 
 
 def test_run_suite_names():
