@@ -13,7 +13,7 @@ Contents:
                              after extracting every 4th coefficient
     theta_mM                 sum over integers n = m (mod M) of q^(n^2)
     theta_chi1               weight-3/2 theta: coefficient chi(x) x at x^2
-    psi_k                    lattice sum over x^2 + k y^2 = n of chi(x) x, halved
+    psi_7                    lattice sum over x^2 + 7 y^2 = n of chi(x) x, halved
 
 with chi = chi_minus7, the quadratic character mod 7, in the last two.
 
@@ -27,7 +27,6 @@ from fractions import Fraction
 from math import isqrt
 from operator import add
 
-from .primes import prime_factors
 from .qseries import (
     QSeries,
     chi_minus7,
@@ -129,32 +128,31 @@ def _lopsided_series(l: int, p: int, m: int, order: int) -> QSeries:
     return QSeries(coeffs)
 
 
-def prop31_rhs(k: int, m: int, p: int, order: int) -> QSeries:
-    """Divisor-sum expression equal to lambda_series(2k+1, m, p) | U_4.
+def prop31_rhs(k: int, m: int, order: int) -> QSeries:
+    """Divisor-sum expression equal to lambda_series(2k+1, m, 7) | U_4.
 
-    For m != 0 (mod p):
+    For m != 0 (mod 7):
 
-        2^(2k+1) [ sum_{a != +-m (p)} (1/2)(D^(p,(m-a)/2) + D^(p,(a-m)/2))
-                                          | S_{p,(m^2-a^2)/4}
-                   + (1/2)(D^(p,m) + D^(p,-m)) | S_{p,0}
-                   + sum_{d e = n, p | d, d < e, e = +-m (p)} d^(2k+1) ]
+        2^(2k+1) [ sum_{a != +-m (7)} (1/2)(D^(7,(m-a)/2) + D^(7,(a-m)/2))
+                                          | S_{7,(m^2-a^2)/4}
+                   + (1/2)(D^(7,m) + D^(7,-m)) | S_{7,0}
+                   + sum_{d e = n, 7 | d, d < e, e = +-m (7)} d^(2k+1) ]
 
-    and for m == 0 (mod p):
+    and for m == 0 (mod 7):
 
-        2^(2k+1) [ sum_{a != 0 (p)} D^(p,a/2) | S_{p,-a^2/4}
-                   + p^(2k+1) (D^(1,0) dilated by p^2) ]
+        2^(2k+1) [ sum_{a != 0 (7)} D^(7,a/2) | S_{7,-a^2/4}
+                   + 7^(2k+1) (D^(1,0) dilated by 49) ]
 
-    The residue divisions by 2 and 4 are carried out mod p.  On residue
+    The residue divisions by 2 and 4 are carried out mod 7.  On residue
     class 0 the m != 0 case splits by which member of the factor pair is
-    divisible by p: the half-sum covers pairs whose smaller member lies
+    divisible by 7: the half-sum covers pairs whose smaller member lies
     in class +-m, the lopsided sum those whose smaller member is
-    p-divisible.  Both halves (and the dilation reading of the m = 0
+    7-divisible.  Both halves (and the dilation reading of the m = 0
     tail) are forced numerically by the factorization side.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    if p < 3 or prime_factors(p) != [p]:
-        raise ValueError("p must be an odd prime")
+    p = 7
     l = 2 * k + 1
     inv2 = pow(2, -1, p)
     inv4 = inv2 * inv2 % p
@@ -208,19 +206,17 @@ def theta_chi1(order: int) -> QSeries:
     return QSeries(coeffs)
 
 
-def psi_k(k: int, order: int) -> QSeries:
-    """Halved lattice sum of chi(x) x over x^2 + k y^2 = n, all (x, y),
+def psi_7(order: int) -> QSeries:
+    """Halved lattice sum of chi(x) x over x^2 + 7 y^2 = n, all (x, y),
     chi = chi_minus7.
 
     Direct enumeration; the +-x pairing absorbs the 1/2 exactly as in
     theta_chi1, while y runs over both signs independently.
     """
-    if k < 2:
-        raise ValueError("k must be at least 2")
     coeffs = [0] * (order + 1)
-    ymax = isqrt(order // k)
+    ymax = isqrt(order // 7)
     for y in range(-ymax, ymax + 1):
-        rest = order - k * y * y
+        rest = order - 7 * y * y
         for x in range(1, isqrt(rest) + 1):
-            coeffs[x * x + k * y * y] += chi_minus7(x) * x
+            coeffs[x * x + 7 * y * y] += chi_minus7(x) * x
     return QSeries(coeffs)

@@ -11,11 +11,11 @@ nothing written to stderr.  No environment variable changes what a
 command does.
 
 Inputs are capped before anything is allocated: MAX_H_INDEX bounds the
-largest H(N) index a command would tabulate (N for `hurwitz --max N`, 4n
-for `sum --n n`, 4P for `table --pmax P`; the product route for H_{m,M}
-checks its internal order against it too) and MAX_NEWFORM_N bounds
-`newform --nmax` and `series --order`.  An input over its cap is a usage
-error.
+largest H(N) index a command would reach (N for `hurwitz N` and
+`hurwitz --max N`, 4n for `sum --n n`, 4P for `table --pmax P`; both
+H_{m,M} routes, the direct sum and the product, check their largest
+index against it too) and MAX_NEWFORM_N bounds `newform --nmax` and
+`series --order`.  An input over its cap is a usage error.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .arith import d_pa_series, d_series, lambda_series, psi_k, theta_mM
+from .arith import d_pa_series, d_series, lambda_series, psi_7, theta_mM
 from .hurwitz import hmm_sum, hurwitz_batch, hurwitz_series, hurwitz_single
 from .newform49 import ap_pairs, cm_ap, g_series, newform_an, newform_ap
 from .qseries import MAX_H_INDEX, QSeries
@@ -38,10 +38,10 @@ MAX_NEWFORM_N = 10**6
 
 
 def _check_h_index(option: str, value: int, index: int) -> None:
-    """Reject, before any allocation, an input that tabulates H past MAX_H_INDEX."""
+    """Reject, before any allocation, an input that reaches H past MAX_H_INDEX."""
     if index > MAX_H_INDEX:
         raise ValueError(
-            f"{option} {value} would tabulate H up to index {index}, "
+            f"{option} {value} would reach H index {index}, "
             f"over the cap MAX_H_INDEX = {MAX_H_INDEX}"
         )
 
@@ -89,6 +89,7 @@ def cmd_hurwitz(args) -> int:
             lambda: (f"{n} {h}" for n, h in pairs),
         )
         return 0
+    _check_h_index("N", args.N, args.N)
     value = fmt_rat(hurwitz_single(args.N))
     emit_record(args.format, "hurwitz", {"N": args.N, "H": value}, value)
     return 0
@@ -234,7 +235,7 @@ _SERIES_PATTERNS = [
     (re.compile(r"^H$"), lambda m, order: hurwitz_series(order)),
     (re.compile(r"^D$"), lambda m, order: d_series(order)),
     (re.compile(r"^G$"), lambda m, order: g_series(order)),
-    (re.compile(r"^Psi7$"), lambda m, order: psi_k(7, order)),
+    (re.compile(r"^Psi7$"), lambda m, order: psi_7(order)),
     (re.compile(r"^D1_7_([0-6])$"), lambda m, order: d_pa_series(1, 7, int(m.group(1)), order)),
     (re.compile(r"^theta_([0-6])_7$"), lambda m, order: theta_mM(int(m.group(1)), 7, order)),
     (re.compile(r"^Lambda_1_([0-6])_7$"), lambda m, order: lambda_series(1, int(m.group(1)), 7, order)),

@@ -141,13 +141,16 @@ def hmm_sum(m: int, M: int, n: int) -> ExactRational:
     """H_{m,M}(n) summed directly over all integers a = m (mod M).
 
     The twelfths are added in a plain loop; the value is an int when it is
-    integral and a Fraction otherwise.
+    integral and a Fraction otherwise.  The largest index read, 4n, is
+    checked against MAX_H_INDEX before the table is read.
     """
     if M < 1:
         raise ValueError("M must be positive")
     if n < 0:
         raise ValueError("n must be non-negative")
     four_n = 4 * n
+    if four_n > MAX_H_INDEX:
+        raise ValueError(f"index 4n = {four_n} is over the cap MAX_H_INDEX = {MAX_H_INDEX}")
     twelfths = twelfths_upto(four_n)
     r = isqrt(four_n)
     first = -r + (m + r) % M  # least a >= -r in the residue class

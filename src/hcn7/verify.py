@@ -1,9 +1,10 @@
 """Sturm bounds and the coefficient-exact identity battery.
 
-Every identity is expressed as a pair of recipes that build both sides as
-exact q-series up to a bound, compared coefficient by coefficient.  The
-bound for weight-2 forms on the relevant groups comes from the Sturm
-bound B = floor(k m / 12) with index
+Every identity is a plain function: it builds both sides as exact
+q-series up to a bound and hands them to compare, the one comparison
+loop, which reports the first index where they differ.  The bound for
+weight-2 forms on the relevant groups comes from the Sturm bound
+B = floor(k m / 12) with index
 
     m = [SL2(Z) : Gamma0(N1) n Gamma1(N2)] = N1 prod_{p|N1} (1 + 1/p) phi(N2)
 
@@ -19,9 +20,9 @@ import time
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
-from .arith import d_pa_series, d_series, hk_rhs_series, lambda_series, prop31_rhs, psi_k, theta_chi1, theta_mM
+from .arith import d_pa_series, d_series, hk_rhs_series, lambda_series, prop31_rhs, psi_7, theta_chi1, theta_mM
 from .hurwitz import hmm_series, hmm_sum, twelfths_upto
 from .newform49 import g_series, represent_7
 from .primes import euler_phi, prime_factors, primes_up_to
@@ -53,42 +54,28 @@ def sturm_bound(k: int, n1: int, n2: int) -> int:
 
 
 @dataclass(frozen=True)
-class IdentitySpec:
-    """Two series recipes and the coefficient range on which they must agree."""
-
-    id: str
-    lhs: Callable[[int], QSeries]
-    rhs: Callable[[int], QSeries]
-    bound: int
-
-
-@dataclass(frozen=True)
 class VerificationReport:
     id: str
     checked_upto: int
-    ok: bool
     first_mismatch: tuple[int, ExactRational, ExactRational] | None
     elapsed: float
 
-
-def _report(id: str, upto: int, start: float, triples: Iterable) -> VerificationReport:
-    """Report the first (n, lhs, rhs) of triples with lhs != rhs, if any,
-    timed from start."""
-    mismatch = next(((n, lhs, rhs) for n, lhs, rhs in triples if lhs != rhs), None)
-    return VerificationReport(id, upto, mismatch is None, mismatch, time.perf_counter() - start)
+    @property
+    def ok(self) -> bool:
+        return self.first_mismatch is None
 
 
-def verify_identity(spec: IdentitySpec) -> VerificationReport:
-    """Evaluate both recipes and compare coefficients 0..bound inclusive."""
-    start = time.perf_counter()
-    lhs = spec.lhs(spec.bound)
-    rhs = spec.rhs(spec.bound)
-    if lhs.order < spec.bound or rhs.order < spec.bound:
-        raise ValueError(
-            f"{spec.id}: recipe produced order "
-            f"{min(lhs.order, rhs.order)} < bound {spec.bound}"
-        )
-    return _report(spec.id, spec.bound, start, zip(range(spec.bound + 1), lhs.coeffs, rhs.coeffs))
+def compare(
+    id: str, bound: int, start: float, lhs: QSeries, rhs: QSeries, first: int = 0
+) -> VerificationReport:
+    """Compare coefficients first..bound inclusive of lhs and rhs and report
+    the first (n, lhs, rhs) that differ, timed from start.  A side shorter
+    than bound is an error, never a shorter comparison."""
+    if lhs.order < bound or rhs.order < bound:
+        raise ValueError(f"{id}: a side has order {min(lhs.order, rhs.order)} < bound {bound}")
+    pairs = zip(range(first, bound + 1), lhs.coeffs[first:], rhs.coeffs[first:])
+    mismatch = next(((n, a, b) for n, a, b in pairs if a != b), None)
+    return VerificationReport(id, bound, mismatch, time.perf_counter() - start)
 
 
 # --------------------------------------------------------------------------
@@ -135,59 +122,45 @@ def _drop_sevens(f: QSeries) -> QSeries:
     return QSeries([c if n % 7 else 0 for n, c in enumerate(f.coeffs)])
 
 
-def _thm35_nonzero(m: int, a: int, bound: int, hmm, d, g) -> IdentitySpec:
+def _thm35_sides(m: int, a: int, b: int, hmm, d, g) -> tuple[QSeries, QSeries]:
     extras, c_d, c_g = _THM35_ROWS[(m, a)]
-
-    def lhs(b: int) -> QSeries:
-        acc = op_sieve(hmm(m, 7, b), 7, a)
-        for coeff, cls in extras:
-            acc = series_add(acc, series_scale(op_sieve(d_pa_series(1, 7, cls, b), 7, a), coeff))
-        return acc
-
-    def rhs(b: int) -> QSeries:
-        acc = series_scale(op_sieve(d(b), 7, a), c_d)
-        if c_g:
-            acc = series_add(acc, series_scale(op_sieve(g(b), 7, a), c_g))
-        return acc
-
-    return IdentitySpec(f"thm35.m{m}.s{a}", lhs, rhs, bound)
+    lhs = op_sieve(hmm(m, 7, b), 7, a)
+    for coeff, cls in extras:
+        lhs = series_add(lhs, series_scale(op_sieve(d_pa_series(1, 7, cls, b), 7, a), coeff))
+    rhs = series_scale(op_sieve(d(b), 7, a), c_d)
+    if c_g:
+        rhs = series_add(rhs, series_scale(op_sieve(g(b), 7, a), c_g))
+    return lhs, rhs
 
 
-def _thm35_m0(bound: int, hmm, d, g) -> IdentitySpec:
-    def lhs(b: int) -> QSeries:
-        acc = _drop_sevens(hmm(0, 7, b))
-        for cls, sieve in ((1, 6), (2, 3), (3, 5)):
-            acc = series_add(acc, series_scale(op_sieve(d_pa_series(1, 7, cls, b), 7, sieve), 2))
-        return acc
-
-    def rhs(b: int) -> QSeries:
-        dd = d(b)
-        acc = series_scale(_drop_sevens(dd), Fraction(1, 4))
-        # sigma(n) chi(n)(chi(n) - 1) / 24: nonzero only on residues where
-        # the mod-7 character is -1, where it contributes sigma(n) / 12
-        mid = QSeries(
-            [dd[n] * chi_minus7(n) * (chi_minus7(n) - 1) for n in range(b + 1)]
-        )
-        acc = series_add(acc, series_scale(mid, Fraction(1, 24)))
-        return series_add(acc, series_scale(_drop_sevens(g(b)), Fraction(1, 4)))
-
-    return IdentitySpec("thm35.m0", lhs, rhs, bound)
+def _thm35_m0_sides(b: int, hmm, d, g) -> tuple[QSeries, QSeries]:
+    lhs = _drop_sevens(hmm(0, 7, b))
+    for cls, sieve in ((1, 6), (2, 3), (3, 5)):
+        lhs = series_add(lhs, series_scale(op_sieve(d_pa_series(1, 7, cls, b), 7, sieve), 2))
+    dd = d(b)
+    rhs = series_scale(_drop_sevens(dd), Fraction(1, 4))
+    # sigma(n) chi(n)(chi(n) - 1) / 24: nonzero only on residues where
+    # the mod-7 character is -1, where it contributes sigma(n) / 12
+    mid = QSeries([dd[n] * chi_minus7(n) * (chi_minus7(n) - 1) for n in range(b + 1)])
+    rhs = series_add(rhs, series_scale(mid, Fraction(1, 24)))
+    return lhs, series_add(rhs, series_scale(_drop_sevens(g(b)), Fraction(1, 4)))
 
 
-def build_thm35_suite(bound: int | None = None, bound_m0: int | None = None) -> list[IdentitySpec]:
-    """All 19 identity specs, default bounds 337 (m != 0) and 57 (m = 0).
+def verify_thm35(bound: int = THM35_BOUND, bound_m0: int = THM35_BOUND_M0) -> list[VerificationReport]:
+    """All 19 identities, m = 0 to bound_m0 and the 18 others to bound.
 
-    The specs share one build of each H_{m,7}, D and G series per bound:
-    the six rows of an m read the same hmm_series(m, 7, b).
+    They share one build of each H_{m,7}, D and G series per bound: the
+    six rows of an m read the same hmm_series(m, 7, b).
     """
-    b = THM35_BOUND if bound is None else bound
-    b0 = THM35_BOUND_M0 if bound_m0 is None else bound_m0
     series = cache(hmm_series), cache(d_series), cache(g_series)
-    specs = [_thm35_m0(b0, *series)]
+    start = time.perf_counter()
+    reports = [compare("thm35.m0", bound_m0, start, *_thm35_m0_sides(bound_m0, *series))]
     for m in (1, 2, 3):
         for a in range(1, 7):
-            specs.append(_thm35_nonzero(m, a, b, *series))
-    return specs
+            start = time.perf_counter()
+            sides = _thm35_sides(m, a, bound, *series)
+            reports.append(compare(f"thm35.m{m}.s{a}", bound, start, *sides))
+    return reports
 
 
 def verify_lemma42(order: int) -> VerificationReport:
@@ -200,30 +173,19 @@ def verify_lemma42(order: int) -> VerificationReport:
     sturm = THM35_BOUND_M0 - 1
     if order < sturm:
         raise ValueError(f"order must cover the Sturm bound {sturm}")
-
-    def lhs(b: int) -> QSeries:
-        return psi_k(7, b)
-
-    def rhs(b: int) -> QSeries:
-        g = g_series(b)
-        acc = series_sub(g, series_truncate(op_dilate(g, 2), b))
-        return series_add(acc, series_scale(series_truncate(op_dilate(g, 4), b), 4))
-
-    return verify_identity(IdentitySpec("lemma42", lhs, rhs, order))
+    start = time.perf_counter()
+    g = g_series(order)
+    rhs = series_sub(g, series_truncate(op_dilate(g, 2), order))
+    rhs = series_add(rhs, series_scale(series_truncate(op_dilate(g, 4), order), 4))
+    return compare("lemma42", order, start, psi_7(order), rhs)
 
 
 def verify_prop41(order: int) -> VerificationReport:
     """Product form of the lattice sum: Psi_7 = theta(chi,1) * theta0(q^7)."""
-
-    def lhs(b: int) -> QSeries:
-        return psi_k(7, b)
-
-    def rhs(b: int) -> QSeries:
-        theta0 = theta_mM(0, 1, -(-b // 7))
-        dil = series_truncate(op_dilate(theta0, 7), b)
-        return series_mul(theta_chi1(b), dil)
-
-    return verify_identity(IdentitySpec("prop41", lhs, rhs, order))
+    start = time.perf_counter()
+    theta0 = theta_mM(0, 1, -(-order // 7))
+    rhs = series_mul(theta_chi1(order), series_truncate(op_dilate(theta0, 7), order))
+    return compare("prop41", order, start, psi_7(order), rhs)
 
 
 def verify_hurwitz_kronecker(n_max: int) -> VerificationReport:
@@ -232,21 +194,16 @@ def verify_hurwitz_kronecker(n_max: int) -> VerificationReport:
     if n_max < 1:
         raise ValueError("n_max must be positive")
     start = time.perf_counter()
-    lhs = hmm_series(0, 1, n_max).coeffs
-    rhs = hk_rhs_series(n_max).coeffs
-    return _report("hurwitz-kronecker", n_max, start, zip(range(1, n_max + 1), lhs[1:], rhs[1:]))
+    return compare(
+        "hurwitz-kronecker", n_max, start, hmm_series(0, 1, n_max), hk_rhs_series(n_max), first=1
+    )
 
 
 def verify_prop31(k: int, m: int, order: int) -> VerificationReport:
     """Correction series | U_4 against its divisor-sum form, exponent 2k+1."""
-
-    def lhs(b: int) -> QSeries:
-        return op_u(lambda_series(2 * k + 1, m, 7, 4 * b), 4)
-
-    def rhs(b: int) -> QSeries:
-        return prop31_rhs(k, m, 7, b)
-
-    return verify_identity(IdentitySpec(f"prop31.k{k}.m{m}", lhs, rhs, order))
+    start = time.perf_counter()
+    lhs = op_u(lambda_series(2 * k + 1, m, 7, 4 * order), 4)
+    return compare(f"prop31.k{k}.m{m}", order, start, lhs, prop31_rhs(k, m, order))
 
 
 # --------------------------------------------------------------------------
@@ -342,16 +299,12 @@ def verify_main_table(p_max: int) -> list[VerificationReport]:
         if total != 2 * p and rowsum_bad is None:
             rowsum_bad = (p, total, Fraction(2 * p))
     elapsed = time.perf_counter() - start
-    reports = []
-    for r in range(1, 7):
-        for m in range(4):
-            bad = first_bad.get((r, m))
-            reports.append(
-                VerificationReport(f"main.r{r}.m{m}", p_max, bad is None, bad, elapsed)
-            )
-    reports.append(
-        VerificationReport("main.rowsum", p_max, rowsum_bad is None, rowsum_bad, elapsed)
-    )
+    reports = [
+        VerificationReport(f"main.r{r}.m{m}", p_max, first_bad.get((r, m)), elapsed)
+        for r in range(1, 7)
+        for m in range(4)
+    ]
+    reports.append(VerificationReport("main.rowsum", p_max, rowsum_bad, elapsed))
     return reports
 
 
@@ -369,10 +322,7 @@ def _cap(default: int, bound: int | None) -> int:
 def run_suite(name: str, bound: int | None = None) -> list[VerificationReport]:
     """Run one named suite; bound truncates the default comparison range."""
     if name == "thm35":
-        specs = build_thm35_suite(
-            _cap(THM35_BOUND, bound), _cap(THM35_BOUND_M0, bound)
-        )
-        return [verify_identity(s) for s in specs]
+        return verify_thm35(_cap(THM35_BOUND, bound), _cap(THM35_BOUND_M0, bound))
     if name == "lemma42":
         return [verify_lemma42(_cap(1000, bound))]
     if name == "prop31":

@@ -5,13 +5,14 @@ Each oracle computes one coefficient by its definition, with a plain
 divisor loop, and shares no code with the series builder it checks.
 """
 
+import time
 from fractions import Fraction
 from math import isqrt
 
-from hcn7.arith import psi_k
+from hcn7.arith import psi_7
 from hcn7.newform49 import g_series, newform_ap
-from hcn7.qseries import QSeries, op_u, series_add, series_scale, series_sub, series_truncate
-from hcn7.verify import IdentitySpec, VerificationReport, verify_identity
+from hcn7.qseries import op_u, series_add, series_scale, series_sub, series_truncate
+from hcn7.verify import VerificationReport, compare
 
 
 def sigma(n: int, l: int = 1) -> int:
@@ -121,13 +122,8 @@ def verify_lemma42_literal_u(order: int = 56) -> VerificationReport:
     """Negative control: with U-extraction instead of dilation the identity
     of verify.verify_lemma42 breaks immediately (already at n = 1, where
     the right side is -4)."""
-
-    def lhs(b: int) -> QSeries:
-        return psi_k(7, b)
-
-    def rhs(b: int) -> QSeries:
-        g = g_series(4 * b)
-        acc = series_sub(series_truncate(g, b), op_u(g, 2))
-        return series_add(acc, series_scale(op_u(g, 4), 4))
-
-    return verify_identity(IdentitySpec("lemma42.literal-u", lhs, rhs, order))
+    start = time.perf_counter()
+    g = g_series(4 * order)
+    rhs = series_sub(series_truncate(g, order), op_u(g, 2))
+    rhs = series_add(rhs, series_scale(op_u(g, 4), 4))
+    return compare("lemma42.literal-u", order, start, psi_7(order), rhs)

@@ -14,14 +14,13 @@ from hcn7.newform49 import cm_ap, ec_point_count, newform_an
 from hcn7.primes import primes_up_to
 from hcn7.qseries import QSeries, op_dilate, op_sieve, op_u, series_add
 from hcn7.verify import (
-    build_thm35_suite,
     main_table_rows,
     sturm_bound,
-    verify_identity,
     verify_lemma42,
     verify_main_table,
     verify_prop31,
     verify_prop41,
+    verify_thm35,
 )
 from oracles import hk_rhs_oracle, verify_lemma42_literal_u
 
@@ -54,16 +53,16 @@ def test_c03_prop31_to_300():
             assert rep.ok, str(rep)
     anchor = op_u(lambda_series(1, 1, 7, 32), 4)
     assert anchor[8] == 4
-    assert prop31_rhs(0, 1, 7, 8)[8] == 4
+    assert prop31_rhs(0, 1, 8)[8] == 4
     anchor0 = op_u(lambda_series(1, 0, 7, 196), 4)
     assert anchor0[49] == 14
-    assert prop31_rhs(0, 0, 7, 49)[49] == 14
+    assert prop31_rhs(0, 0, 49)[49] == 14
     _stamp("C3 correction series identity, k in {0,1}, n<=300", start)
 
 
 def test_c04_thm35_all_19():
     start = time.perf_counter()
-    reports = [verify_identity(spec) for spec in build_thm35_suite()]
+    reports = verify_thm35()
     assert len(reports) == 19
     for rep in reports:
         assert rep.ok, str(rep)

@@ -4,14 +4,12 @@ import random
 from fractions import Fraction
 from math import isqrt
 
-import pytest
-
 from hcn7.arith import (
     d_pa_series,
     d_series,
     lambda_series,
     prop31_rhs,
-    psi_k,
+    psi_7,
     theta_chi1,
     theta_mM,
 )
@@ -115,26 +113,17 @@ def test_lambda_series_after_u4():
 
 
 def test_prop31_rhs_anchors():
-    r = prop31_rhs(0, 1, 7, 20)
+    r = prop31_rhs(0, 1, 20)
     assert r[8] == 4
     assert r[1] == 0
-    assert prop31_rhs(0, 0, 7, 60)[49] == 14
-
-
-def test_prop31_rhs_validation():
-    with pytest.raises(ValueError):
-        prop31_rhs(0, 1, 4, 10)
-    with pytest.raises(ValueError):
-        prop31_rhs(0, 1, 1, 10)
-    with pytest.raises(ValueError):
-        prop31_rhs(0, 1, 9, 10)
+    assert prop31_rhs(0, 0, 60)[49] == 14
 
 
 def test_prop31_identity_small():
     for k in (0, 1):
         for m in range(7):
             lhs = op_u(lambda_series(2 * k + 1, m, 7, 400), 4)
-            rhs = prop31_rhs(k, m, 7, 100)
+            rhs = prop31_rhs(k, m, 100)
             for n in range(101):
                 assert lhs[n] == rhs[n], (k, m, n)
 
@@ -159,19 +148,17 @@ def test_theta_chi1():
 
 
 def test_psi7():
-    ps = psi_k(7, 60)
+    ps = psi_7(60)
     assert ps[11] == 4
     assert ps[2] == 0
     assert ps[9] == -3
     assert ps[0] == 0
-    with pytest.raises(ValueError):
-        psi_k(1, 10)
 
 
 def test_theta_product_identity():
     # lattice sum factors as signed theta times the 7-fold dilated theta
     order = 500
-    lhs = psi_k(7, order)
+    lhs = psi_7(order)
     theta0 = theta_mM(0, 1, order // 7 + 1)
     rhs = series_mul(
         theta_chi1(order),
@@ -184,6 +171,6 @@ def test_integer_coefficients():
     for s in (
         theta_mM(3, 7, 100),
         theta_chi1(100),
-        psi_k(7, 100),
+        psi_7(100),
     ):
         assert all(c.denominator == 1 for c in s.coeffs)

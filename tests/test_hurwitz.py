@@ -203,6 +203,15 @@ def test_hmm_series_respects_order_cap(monkeypatch):
         hmm_series(0, 7, MAX_H_INDEX // 4 + 1)
 
 
+def test_hmm_sum_respects_the_cap(monkeypatch):
+    monkeypatch.setattr(hcn7.hurwitz, "MAX_H_INDEX", 5000)
+    monkeypatch.setattr(hcn7.hurwitz, "_cache", hurwitz_batch(0))
+    # 4n = 8000 is over the patched cap
+    with pytest.raises(ValueError, match="MAX_H_INDEX"):
+        hmm_sum(0, 7, 2000)
+    assert hcn7.hurwitz._cache == hurwitz_batch(0)
+
+
 def test_hurwitz_kronecker():
     assert hmm_sum(0, 1, 1) == hk_rhs_oracle(1) == 1
     assert hmm_sum(0, 1, 11) == hk_rhs_oracle(11) == 22

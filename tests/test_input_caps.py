@@ -22,6 +22,7 @@ def no_allocation(monkeypatch):
 
     for module, name in [
         (hcn7.cli, "hurwitz_batch"),
+        (hcn7.cli, "hurwitz_single"),
         (hcn7.hurwitz, "hurwitz_batch"),
         (hcn7.hurwitz, "twelfths_upto"),
         (hcn7.verify, "twelfths_upto"),
@@ -36,6 +37,7 @@ def no_allocation(monkeypatch):
 @pytest.mark.parametrize(
     "argv, cap",
     [
+        (["hurwitz", str(MAX_H_INDEX + 1)], "MAX_H_INDEX"),
         (["hurwitz", "--max", str(MAX_H_INDEX + 1)], "MAX_H_INDEX"),
         (["sum", "--m", "0", "--M", "7", "--n", str(MAX_H_INDEX // 4 + 1)], "MAX_H_INDEX"),
         (["table", "--pmax", str(MAX_H_INDEX // 4 + 1)], "MAX_H_INDEX"),

@@ -48,7 +48,7 @@ def test_product_of_int_series_is_int():
 @pytest.mark.parametrize("k", [0, 1])
 @pytest.mark.parametrize("m", range(7))
 def test_prop31_rhs_is_int(k, m):
-    assert all(type(c) is int for c in prop31_rhs(k, m, 7, 300).coeffs)
+    assert all(type(c) is int for c in prop31_rhs(k, m, 300).coeffs)
 
 
 @pytest.mark.parametrize("M", [1, 2, 4, 7])

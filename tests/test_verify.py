@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import hcn7.arith
 import hcn7.hurwitz
 import hcn7.newform49
 import hcn7.verify
@@ -15,19 +16,20 @@ from hcn7.primes import primes_up_to
 from hcn7.qseries import QSeries
 from hcn7.verify import (
     _TABLE_WEIGHTS,
-    IdentitySpec,
     THM35_BOUND,
     THM35_BOUND_M0,
-    build_thm35_suite,
+    _thm35_m0_sides,
+    _thm35_sides,
+    compare,
     main_table_rows,
     run_suite,
     sturm_bound,
     verify_hurwitz_kronecker,
-    verify_identity,
     verify_lemma42,
     verify_main_table,
     verify_prop31,
     verify_prop41,
+    verify_thm35,
 )
 from oracles import sigma, verify_lemma42_literal_u
 
@@ -55,55 +57,49 @@ def test_sturm_bound_monotone():
     assert bounds == sorted(bounds)
 
 
-def test_verify_identity_reports():
-    ident = IdentitySpec(
-        "toy.equal", lambda b: QSeries([1] * (b + 1)), lambda b: QSeries([1] * (b + 1)), 5
-    )
-    rep = verify_identity(ident)
+def test_compare_reports():
+    rep = compare("toy.equal", 5, 0.0, QSeries([1] * 6), QSeries([1] * 6))
     assert rep.ok and rep.first_mismatch is None and rep.checked_upto == 5
 
-    bad = IdentitySpec(
-        "toy.bad",
-        lambda b: QSeries([0, 1, 2] + [0] * b),
-        lambda b: QSeries([0, 1, 3] + [0] * b),
-        2,
-    )
-    rep = verify_identity(bad)
+    rep = compare("toy.bad", 2, 0.0, QSeries([0, 1, 2, 0, 0]), QSeries([0, 1, 3, 0, 0]))
     assert not rep.ok and rep.first_mismatch == (2, 2, 3)
 
-    short = IdentitySpec("toy.short", lambda b: QSeries([1]), lambda b: QSeries([1]), 5)
     with pytest.raises(ValueError):
-        verify_identity(short)
+        compare("toy.short", 5, 0.0, QSeries([1]), QSeries([1]))
+
+    # first = 1 skips a differing constant term
+    lhs, rhs = QSeries([0, 1, 2]), QSeries([5, 1, 2])
+    assert not compare("toy.first", 2, 0.0, lhs, rhs).ok
+    rep = compare("toy.first", 2, 0.0, lhs, rhs, first=1)
+    assert rep.ok and rep.checked_upto == 2
 
 
 def test_thm35_suite_structure():
-    suite = build_thm35_suite()
-    assert len(suite) == 19
-    by_id = {s.id: s for s in suite}
-    assert by_id["thm35.m0"].bound == THM35_BOUND_M0 == 57
-    assert by_id["thm35.m1.s3"].bound == THM35_BOUND == 337
-    assert sum(1 for s in suite if s.bound == 337) == 18
+    reports = verify_thm35()
+    assert len(reports) == 19
+    by_id = {r.id: r for r in reports}
+    assert by_id["thm35.m0"].checked_upto == THM35_BOUND_M0 == 57
+    assert by_id["thm35.m1.s3"].checked_upto == THM35_BOUND == 337
+    assert sum(1 for r in reports if r.checked_upto == 337) == 18
 
 
 def test_thm35_worked_coefficients():
-    suite = {s.id: s for s in build_thm35_suite(10, 10)}
+    series = hcn7.hurwitz.hmm_series, hcn7.arith.d_series, hcn7.newform49.g_series
     # class-3 row: H_{1,7}(3) = H(11) = 1 equals sigma(3)/4
-    lhs = suite["thm35.m1.s3"].lhs(10)
-    rhs = suite["thm35.m1.s3"].rhs(10)
+    lhs, rhs = _thm35_sides(1, 3, 10, *series)
     assert lhs[3] == rhs[3] == 1
     # class-4 row at n = 4: H(15) = 2 = sigma(4)/4 - a_4/4
-    lhs = suite["thm35.m1.s4"].lhs(10)
-    rhs = suite["thm35.m1.s4"].rhs(10)
+    lhs, rhs = _thm35_sides(1, 4, 10, *series)
     assert lhs[4] == rhs[4] == 2
     # residue-0 row at n = 6: the sigma/12 middle term is what closes the gap
-    lhs = suite["thm35.m0"].lhs(10)
-    rhs = suite["thm35.m0"].rhs(10)
+    lhs, rhs = _thm35_m0_sides(10, *series)
     assert lhs[6] == rhs[6] == 4
 
 
 def test_thm35_all_hold_small():
-    for spec in build_thm35_suite(80, 57):
-        rep = verify_identity(spec)
+    reports = verify_thm35(80, 57)
+    assert [r.checked_upto for r in reports] == [57] + [80] * 18
+    for rep in reports:
         assert rep.ok, str(rep)
 
 
@@ -135,9 +131,9 @@ def test_lemma42():
 
 
 def test_lemma42_worked_values():
-    from hcn7.arith import psi_k
+    from hcn7.arith import psi_7
 
-    ps = psi_k(7, 10)
+    ps = psi_7(10)
     assert ps[4] == 2  # a4 - a2 + 4 a1
     assert ps[8] == 2  # a8 - a4 + 4 a2
     assert ps[1] == 1  # a1
