@@ -37,7 +37,6 @@ def no_allocation(monkeypatch):
 @pytest.mark.parametrize(
     "argv, cap",
     [
-        (["hurwitz", str(MAX_H_INDEX + 1)], "MAX_H_INDEX"),
         (["hurwitz", "--max", str(MAX_H_INDEX + 1)], "MAX_H_INDEX"),
         (["sum", "--m", "0", "--M", "7", "--n", str(MAX_H_INDEX // 4 + 1)], "MAX_H_INDEX"),
         (["table", "--pmax", str(MAX_H_INDEX // 4 + 1)], "MAX_H_INDEX"),
@@ -46,6 +45,7 @@ def no_allocation(monkeypatch):
         (["newform", "--nmax", str(MAX_NEWFORM_N + 1), "--method", "cross"], "MAX_NEWFORM_N"),
         (["series", "H", "--order", str(MAX_NEWFORM_N + 1)], "MAX_NEWFORM_N"),
         (["series", "G", "--order", str(MAX_NEWFORM_N + 1)], "MAX_NEWFORM_N"),
+        (["hurwitz", str(MAX_H_INDEX + 1)], "MAX_H_INDEX"),
     ],
 )
 def test_over_the_cap_is_a_usage_error(no_allocation, capsys, argv, cap):

@@ -5,13 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-import hcn7.arith
 import hcn7.hurwitz
 import hcn7.newform49
 import hcn7.verify
-from hcn7.arith import hk_rhs_series
-from hcn7.hurwitz import hmm_sum, hurwitz_batch
-from hcn7.newform49 import newform_ap
+from hcn7.arith import d_series, hk_rhs_series
+from hcn7.hurwitz import hmm_series, hmm_sum, hurwitz_batch
+from hcn7.newform49 import g_series, newform_ap
 from hcn7.primes import primes_up_to
 from hcn7.qseries import QSeries
 from hcn7.verify import (
@@ -84,7 +83,7 @@ def test_thm35_suite_structure():
 
 
 def test_thm35_worked_coefficients():
-    series = hcn7.hurwitz.hmm_series, hcn7.arith.d_series, hcn7.newform49.g_series
+    series = hmm_series, d_series, g_series
     # class-3 row: H_{1,7}(3) = H(11) = 1 equals sigma(3)/4
     lhs, rhs = _thm35_sides(1, 3, 10, *series)
     assert lhs[3] == rhs[3] == 1
