@@ -198,6 +198,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_newform(args) -> int:
+    least = 3 if args.method == "cross" else 1  # cross compares odd primes p != 7
+    if args.nmax < least:
+        raise ValueError(f"--nmax must be at least {least} for --method {args.method}")
     if args.nmax > MAX_NEWFORM_N:
         raise ValueError(f"--nmax {args.nmax} is over the cap MAX_NEWFORM_N = {MAX_NEWFORM_N}")
     if args.method != "cross":

@@ -8,16 +8,21 @@ Two fully independent routes to the prime coefficients a_p:
     group order is found by Shanks-Mestre baby-step/giant-step inside the
     Hasse interval |#E - p - 1| <= 2 sqrt(p), in O(p^(1/4)) group
     operations per point tried.  Points come from the twist trick: each x
-    gives a point on either E or its quadratic twist, whose order is
-    2p + 2 - #E, with no square root taken.  Each point keeps only the
-    candidates m in the interval with m P = O (2p + 2 - m for a point on
-    the twist), and #E always stays by Lagrange.  Where 40 points leave
-    more than one candidate, and for p = 3, 5, the count is an O(p)
-    Legendre scan;
+    gives a point P on either E or its quadratic twist, whose order is
+    2p + 2 - #E, with no square root taken.  E has a rational 2-torsion
+    point, and so has every twist model, so both orders are even: the
+    search runs on Q = 2P over half the interval and doubles what it
+    finds.  Baby steps are matched by x alone, so that the giant step at
+    k tests the 2s + 1 values k - s, ..., k + s at once, and the sign of y
+    tells k - j from k + j.  Each point keeps only the candidates for #E
+    that its order divides, and #E always stays by Lagrange.  Where 40
+    points leave more than one candidate, and for p = 3, 5, the count is
+    an O(p) Legendre scan;
 
   * the CM closed form: a_p = 0 for p = 3, 5, 6 (mod 7), and otherwise
     a_p = 2 chi(x) x where chi is the quadratic character mod 7 and
-    (x, y) is the unique positive pair with p = x^2 + 7 y^2.
+    (x, y) is the unique positive pair with p = x^2 + 7 y^2, found by
+    Cornacchia's algorithm from a square root of -7 mod p.
 
 a_7 = 0 is fixed directly (additive reduction at the level prime); the
 value is confirmed numerically by the dilation identity relating the form
@@ -46,6 +51,14 @@ _A1, _A2, _A3, _A4, _A6 = 1, -1, 0, -2, -1
 _B2, _B4, _B6 = _A1 * _A1 + 4 * _A2, 2 * _A4 + _A1 * _A3, _A3 * _A3 + 4 * _A6
 _A = -27 * (_B2 * _B2 - 24 * _B4)  # -27 c4
 _B = -54 * (-(_B2**3) + 36 * _B2 * _B4 - 216 * _B6)  # -54 c6
+
+# E has a rational 2-torsion point: (2, -1) on 49a1, where 2y + a1 x + a3 = 0.
+# On the short model it is (T, 0), T an integer root of X^3 + A X + B; a
+# root T has T^2 <= |A| + |B|, so the search below sees every one.
+_R = isqrt(abs(_A) + abs(_B))
+_T = next((t for t in range(-_R, _R + 1) if t**3 + _A * t + _B == 0), None)
+if _T is None:
+    raise ArithmeticError("the short model has no rational 2-torsion point")
 
 
 def ec_point_count(p: int) -> int:
@@ -89,7 +102,11 @@ _MAX_POINTS = 40  # points tried before _bsgs_count gives up
 
 
 def _add(P, Q, a: int, p: int):
-    """P + Q on y^2 = x^3 + a x + b over F_p; None is the point at infinity."""
+    """P + Q on y^2 = x^3 + a x + b over F_p; None is the point at infinity.
+
+    The loops below inline the common step, distinct x, and call this only
+    for the rest: a doubling, a sum that reaches O, or O itself.
+    """
     if P is None:
         return Q
     if Q is None:
@@ -107,39 +124,85 @@ def _add(P, Q, a: int, p: int):
 
 
 def _mul(k: int, P, a: int, p: int):
-    """k P for k >= 0, by double-and-add."""
-    result = None
-    while k:
-        if k & 1:
-            result = _add(result, P, a, p)
-        P = _add(P, P, a, p)
-        k >>= 1
-    return result
+    """k P for k >= 1 and P != O, by left-to-right double-and-add."""
+    xp, yp = P
+    R = P
+    for bit in bin(k)[3:]:
+        if R is None or R[1] == 0:
+            R = _add(R, R, a, p)
+        else:
+            x, y = R
+            slope = (3 * x * x + a) * pow(2 * y, -1, p) % p
+            x3 = (slope * slope - 2 * x) % p
+            R = x3, (slope * (x - x3) - y) % p
+        if bit == "1":
+            if R is None or R[0] == xp:
+                R = _add(R, P, a, p)
+            else:
+                x, y = R
+                slope = (yp - y) * pow(xp - x, -1, p) % p
+                x3 = (slope * slope - x - xp) % p
+                R = x3, (slope * (x - x3) - y) % p
+    return R
 
 
-def _multiples_in(P, a: int, p: int, low: int, high: int) -> set[int] | None:
-    """Every m in [low, high] with m P = O, by baby-step/giant-step, or
-    None if the order of P is below s = isqrt(high - low) + 1.
+def _multiples_in(Q, a: int, p: int, low: int, high: int) -> set[int] | None:
+    """Every m in [low, high] with m Q = O, for a point Q != O, by
+    baby-step/giant-step with x-only matching; or None if the order of Q is
+    at most 2s + 1, s = isqrt((high - low) // 2) + 1.
 
-    Baby steps store -jP for 0 <= j < s, all distinct when the order is at
-    least s; giant steps walk (low + i s) P, and (low + i s) P = -jP means
-    m = low + i s + j.  Since s^2 > high - low every such m is found.
+    Baby steps store x(jQ) -> (j, y(jQ)) for 1 <= j <= s and go on to
+    (s + 1)Q.  They meet O, or an x already stored, exactly when the order
+    of Q is at most 2s + 1, since iQ = +-jQ means (j -+ i)Q = O.  Otherwise
+    every window [k - s, k + s] holds at most one multiple of the order,
+    and no jQ has y = 0.  Giant steps walk the centres k = low + s,
+    low + 3s + 1, ... by the stride (2s + 1)Q = (s + 1)Q + sQ.  If kQ = O
+    then k is a multiple; if x(kQ) = x(jQ) then kQ = +-jQ, and the sign of
+    y says which of k - j and k + j is the multiple.
     """
-    s = isqrt(high - low) + 1
-    baby = {}
-    R = None
-    for j in range(s):
-        if j and R is None:
+    s = isqrt((high - low) // 2) + 1
+    xq, yq = Q
+    R = _add(Q, Q, a, p)
+    if R is None:
+        return None
+    baby = {xq: (1, yq)}
+    xs, ys = xq, yq  # jQ of the loop below, then sQ
+    x, y = R  # (j + 1)Q, then (s + 1)Q
+    for j in range(2, s + 1):
+        if x in baby:
             return None
-        baby[None if R is None else (R[0], -R[1] % p)] = j
-        R = _add(R, P, a, p)
-    found = set()  # R is now s P, the giant step
-    Q = _mul(low, P, a, p)
-    for m in range(low, high + 1, s):
-        j = baby.get(Q, -1)
-        if j >= 0 and m + j <= high:
-            found.add(m + j)
-        Q = _add(Q, R, a, p)
+        baby[x] = j, y
+        slope = (y - yq) * pow(x - xq, -1, p) % p
+        xs, ys = x, y
+        x = (slope * slope - x - xq) % p
+        y = (slope * (xs - x) - ys) % p
+    if x in baby:
+        return None
+    slope = (y - ys) * pow(x - xs, -1, p) % p
+    gx = (slope * slope - x - xs) % p
+    stride = gx, (slope * (x - gx) - y) % p
+    sx, sy = stride
+    found = set()
+    G = _mul(low + s, Q, a, p)
+    for k in range(low + s, high + s + 1, 2 * s + 1):
+        if G is None:
+            if k <= high:
+                found.add(k)
+            G = stride
+            continue
+        gx, gy = G
+        hit = baby.get(gx)
+        if hit is not None:
+            j, y = hit
+            m = k - j if gy == y else k + j
+            if low <= m <= high:
+                found.add(m)
+        if gx == sx:
+            G = _add(G, stride, a, p)
+        else:
+            slope = (sy - gy) * pow(sx - gx, -1, p) % p
+            x = (slope * slope - gx - sx) % p
+            G = x, (slope * (gx - x) - gy) % p
     return found
 
 
@@ -147,25 +210,32 @@ def _bsgs_count(p: int) -> int | None:
     """#E(F_p) for a prime p > 7 by Shanks-Mestre baby-step/giant-step,
     or None if _MAX_POINTS points leave it undecided.
 
-    For x = 0, 1, 2, ... with f = x^3 + A x + B != 0, the point (f x, f^2)
-    lies on y^2 = X^3 + A f^2 X + B f^3, which is E when f is a square
-    mod p and otherwise the quadratic twist E', with #E' = 2p + 2 - #E;
-    no square root is needed.  Both orders lie in the Hasse interval
-    [low, high] = [p + 1 - isqrt(4p), p + 1 + isqrt(4p)].  By Lagrange #E
-    is among the m in it with m P = O for every point P on E, and
-    2p + 2 - #E among those for every P on E'.  The candidates are
-    intersected over the points tried until one is left; a point of small
-    order, which _multiples_in skips, cuts nothing.
+    For x = 0, 1, 2, ... with f = x^3 + A x + B != 0, the point
+    P = (f x, f^2) lies on y^2 = X^3 + A f^2 X + B f^3, which is E when f
+    is a square mod p and otherwise the quadratic twist E', with
+    #E' = 2p + 2 - #E; no square root is needed.  (T f, 0) lies on the same model, since
+    T^3 + A T + B = 0, and has order 2, so #E and #E' are both even.  Both
+    lie in the Hasse interval [low, high] = [p + 1 - isqrt(4p),
+    p + 1 + isqrt(4p)].  By Lagrange #E / 2 is among the m in
+    [ceil(low / 2), floor(high / 2)] with m Q = O, Q = 2P, for every P on
+    E, and #E' / 2 among those for every P on E'.  The candidates
+    2m (2p + 2 - 2m on the twist) are intersected over the points tried
+    until one is left; a point whose Q has small order, which
+    _multiples_in skips, cuts nothing.  P has y = f^2 != 0, so Q != O.
     """
     low, high = p + 1 - isqrt(4 * p), p + 1 + isqrt(4 * p)
     points = ((x, f) for x in range(p) if (f := (x * x * x + _A * x + _B) % p))
     candidates = None
     for x, f in islice(points, _MAX_POINTS):
-        found = _multiples_in((f * x % p, f * f % p), _A * f * f % p, p, low, high)
+        a = _A * f * f % p
+        P = f * x % p, f * f % p
+        found = _multiples_in(_add(P, P, a, p), a, p, (low + 1) // 2, high // 2)
         if found is None:
             continue
-        if pow(f, (p - 1) // 2, p) != 1:  # P is on the twist
-            found = {2 * p + 2 - m for m in found}
+        if pow(f, (p - 1) // 2, p) == 1:
+            found = {2 * m for m in found}
+        else:  # P is on the twist
+            found = {2 * p + 2 - 2 * m for m in found}
         candidates = found if candidates is None else candidates & found
         if len(candidates) == 1:
             return candidates.pop()
@@ -213,25 +283,61 @@ def newform_an(n_max: int, ap: Callable[[int], int] = newform_ap) -> QSeries:
     return QSeries(a)
 
 
+def _sqrt_mod(a: int, n: int) -> int:
+    """A square root of a mod n by Tonelli-Shanks, for an odd prime n from
+    the caller; ValueError if a is not a square mod n.
+
+    Every loop is bounded, so any other n ends too: in ValueError, or in a
+    value whose square the caller must check.
+    """
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"no square root mod {n}: not an odd prime")
+    q, e = n - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        e += 1
+    root, t = pow(a, (q + 1) // 2, n), pow(a, q, n)
+    if t in (0, 1):
+        return root
+    half = (n - 1) // 2
+    z = next((z for z in range(2, n) if pow(z, half, n) == n - 1), None)
+    if z is None:
+        raise ValueError(f"no square root mod {n}: no non-residue")
+    c = pow(z, q, n)
+    while t != 1:
+        i, t2 = 0, t  # the least i with t^(2^i) = 1, below e
+        while t2 != 1:
+            i += 1
+            if i >= e:
+                raise ValueError(f"{a} is not a square mod {n}")
+            t2 = t2 * t2 % n
+        b = pow(c, 1 << (e - i - 1), n)
+        root, c = root * b % n, b * b % n
+        t, e = t * c % n, i
+    return root
+
+
 def represent_7(p: int) -> tuple[int, int]:
     """The unique (x, y) with x, y > 0 and p = x^2 + 7 y^2, for a prime p
     from the caller's sieve; nothing re-checks it.
 
-    Exists exactly for odd primes p = 1, 2, 4 (mod 7).  The full scan over
-    y detects non-uniqueness, and raises for 2, 7 and the inert primes.
+    Exists exactly for odd primes p = 1, 2, 4 (mod 7).  Cornacchia's
+    algorithm (Cohen, GTM 138, 1.5.2): Euclid on (p, r), r a square root
+    of -7 mod p, until the remainder x drops below sqrt(p); then
+    p - x^2 = 7 y^2.  Either root does: the remainders from (p, r) and
+    from (p, p - r) differ only in one leading term above p / 2 > sqrt(p).
+    Raises ValueError unless x^2 + 7 y^2 = p with x, y > 0: for 2, 7, the
+    inert primes and any n it cannot represent.
     """
-    hits = []
-    for y in range(1, isqrt(p // 7) + 1):
-        rest = p - 7 * y * y
-        x = isqrt(rest)
-        if x > 0 and x * x == rest:
-            hits.append((x, y))
-    if len(hits) != 1:
-        raise ValueError(
-            f"expected exactly one representation of {p} = x^2 + 7y^2, "
-            f"found {hits or 'none'}"
-        )
-    return hits[0]
+    a, x = p, _sqrt_mod(-7, p)
+    bound = isqrt(p)
+    while x > bound:
+        a, x = x, a % x
+    y2, rest = divmod(p - x * x, 7)
+    y = isqrt(y2)
+    if rest or x == 0 or y == 0 or y * y != y2:
+        raise ValueError(f"no representation of {p} = x^2 + 7y^2 with x, y > 0")
+    return x, y
 
 
 def cm_ap(p: int) -> int:

@@ -91,6 +91,21 @@ def newform_an_oracle(n: int) -> int:
     return an
 
 
+def represent_7_scan(p: int) -> tuple[int, int]:
+    """The (x, y) with x, y > 0 and p = x^2 + 7 y^2, by a scan over every
+    y: the reference for newform49.represent_7.  Raises ValueError unless
+    exactly one pair is found."""
+    hits = []
+    for y in range(1, isqrt(p // 7) + 1):
+        rest = p - 7 * y * y
+        x = isqrt(rest)
+        if x > 0 and x * x == rest:
+            hits.append((x, y))
+    if len(hits) != 1:
+        raise ValueError(f"{p} = x^2 + 7y^2 has {len(hits)} representations: {hits}")
+    return hits[0]
+
+
 def lambda_coeff(l: int, m: int, M: int, n: int) -> Fraction:
     """Coefficient n >= 1 of arith.lambda_series, from the factorizations
     n = u v, u <= v of equal parity, one at a time.

@@ -1,7 +1,7 @@
 """Error paths of the hcn7 command: a reader that leaves early, a
 negative series order, a negative verify bound, a main-suite bound
-that leaves a residue row without a prime, and `hurwitz` given both a
-single N and --max."""
+that leaves a residue row without a prime, `hurwitz` given both a
+single N and --max, and a `newform --nmax` below its least value."""
 
 import os
 import subprocess
@@ -81,3 +81,19 @@ def test_hurwitz_n_and_max_together_is_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: give a single N or --max N, exactly one of the two\n"
+
+
+@pytest.mark.parametrize(
+    "argv, least",
+    [
+        (["--nmax", "2", "--method", "cross"], "3 for --method cross"),
+        (["--nmax", "0"], "1 for --method ec"),
+        (["--nmax", "-5", "--method", "cm"], "1 for --method cm"),
+    ],
+)
+def test_newform_nmax_below_its_least_is_usage_error(capsys, argv, least):
+    # before, these named the internal parameters p_max and n_max
+    assert main(["newform", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --nmax must be at least {least}\n"

@@ -1,7 +1,6 @@
 """The level-49 newform: point counts, Hecke recursion, CM closed form."""
 
 import random
-from math import isqrt
 
 import pytest
 
@@ -20,7 +19,7 @@ from hcn7.newform49 import (
 )
 from hcn7.primes import primes_up_to
 from hcn7.verify import main_table_rows
-from oracles import newform_an_oracle
+from oracles import newform_an_oracle, represent_7_scan
 
 
 def brute_points(p):
@@ -111,17 +110,8 @@ def test_representations():
 
 
 def test_representation_uniqueness_full_scan():
-    for p in primes_up_to(2000):
-        if p in (2, 7) or p % 7 not in (1, 2, 4):
-            continue
-        hits = [
-            (x, y)
-            for y in range(1, isqrt(p // 7) + 1)
-            for x in (isqrt(p - 7 * y * y),)
-            if x > 0 and x * x == p - 7 * y * y
-        ]
-        assert len(hits) == 1, (p, hits)
-        assert represent_7(p) == hits[0]
+    split = [p for p in primes_up_to(10**5) if p % 7 in (1, 2, 4) and p != 2]
+    assert [p for p in split if represent_7(p) != represent_7_scan(p)] == []
 
 
 def test_representation_errors():
@@ -133,6 +123,14 @@ def test_representation_errors():
         represent_7(7)
     with pytest.raises(ValueError):
         represent_7(15)
+    # any n ends, in ValueError or in a true representation: 91 = 7 * 13 has
+    # none, 841 = 29^2 = 27^2 + 7 * 4^2
+    for n in [91, 841, *range(-3, 400)]:
+        try:
+            x, y = represent_7(n)
+        except ValueError:
+            continue
+        assert x > 0 and y > 0 and x * x + 7 * y * y == n, n
 
 
 def test_cm_ap():

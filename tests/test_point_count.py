@@ -3,16 +3,19 @@
 ec_point_count settles #E(F_p) by baby-step/giant-step in the Hasse
 interval and falls back to the scan only when that leaves the order
 undecided.  These tests pin the two to each other, pin the fallback on
-its own, and show that the elliptic-curve route reads nothing of the CM
-side it is cross-checked against.
+its own, pin the even orders and the search helper to repeated addition,
+and show that the elliptic-curve route reads nothing of the CM side it is
+cross-checked against.
 """
+
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hcn7.newform49
-from hcn7.newform49 import _scan_count, ec_point_count
+from hcn7.newform49 import _A, _B, _T, _add, _multiples_in, _scan_count, ec_point_count
 from hcn7.primes import primes_up_to
 from test_newform49 import brute_points
 
@@ -40,8 +43,46 @@ def test_point_count_reads_nothing_of_the_cm_side(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the point count reached the CM side")
 
-    for name in ("cm_ap", "represent_7", "chi_minus7"):
+    for name in ("cm_ap", "represent_7", "_sqrt_mod", "chi_minus7"):
         monkeypatch.setattr(hcn7.newform49, name, forbidden)
     for p in primes_up_to(10**4):
         if p != 7:
             assert ec_point_count(p) > 0
+
+
+def test_curve_has_2_torsion_so_every_order_is_even():
+    assert _T**3 + _A * _T + _B == 0
+    for p in primes_up_to(5000):
+        if p > 7:
+            assert _scan_count(p) % 2 == 0, p
+
+
+def _order(Q, a, p):
+    """The order of Q != O, by repeated addition."""
+    R, n = Q, 1
+    while R is not None:
+        R, n = _add(R, Q, a, p), n + 1
+    return n
+
+
+def test_multiples_in_matches_repeated_addition():
+    """On every model y^2 = X^3 + A f^2 X + B f^3 that _bsgs_count draws a
+    point P = (f x, f^2) from, for every x: the multiples of the order of
+    Q = 2P in the halved Hasse interval, or None just when that order is
+    at most 2s + 1."""
+    for p in primes_up_to(200):
+        if p < 11:
+            continue
+        root = isqrt(4 * p)
+        low, high = (p + 2 - root) // 2, (p + 1 + root) // 2
+        s = isqrt((high - low) // 2) + 1
+        for x in range(p):
+            f = (x**3 + _A * x + _B) % p
+            if not f:
+                continue
+            a = _A * f * f % p
+            P = f * x % p, f * f % p
+            Q = _add(P, P, a, p)
+            n = _order(Q, a, p)
+            want = None if n <= 2 * s + 1 else {m for m in range(low, high + 1) if m % n == 0}
+            assert _multiples_in(Q, a, p, low, high) == want, (p, x)
