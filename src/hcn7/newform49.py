@@ -10,9 +10,10 @@ Two fully independent routes to the prime coefficients a_p:
     operations per point tried.  Points come from the twist trick: each x
     gives a point P on either E or its quadratic twist, whose order is
     2p + 2 - #E, with no square root taken.  E has a rational 2-torsion
-    point, and so has every twist model, so both orders are even: the
-    search runs on Q = 2P over half the interval and doubles what it
-    finds.  Baby steps are matched by x alone, so that the giant step at
+    point, and so has every twist model, so both orders are divisible by
+    e = 2, or e = 4 when all of E[2] is rational: the search runs on
+    Q = 2P over the interval divided by e and multiplies what it finds by
+    e.  Baby steps are matched by x alone, so that the giant step at
     k tests the 2s + 1 values k - s, ..., k + s at once, and the sign of y
     tells k - j from k + j.  Each point keeps only the candidates for #E
     that its order divides, and #E always stays by Lagrange.  Where 40
@@ -59,6 +60,9 @@ _R = isqrt(abs(_A) + abs(_B))
 _T = next((t for t in range(-_R, _R + 1) if t**3 + _A * t + _B == 0), None)
 if _T is None:
     raise ArithmeticError("the short model has no rational 2-torsion point")
+# X^3 + A X + B = (X - T)(X^2 + T X + A + T^2): all of E[2] is rational
+# over F_p exactly when D, the quadratic's discriminant, is a square mod p.
+_D = _T * _T - 4 * (_A + _T * _T)
 
 
 def ec_point_count(p: int) -> int:
@@ -155,10 +159,12 @@ def _multiples_in(Q, a: int, p: int, low: int, high: int) -> set[int] | None:
     (s + 1)Q.  They meet O, or an x already stored, exactly when the order
     of Q is at most 2s + 1, since iQ = +-jQ means (j -+ i)Q = O.  Otherwise
     every window [k - s, k + s] holds at most one multiple of the order,
-    and no jQ has y = 0.  Giant steps walk the centres k = low + s,
-    low + 3s + 1, ... by the stride (2s + 1)Q = (s + 1)Q + sQ.  If kQ = O
-    then k is a multiple; if x(kQ) = x(jQ) then kQ = +-jQ, and the sign of
-    y says which of k - j and k + j is the multiple.
+    and no jQ has y = 0.  Giant steps walk the centres k = q0 w,
+    (q0 + 1) w, ..., w = 2s + 1 and q0 = (low + s) // w, whose windows
+    tile the integers from one that holds low; they start from q0 times
+    the stride wQ = (s + 1)Q + sQ.  If kQ = O then k is a multiple; if
+    x(kQ) = x(jQ) then kQ = +-jQ, and the sign of y says which of k - j
+    and k + j is the multiple.
     """
     s = isqrt((high - low) // 2) + 1
     xq, yq = Q
@@ -183,10 +189,12 @@ def _multiples_in(Q, a: int, p: int, low: int, high: int) -> set[int] | None:
     stride = gx, (slope * (x - gx) - y) % p
     sx, sy = stride
     found = set()
-    G = _mul(low + s, Q, a, p)
-    for k in range(low + s, high + s + 1, 2 * s + 1):
+    w = 2 * s + 1
+    q0 = (low + s) // w
+    G = _mul(q0, stride, a, p) if q0 else None
+    for k in range(q0 * w, high + s + 1, w):
         if G is None:
-            if k <= high:
+            if low <= k <= high:
                 found.add(k)
             G = stride
             continue
@@ -213,29 +221,34 @@ def _bsgs_count(p: int) -> int | None:
     For x = 0, 1, 2, ... with f = x^3 + A x + B != 0, the point
     P = (f x, f^2) lies on y^2 = X^3 + A f^2 X + B f^3, which is E when f
     is a square mod p and otherwise the quadratic twist E', with
-    #E' = 2p + 2 - #E; no square root is needed.  (T f, 0) lies on the same model, since
-    T^3 + A T + B = 0, and has order 2, so #E and #E' are both even.  Both
-    lie in the Hasse interval [low, high] = [p + 1 - isqrt(4p),
-    p + 1 + isqrt(4p)].  By Lagrange #E / 2 is among the m in
-    [ceil(low / 2), floor(high / 2)] with m Q = O, Q = 2P, for every P on
-    E, and #E' / 2 among those for every P on E'.  The candidates
-    2m (2p + 2 - 2m on the twist) are intersected over the points tried
-    until one is left; a point whose Q has small order, which
+    #E' = 2p + 2 - #E; no square root is needed.  That model's cubic has
+    the roots f times those of X^3 + A X + B: T f, and the roots of
+    X^2 + T f X + (A + T^2) f^2, of discriminant D f^2.  So E and E' have
+    the point (T f, 0) of order 2, and when D is a square mod p all of
+    E[2]; each group is then Z/n1 x Z/n2 with 2 | n1 | n2, and its doubles
+    form a subgroup of order #E / 4 (#E' / 4) that holds Q = 2P.  With
+    e = 4 then and e = 2 otherwise, by Lagrange #E / e is among the m in
+    [ceil(low / e), floor(high / e)] with m Q = O for every P on E, and
+    #E' / e among those for every P on E', where [low, high] =
+    [p + 1 - isqrt(4p), p + 1 + isqrt(4p)] is the Hasse interval.  The
+    candidates e m (2p + 2 - e m on the twist) are intersected over the
+    points tried until one is left; a point whose Q has small order, which
     _multiples_in skips, cuts nothing.  P has y = f^2 != 0, so Q != O.
     """
     low, high = p + 1 - isqrt(4 * p), p + 1 + isqrt(4 * p)
+    e = 4 if pow(_D, (p - 1) // 2, p) == 1 else 2
     points = ((x, f) for x in range(p) if (f := (x * x * x + _A * x + _B) % p))
     candidates = None
     for x, f in islice(points, _MAX_POINTS):
         a = _A * f * f % p
         P = f * x % p, f * f % p
-        found = _multiples_in(_add(P, P, a, p), a, p, (low + 1) // 2, high // 2)
+        found = _multiples_in(_add(P, P, a, p), a, p, -(-low // e), high // e)
         if found is None:
             continue
         if pow(f, (p - 1) // 2, p) == 1:
-            found = {2 * m for m in found}
+            found = {e * m for m in found}
         else:  # P is on the twist
-            found = {2 * p + 2 - 2 * m for m in found}
+            found = {2 * p + 2 - e * m for m in found}
         candidates = found if candidates is None else candidates & found
         if len(candidates) == 1:
             return candidates.pop()
