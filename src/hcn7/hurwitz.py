@@ -21,15 +21,26 @@ The weights 1/2 and 1/3 and H(0) = -1/12 make every 12*H(N) an integer,
 so both H routes count in twelfths, and the table, the direct sums and
 the series product stay ints; the division by 12 happens once, at the
 end of each route, and gives an int wherever H_{m,M}(n) is integral.
+
+A reduced form of index N = 4ac - b^2 has N = 0 or 3 (mod 4), so the
+table lives in two classes, N = 4k and N = 4k + 3.  The sieve and the
+series product each hold a class as one int of unsigned 32-bit slots
+(struct's standard ">I", whatever the platform), the first slot most
+significant, so that one big-int add, with a right shift for the
+product, adds a whole row.  Each checks before it packs that no slot can
+reach 2^32.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import isqrt
+from operator import add, sub
+from struct import pack, unpack
 
 from .arith import theta_mM
-from .qseries import MAX_H_INDEX, ExactRational, QSeries, series_mul_u
+from .qseries import MAX_H_INDEX, ExactRational, QSeries
 
 
 def hurwitz_single(N: int) -> ExactRational:
@@ -65,6 +76,16 @@ def _weight12(a: int, b: int, c: int) -> int:
     return 12
 
 
+def _slot_bytes(values) -> bytes:
+    """values as consecutive big-endian 32-bit slots."""
+    return pack(f">{len(values)}I", *values)
+
+
+def _unpack(packed: int, count: int) -> tuple[int, ...]:
+    """The count 32-bit slots of packed, first slot most significant."""
+    return unpack(f">{count}I", packed.to_bytes(4 * count, "big"))
+
+
 def hurwitz_batch(n_max: int) -> tuple[int, ...]:
     """12*H(N) for N <= n_max, an int at index N, via one sieve over
     reduced forms."""
@@ -80,33 +101,58 @@ def _sieve(twelfths: list[int], lo: int) -> None:
     """Add 12 times the weight of every reduced form (a, b, c) whose index
     4ac - b^2 lies in [lo, len(twelfths)), lo >= 1.
 
-    For fixed (a, b) the indices with c > a step by 4a; each progression
-    starts at its first term >= lo.  The weights are _weight12's, by loop
-    position.
+    For fixed (a, b) the indices with c > a step by 4a.  From 4a(a + 1) on,
+    where all these progressions have begun, a adds a pattern of period 4a
+    (12 at -b^2 for b = 0 and b = a, 24 for 0 < b < a), which has period a
+    in k within each class 4k + r.  One period, repeated by bytes
+    multiplication, goes into the class's packed accumulator by one
+    big-int add per a; the accumulators are unpacked into the table at the
+    end.  The c = a forms, and the c > a forms below 4a(a + 1) (several
+    per b once b^2 > 4a), are added one by one.
+
+    A form of index N has 3a^2 <= N and at most a + 1 values of b per a,
+    each of weight at most 24, so 12*H(N) <= 12 A (A + 3), A = isqrt(N // 3),
+    about 1.6e7 at MAX_H_INDEX.  The weights are positive, so no partial
+    sum in a slot exceeds that bound, checked against 2^32 up front.
     """
     n_max = len(twelfths) - 1
-
-    def tail(first: int, step: int) -> range:
-        return range(first if first >= lo else lo + (first - lo) % step, n_max + 1, step)
-
-    for a in range(1, isqrt(n_max // 3) + 1):
+    top = isqrt(n_max // 3)
+    if 12 * top * (top + 3) >= 1 << 32:
+        raise OverflowError(f"12*H(N) for N <= {n_max} may not fit a 32-bit slot")
+    # packed[r] holds the indices 4k + r, first[r] <= k <= last[r]
+    first = {r: (lo - r + 3) // 4 for r in (0, 3)}
+    last = {r: (n_max - r) // 4 for r in (0, 3)}
+    packed = {0: 0, 3: 0}
+    for a in range(1, top + 1):
         step = 4 * a
-        # b = 0: a(x^2 + y^2) at c = a, weight 12 for c > a
-        if lo <= step * a <= n_max:
-            twelfths[step * a] += 6
-        for n in tail(step * (a + 1), step):
-            twelfths[n] += 12
-        # 0 < b < a: weight 12 at c = a, 24 for c > a (the forms +-b)
-        for b in range(1, a):
-            if lo <= step * a - b * b <= n_max:
-                twelfths[step * a - b * b] += 12
-            for n in tail(step * (a + 1) - b * b, step):
-                twelfths[n] += 24
-        # b = a: a(x^2 + xy + y^2) at c = a, weight 12 for c > a
-        if lo <= 3 * a * a:
-            twelfths[3 * a * a] += 4
-        for n in tail(step * (a + 1) - a * a, step):
-            twelfths[n] += 12
+        start = step * (a + 1)
+        if start > lo:  # else every form below 4a(a + 1) is below lo
+            for b in range(a, -1, -1):
+                n = step * a - b * b  # c = a, rising as b falls
+                if n > n_max:
+                    break
+                if lo <= n:  # a(x^2 + xy + y^2) at b = a, a(x^2 + y^2) at b = 0
+                    twelfths[n] += 4 if b == a else 6 if b == 0 else 12
+                weight = 12 if b in (0, a) else 24  # c > a: (a, +-b, c) for 0 < b < a
+                n += step
+                for n in range(n if n >= lo else lo + (n - lo) % step, min(start, n_max + 1), step):
+                    twelfths[n] += weight
+        for r in (0, 3):
+            k = max(a * (a + 1), first[r])  # index 4k + r >= 4a(a + 1)
+            count = last[r] - k + 1
+            if count <= 0:
+                continue
+            period = [0] * a
+            for b in range(r % 2, a + 1, 2):
+                period[(-(b * b + r) // 4) % a] += 12 if b in (0, a) else 24
+            phase = k % a
+            row = _slot_bytes(period) * ((phase + count) // a + 1)
+            packed[r] += int.from_bytes(row[4 * phase : 4 * (phase + count)], "big")
+    for r in (0, 3):
+        count = last[r] - first[r] + 1
+        if count > 0:
+            n = 4 * first[r] + r
+            twelfths[n::4] = map(add, twelfths[n::4], _unpack(packed[r], count))
 
 
 # Cache behind hurwitz_series, hmm_sum and hmm_series; query results are
@@ -163,20 +209,34 @@ def hmm_sum(m: int, M: int, n: int) -> ExactRational:
 def hmm_series(m: int, M: int, order: int) -> QSeries:
     """H_{m,M} by the product route: (H-series * theta_{m,M}) | U_4.
 
-    The product is taken in twelfths, an int series, by
-    qseries.series_mul_u, which computes only the coefficients at 4n: one
-    row add of order + 1 - ceil(a^2 / 4) terms per nonzero q^(a^2) of
-    theta_{m,M}.  Each coefficient is then divided by 12 on its own: an
-    int where it is integral, a Fraction otherwise.  The internal order
-    4*order is an H index, so MAX_H_INDEX caps it, checked before the
-    table is read.
+    The product is taken in twelfths: coefficient k sums c * 12H(4k - i)
+    over the terms c q^i of theta_{m,M}, and 4k - i is in the class
+    r = -i (mod 4) of the table.  12H(4j), j >= 1, and 12H(4j + 3), for
+    j <= order, are packed as one int each, so each term adds its class's
+    int moved ceil(i / 4) slots on, which drops the slots past order: one
+    big-int shift and add per nonzero of theta.  H(0) = -1/12 is left out
+    of the packing and subtracted where 4k = i.  No slot exceeds
+    sum(theta) times the largest 12*H, which is checked against 2^32.
+    Each coefficient is then divided by 12 on its own: an int where it is
+    integral, a Fraction otherwise.  The internal order 4*order is an H
+    index, so MAX_H_INDEX caps it, checked before the table is read.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
     internal = 4 * order
     if internal > MAX_H_INDEX:
         raise ValueError(f"internal order {internal} is over the cap MAX_H_INDEX = {MAX_H_INDEX}")
-    twelfths = QSeries(twelfths_upto(internal)[: internal + 1])
-    product = series_mul_u(twelfths, theta_mM(m, M, internal), 4)
-    return QSeries([t // 12 if t % 12 == 0 else Fraction(t, 12) for t in product.coeffs])
-
+    twelfths = twelfths_upto(internal)[: internal + 1]
+    theta = theta_mM(m, M, internal).coeffs
+    if sum(theta) * max(twelfths) >= 1 << 32:
+        raise OverflowError(f"a coefficient of 12*H_{{{m},{M}}} may not fit a 32-bit slot")
+    # slot j of rows[r] is 12H(4j + r); classes 1 and 2 of the table are zero
+    class0 = int.from_bytes(_slot_bytes((0,) + twelfths[4::4]), "big")
+    class3 = int.from_bytes(_slot_bytes(twelfths[3::4] + (0,)), "big")
+    rows = (class0, 0, 0, class3)
+    total = 0
+    for i, c in compress(enumerate(theta), theta):
+        row = rows[-i % 4] >> 32 * -(-i // 4)  # slot j moves to j + ceil(i / 4)
+        total += row if c == 1 else c * row
+    product = map(sub, _unpack(total, order + 1), theta[::4])
+    return QSeries([t // 12 if t % 12 == 0 else Fraction(t, 12) for t in product])

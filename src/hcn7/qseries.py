@@ -8,15 +8,16 @@ as the builder gave them: an int and the equal Fraction compare and hash
 alike, so every operation is exact and equality is by value.
 
 Series arithmetic is spelled as functions only: series_add, series_sub,
-series_scale, series_truncate, series_mul and series_mul_u.  The
-coefficient operators act purely on exponents and coefficient values:
+series_scale, series_truncate and series_mul.  The coefficient operators
+act purely on exponents and coefficient values:
 
     op_u(f, M)        a(M n) re-indexed to n
     op_dilate(f, M)   a(n) moved to exponent M n   (q -> q^M)
     op_sieve(f, M, r) keep exponents n == r (mod M)
 
-series_mul_u(f, g, M) equals op_u(series_mul(f, g), M) but computes only
-the coefficients op_u keeps; series_mul is its case M = 1.
+The product route of H_{m,M}, (H-series * theta_{m,M}) | U_4, does not
+use series_mul: hurwitz.hmm_series packs the H table into big ints and
+computes only the coefficients U_4 keeps.
 
 chi_minus7 is the one character the paper uses, the quadratic character
 mod 7.  MAX_H_INDEX caps every H(N) index the package tabulates, and with
@@ -107,45 +108,32 @@ def series_truncate(f: QSeries, order: int) -> QSeries:
 
 
 def series_mul(f: QSeries, g: QSeries) -> QSeries:
-    """Cauchy product up to min(f.order, g.order): series_mul_u with M = 1."""
-    return series_mul_u(f, g, 1)
-
-
-def series_mul_u(f: QSeries, g: QSeries, M: int) -> QSeries:
-    """(f * g) | U_M, the product's coefficients at M n re-indexed to n,
-    for M n <= min(f.order, g.order), computing only those coefficients.
+    """Cauchy product up to min(f.order, g.order).
 
     One path serves int and Fraction coefficients: ints in, ints out.  A
     nonzero coefficient c at index i of the sparser operand (the one with
-    more zeros) reaches kept coefficient k through b[M k - i], for every
-    k >= ceil(i / M).  So it adds the row c * b[M k - i :: M] to out[k:],
-    k = ceil(i / M), as a single C-level map (without the multiplication
-    when c == 1).  The product costs one row add of about order / M terms
-    per nonzero of the sparser operand, which makes products with
+    more zeros) adds the row c * b to out[i:] as a single C-level map
+    (without the multiplication when c == 1).  The product costs one row
+    add per nonzero of the sparser operand, which makes products with
     theta-like series (few nonzero terms) cheap.
 
     Kronecker substitution (Harvey 2009: pack each operand into one big
-    int, multiply, unpack) computes every coefficient of the product, so
-    it cannot skip those U_M drops.  For the 12*H series times theta_{1,7}
-    at order 3000 (15 nonzeros in 3,001 slots) the big-int multiplication
-    alone took 1.6 ms, against 1.5 ms for the whole product by row adds
-    and 0.6 ms for the 751 coefficients U_4 keeps (CPython 3.11.7, a
-    2-core Xeon).  It pays for dense products: 12*H squared at order 3000
-    took 6 ms against 0.16 s.
+    int, multiply, unpack) pays only for dense products: 12*H squared at
+    order 3000 took 6 ms against 0.16 s by row adds, but the 12*H series
+    times theta_{1,7} at order 3000 (15 nonzeros in 3,001 slots) took
+    1.6 ms for the big-int multiplication alone, against 1.5 ms for the
+    whole product by row adds (CPython 3.11.7, a 2-core Xeon).  For a
+    sparse factor, hurwitz.hmm_series packs the dense one and adds one
+    shifted copy per nonzero instead.
     """
-    if M < 1:
-        raise ValueError("M must be positive")
     order = min(f.order, g.order)
     a, b = f.coeffs[: order + 1], g.coeffs[: order + 1]
     if a.count(0) < b.count(0):
         a, b = b, a
-    out = [0] * (order // M + 1)
+    out = [0] * (order + 1)
     for i, c in compress(enumerate(a), a):
-        k = -(-i // M)
-        row = b[M * k - i :: M]
-        if c != 1:
-            row = map(mul, repeat(c), row)
-        out[k:] = map(add, islice(out, k, None), row)
+        row = b if c == 1 else map(mul, repeat(c), b)
+        out[i:] = map(add, islice(out, i, None), row)
     return QSeries(out)
 
 

@@ -2,7 +2,8 @@
 against, and the literal-U negative control of Lemma 4.2.
 
 Each oracle computes one coefficient by its definition, with a plain
-divisor loop, and shares no code with the series builder it checks.
+divisor loop, or one table entry at a time, and shares no code with the
+builder it checks.
 """
 
 import time
@@ -28,6 +29,39 @@ def sigma(n: int, l: int = 1) -> int:
             if e != d:
                 total += e**l
     return total
+
+
+def sieve_oracle(twelfths: list[int], lo: int) -> None:
+    """Add 12 times the weight of every reduced form (a, b, c) whose index
+    4ac - b^2 lies in [lo, len(twelfths)), lo >= 1, one index at a time:
+    the reference for hurwitz._sieve, which packs the periodic part.
+
+    For fixed (a, b) the indices with c > a step by 4a; each progression
+    starts at its first term >= lo.
+    """
+    n_max = len(twelfths) - 1
+
+    def tail(first: int, step: int) -> range:
+        return range(first if first >= lo else lo + (first - lo) % step, n_max + 1, step)
+
+    for a in range(1, isqrt(n_max // 3) + 1):
+        step = 4 * a
+        # b = 0: a(x^2 + y^2) at c = a, weight 12 for c > a
+        if lo <= step * a <= n_max:
+            twelfths[step * a] += 6
+        for n in tail(step * (a + 1), step):
+            twelfths[n] += 12
+        # 0 < b < a: weight 12 at c = a, 24 for c > a (the forms +-b)
+        for b in range(1, a):
+            if lo <= step * a - b * b <= n_max:
+                twelfths[step * a - b * b] += 12
+            for n in tail(step * (a + 1) - b * b, step):
+                twelfths[n] += 24
+        # b = a: a(x^2 + xy + y^2) at c = a, weight 12 for c > a
+        if lo <= 3 * a * a:
+            twelfths[3 * a * a] += 4
+        for n in tail(step * (a + 1) - a * a, step):
+            twelfths[n] += 12
 
 
 def hk_rhs_oracle(n: int) -> int:

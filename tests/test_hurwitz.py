@@ -17,7 +17,7 @@ from hcn7.hurwitz import (
     twelfths_upto,
 )
 from hcn7.qseries import MAX_H_INDEX, QSeries, op_u, series_mul
-from oracles import hk_rhs_oracle
+from oracles import hk_rhs_oracle, sieve_oracle
 
 # Frozen values, each recomputable by listing reduced forms by hand:
 # H(3) <- (1,1,1) at weight 1/3; H(4) <- (1,0,1) at 1/2; H(11) <- (1,1,3);
@@ -97,6 +97,73 @@ def test_batch_structure():
             assert t == 0
         if n > 0:
             assert t >= 0
+
+
+def oracle_batch(n_max):
+    """12*H(N) for N <= n_max by the element-wise sieve of the oracles."""
+    twelfths = [0] * (n_max + 1)
+    twelfths[0] = -1
+    sieve_oracle(twelfths, 1)
+    return tuple(twelfths)
+
+
+def unreachable(*args):
+    raise AssertionError("called a function of the other route")
+
+
+def test_batch_matches_the_element_wise_sieve(monkeypatch):
+    monkeypatch.setattr(hcn7.hurwitz, "hurwitz_single", unreachable)
+    for n_max in range(301):
+        assert hurwitz_batch(n_max) == oracle_batch(n_max), n_max
+    for n_max in (40_000, 100_000):
+        assert hurwitz_batch(n_max) == oracle_batch(n_max), n_max
+
+
+# The c > a progression of (a, b) starts at 4a(a + 1) - b^2; the packed
+# sieve adds its terms below 4a(a + 1) one by one, several of them when
+# b^2 > 4a, as for (5, 5), (8, 7) and (12, 10).
+@pytest.mark.parametrize("a, b", [(1, 0), (2, 1), (3, 3), (5, 0), (5, 5), (8, 7), (12, 10)])
+def test_growth_split_at_a_progression_start_matches_the_element_wise_sieve(monkeypatch, a, b):
+    whole = oracle_batch(1500)
+    start = 4 * a * (a + 1) - b * b
+    for size in (start - 1, start, start + 1):
+        monkeypatch.setattr(hcn7.hurwitz, "_cache", whole[:size])
+        assert twelfths_upto(1500) == whole, size  # sieves [size, 1500]
+
+
+class Untouchable:
+    """A table of the given length whose entries cannot be read."""
+
+    def __init__(self, size):
+        self.size = size
+
+    def __len__(self):
+        return self.size
+
+    def __getitem__(self, n):
+        raise LookupError("the sieve read an entry")
+
+
+# 12 A (A + 3) < 2^32 for A = isqrt(N // 3) = 18917, not for 18918
+@pytest.mark.parametrize("n_max, error", [(3 * 18918**2 - 1, LookupError), (3 * 18918**2, OverflowError)])
+def test_sieve_checks_the_slot_bound_before_it_adds(n_max, error):
+    with pytest.raises(error):
+        hcn7.hurwitz._sieve(Untouchable(n_max + 1), 1)
+
+
+def test_product_checks_the_slot_bound_before_it_packs(monkeypatch):
+    # theta_{0,1} to order 8 sums to 5 (a = 0, +-1, +-2), so no slot exceeds
+    # 5 times the largest entry; entries at N = 1, 2 (mod 4) stay 0
+    largest = (2**32 - 1) // 5
+    for top in (largest, largest + 1):
+        table = tuple(-1 if n == 0 else top if n % 4 in (0, 3) else 0 for n in range(9))
+        monkeypatch.setattr(hcn7.hurwitz, "twelfths_upto", lambda n_max: table)
+        if top == largest:
+            product = op_u(series_mul(QSeries(table), theta_mM(0, 1, 8)), 4)
+            assert hmm_series(0, 1, 2) == QSeries(Fraction(t, 12) for t in product.coeffs)
+        else:
+            with pytest.raises(OverflowError, match="32-bit slot"):
+                hmm_series(0, 1, 2)
 
 
 def test_series():
@@ -180,11 +247,31 @@ def test_hmm_series_matches_composed_product():
 
 
 def test_hmm_series_does_not_use_the_direct_sum(monkeypatch):
-    def unreachable(m, M, n):
-        raise AssertionError("hmm_series called hmm_sum")
-
     monkeypatch.setattr(hcn7.hurwitz, "hmm_sum", unreachable)
+    monkeypatch.setattr(hcn7.hurwitz, "hurwitz_single", unreachable)
     assert hmm_series(3, 7, 200) == composed_hmm_series(3, 7, 200)
+
+
+@pytest.mark.parametrize(
+    "m, M, order",
+    [
+        (0, 2, 40),  # H(0) = -1/12 at k = a^2/4 for each even a
+        (0, 1, 0),
+        (1, 3, 0),
+        (0, 7, 1),
+        (3, 7, 1),
+        (-3, 7, 120),
+        (-12, 5, 90),
+        (5, 100, 3),  # theta_{m,M} to order 12 is zero
+        (0, 100, 3),  # one nonzero, at q^0
+        (-97, 100, 3),  # one nonzero, at q^9
+    ],
+)
+def test_hmm_series_edge_cases_match_composed_product(m, M, order):
+    series = hmm_series(m, M, order)
+    assert series == composed_hmm_series(m, M, order)
+    for c in series.coeffs:
+        assert type(c) is (int if Fraction(c).denominator == 1 else Fraction), c
 
 
 def test_hmm_series_examples():

@@ -35,11 +35,12 @@ moduli = st.integers(1, 12).filter(lambda M: M != 7)
 
 
 # Table sizes, among them indices where a progression of the sieve starts
-# (4a(a+1) - b^2 for 0 <= b <= a) and their neighbours.
+# (4a(a+1) - b^2 for 0 <= b <= a), the periodic start 4a(a+1) itself (b = 0)
+# drawn as often as all other b together, and their neighbours.
 progression_starts = st.builds(
     lambda a, b, shift: 4 * a * (a + 1) - min(a, b) ** 2 + shift,
     st.integers(1, 35),
-    st.integers(0, 35),
+    st.one_of(st.just(0), st.integers(1, 35)),
     st.integers(-1, 1),
 )
 table_sizes = st.one_of(st.integers(0, 5000), progression_starts.filter(lambda n: n <= 5000))

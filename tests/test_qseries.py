@@ -15,7 +15,6 @@ from hcn7.qseries import (
     op_u,
     series_add,
     series_mul,
-    series_mul_u,
     series_scale,
     series_sub,
     series_truncate,
@@ -190,22 +189,6 @@ def test_mul_matches_schoolbook(f, g):
     assert list(product.coeffs) == schoolbook_mul(f, g)
     if all(type(c) is int for c in f.coeffs + g.coeffs):
         assert all(type(c) is int for c in product.coeffs)
-
-
-@settings(deadline=None, max_examples=300, database=None)
-@given(series, series, st.integers(1, 6))
-def test_mul_u_matches_schoolbook_then_op_u(f, g, M):
-    product = series_mul_u(f, g, M)
-    assert product == op_u(QSeries(schoolbook_mul(f, g)), M)
-    if all(type(c) is int for c in f.coeffs + g.coeffs):
-        assert all(type(c) is int for c in product.coeffs)
-
-
-def test_mul_u_rejects_nonpositive_M():
-    f = QSeries([1, 2, 3])
-    for M in (0, -1):
-        with pytest.raises(ValueError, match="M must be positive"):
-            series_mul_u(f, f, M)
 
 
 def test_scale_truncate_operators():
