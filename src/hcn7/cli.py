@@ -16,17 +16,19 @@ largest H(N) index a command would reach (N for `hurwitz N` and
 H_{m,M} routes, the direct sum and the product, check their largest
 index against it too) and MAX_NEWFORM_N bounds `newform --nmax` and
 `series --order`.  An input over its cap is a usage error.
+
+Series names match exactly, as listed in `hcn7 series --help`: no
+surrounding space, no trailing newline, no other case.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
-import re
 import sys
 from fractions import Fraction
+from functools import partial
 
 from .arith import d_pa_series, d_series, lambda_series, psi_7, theta_mM
 from .hurwitz import hmm_sum, hurwitz_batch, hurwitz_series, hurwitz_single
@@ -59,6 +61,8 @@ def emit(fmt: str, kind: str, payload, header: list[str], rows, lines) -> None:
     header (None renders as an empty field), lines() the text lines.
     """
     if fmt == "json":
+        import json  # only here: no other format needs it at start-up
+
         print(json.dumps({"kind": kind, "payload": payload()}, indent=2))
     elif fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -234,26 +238,25 @@ def cmd_newform(args) -> int:
     return 0 if all_ok else 1
 
 
-_SERIES_PATTERNS = [
-    (re.compile(r"^H$"), lambda m, order: hurwitz_series(order)),
-    (re.compile(r"^D$"), lambda m, order: d_series(order)),
-    (re.compile(r"^G$"), lambda m, order: g_series(order)),
-    (re.compile(r"^Psi7$"), lambda m, order: psi_7(order)),
-    (re.compile(r"^D1_7_([0-6])$"), lambda m, order: d_pa_series(1, 7, int(m.group(1)), order)),
-    (re.compile(r"^theta_([0-6])_7$"), lambda m, order: theta_mM(int(m.group(1)), 7, order)),
-    (re.compile(r"^Lambda_1_([0-6])_7$"), lambda m, order: lambda_series(1, int(m.group(1)), 7, order)),
-]
+# Every accepted series name, each with its builder of one argument, the order.
+_SERIES_BUILDERS = {
+    "H": hurwitz_series,
+    "D": d_series,
+    "G": g_series,
+    "Psi7": psi_7,
+    **{f"D1_7_{a}": partial(d_pa_series, 1, 7, a) for a in range(7)},
+    **{f"theta_{m}_7": partial(theta_mM, m, 7) for m in range(7)},
+    **{f"Lambda_1_{m}_7": partial(lambda_series, 1, m, 7) for m in range(7)},
+}
 
 
 def named_series(name: str, order: int) -> QSeries:
-    for pattern, builder in _SERIES_PATTERNS:
-        m = pattern.match(name)
-        if m:
-            return builder(m, order)
-    raise ValueError(
-        f"unknown series {name!r}; expected H, D, G, Psi7, D1_7_a, "
-        "theta_m_7 or Lambda_1_m_7 with a, m in 0..6"
-    )
+    if name not in _SERIES_BUILDERS:
+        raise ValueError(
+            f"unknown series {name!r}; expected H, D, G, Psi7, D1_7_a, "
+            "theta_m_7 or Lambda_1_m_7 with a, m in 0..6"
+        )
+    return _SERIES_BUILDERS[name](order)
 
 
 def cmd_series(args) -> int:

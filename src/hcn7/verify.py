@@ -17,10 +17,9 @@ differing index with both values.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .arith import d_pa_series, d_series, hk_rhs_series, lambda_series, prop31_rhs, psi_7, theta_chi1, theta_mM
 from .hurwitz import hmm_series, hmm_sum, twelfths_upto
@@ -53,8 +52,7 @@ def sturm_bound(k: int, n1: int, n2: int) -> int:
     return k * index // 12
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     id: str
     checked_upto: int
     first_mismatch: tuple[int, ExactRational, ExactRational] | None
@@ -226,8 +224,7 @@ _TABLE_WEIGHTS: dict[int, tuple[tuple[int, int, int], ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     """One prime's worth of closing-table data, as shown by the CLI."""
 
     p: int

@@ -1,7 +1,8 @@
 """Error paths of the hcn7 command: a reader that leaves early, a
 negative series order, a negative verify bound, a main-suite bound
 that leaves a residue row without a prime, `hurwitz` given both a
-single N and --max, and a `newform --nmax` below its least value."""
+single N and --max, a `newform --nmax` below its least value, and a
+series name that is not exactly one of the accepted names."""
 
 import os
 import subprocess
@@ -97,3 +98,15 @@ def test_newform_nmax_below_its_least_is_usage_error(capsys, argv, least):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: --nmax must be at least {least}\n"
+
+
+@pytest.mark.parametrize("name", ["H\n", " H", "h", "theta_7_7", "D1_7_07"])
+def test_series_name_not_exactly_accepted_is_usage_error(capsys, name):
+    # before, a pattern match let "H\n" through as H: `$` matches before a final newline
+    assert main(["series", name, "--order", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: unknown series {name!r}; expected H, D, G, Psi7, D1_7_a, "
+        "theta_m_7 or Lambda_1_m_7 with a, m in 0..6\n"
+    )

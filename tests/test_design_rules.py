@@ -3,9 +3,16 @@ only (no float literal, no float() call, no math.sqrt, math.log or
 math.exp), no knobs (no read of os.environ or os.getenv), no dead code
 (every public top-level function and class is used somewhere in the
 package) and no unused import (every imported name is read in its
-module).  Division by `/` is allowed: Fraction / int is exact."""
+module).  Division by `/` is allowed: Fraction / int is exact.
+
+Start-up imports: `import hcn7.cli`, which every hcn7 command pays, loads
+none of dataclasses, inspect, ast or json, and json loads only when a
+command asks for json output."""
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -152,3 +159,33 @@ def test_every_imported_name_is_read():
 )
 def test_unread_import_rule(source, unread):
     assert unread_imports(ast.parse(source)) == unread
+
+
+STARTUP_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import hcn7.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+code = hcn7.cli.main(["sum", "--m", "1", "--M", "7", "--n", "5", "--format", "json"])
+print(code, "json" in sys.modules)
+"""
+
+STARTUP_BANNED = {"dataclasses", "inspect", "ast", "json"}
+
+
+def test_startup_imports_only_what_commands_use():
+    # -S: no site module, so nothing the interpreter's setup preloads can hide a load
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-S", "-E", "-c", STARTUP_PROBE, str(src)],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    ).stdout.splitlines()
+    loaded = set(out[0].split())
+    assert "hcn7.cli" in loaded
+    assert loaded & STARTUP_BANNED == set()
+    assert json.loads("\n".join(out[1:-1]))["payload"]["value"] == "1"
+    assert out[-1] == "0 True"

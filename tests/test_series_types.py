@@ -1,5 +1,7 @@
 """Series coefficients are exact ints or Fractions, kept as built.
 
+Each of the 25 series names of `hcn7 series` stands for one builder call.
+
 QSeries stores what a builder hands it, so the integer series stay ints
 and a product of two int series is int work.  The divisor-sum side of
 Prop. 3.1 is integral and is built in ints.  Both H_{m,M} routes give an
@@ -11,9 +13,10 @@ from fractions import Fraction
 
 import pytest
 
-from hcn7.arith import prop31_rhs
-from hcn7.cli import named_series
-from hcn7.hurwitz import hmm_series, hmm_sum
+from hcn7.arith import d_pa_series, d_series, lambda_series, prop31_rhs, psi_7, theta_mM
+from hcn7.cli import _SERIES_BUILDERS, named_series
+from hcn7.hurwitz import hmm_series, hmm_sum, hurwitz_series
+from hcn7.newform49 import g_series
 from hcn7.qseries import QSeries, series_mul, series_scale
 
 NAMES = (
@@ -23,6 +26,27 @@ NAMES = (
     + [f"Lambda_1_{m}_7" for m in range(7)]
 )
 INTEGER_NAMES = [n for n in NAMES if n != "H" and not n.startswith("Lambda")]
+
+
+def direct(name: str, order: int) -> QSeries:
+    """The builder call a series name stands for, read off the name."""
+    if name.startswith("D1_7_"):
+        return d_pa_series(1, 7, int(name[5:]), order)
+    if name.startswith("theta_"):
+        return theta_mM(int(name[6:-2]), 7, order)
+    if name.startswith("Lambda_1_"):
+        return lambda_series(1, int(name[9:-2]), 7, order)
+    return {"H": hurwitz_series, "D": d_series, "G": g_series, "Psi7": psi_7}[name](order)
+
+
+def test_the_accepted_names_are_exactly_the_25():
+    assert len(NAMES) == 25
+    assert sorted(_SERIES_BUILDERS) == sorted(NAMES)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_named_series_is_its_builder(name):
+    assert named_series(name, 30) == direct(name, 30)
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -17,6 +17,8 @@ from hcn7.verify import (
     _TABLE_WEIGHTS,
     THM35_BOUND,
     THM35_BOUND_M0,
+    TableRow,
+    VerificationReport,
     _thm35_m0_sides,
     _thm35_sides,
     compare,
@@ -62,6 +64,13 @@ def test_compare_reports():
 
     rep = compare("toy.bad", 2, 0.0, QSeries([0, 1, 2, 0, 0]), QSeries([0, 1, 3, 0, 0]))
     assert not rep.ok and rep.first_mismatch == (2, 2, 3)
+
+    # the report's contract: these fields in this order, immutable
+    assert repr(VerificationReport("toy", 5, None, 0.5)) == (
+        "VerificationReport(id='toy', checked_upto=5, first_mismatch=None, elapsed=0.5)"
+    )
+    with pytest.raises(AttributeError):
+        rep.checked_upto = 3
 
     with pytest.raises(ValueError):
         compare("toy.short", 5, 0.0, QSeries([1]), QSeries([1]))
@@ -187,6 +196,16 @@ def test_main_table_rows():
     assert row.x is None and row.cells[0][1] == row.cells[0][2] == Fraction(4, 3)
     assert rows[23].cells[0][2] == 8
     assert rows[13].cells[0][2] == Fraction(8, 3)
+
+    # the row's contract: these fields in this order, immutable, ok only if every cell matches
+    bad = TableRow(3, 3, None, None, rows[3].cells[:1] + ((1, 1, 2, False),))
+    assert repr(bad) == (
+        "TableRow(p=3, residue=3, x=None, y=None, "
+        "cells=((0, Fraction(4, 3), Fraction(4, 3), True), (1, 1, 2, False)))"
+    )
+    assert not bad.ok
+    with pytest.raises(AttributeError):
+        row.cells = ()
 
 
 def test_main_table_represents_each_prime_once(monkeypatch):
