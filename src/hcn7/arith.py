@@ -19,11 +19,19 @@ with chi = chi_minus7, the quadratic character mod 7, in the last two.
 
 Everything is exact; square-root boundaries are decided by integer
 comparison (d*d <= n), never by floating point.
+
+The divisor-type builders (d_series, hk_rhs_series, d_pa_series,
+lambda_series and the lopsided part of prop31_rhs) sieve: for each small
+factor, the n it contributes to form an arithmetic progression, which is
+a slice of the coefficient list, and the contribution is added to the
+whole slice as one C-level map(add, ...).  The element-wise loops they
+replace are kept in tests/oracles.py as their references.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import isqrt
 from operator import add
 
@@ -39,11 +47,19 @@ from .qseries import (
 
 
 def d_series(order: int) -> QSeries:
-    """Generating series of sigma(n), with constant term 0."""
+    """Generating series of sigma(n), with constant term 0.
+
+    Sieved over factor pairs d e = n, d <= e, as hk_rhs_series is: the pair
+    contributes d + e, or d alone when d = e.  For each d the pairs with
+    e > d sit at n = d e, a slice of step d, to which d + e is added as one
+    C-level map.  (One slice per divisor d <= order, each adding d, took
+    longer than the element-wise loop: most of those slices are short.)
+    """
     coeffs = [0] * (order + 1)
-    for d in range(1, order + 1):
-        for n in range(d, order + 1, d):
-            coeffs[n] += d
+    for d in range(1, isqrt(order) + 1):
+        coeffs[d * d] += d
+        tail = slice(d * (d + 1), None, d)
+        coeffs[tail] = map(add, coeffs[tail], range(2 * d + 1, d + order // d + 1))
     return QSeries(coeffs)
 
 
@@ -68,21 +84,17 @@ def d_pa_series(l: int, p: int, a: int, order: int) -> QSeries:
     """Series of phi_l^(p,a)(n), built by sieving over factor pairs d*e = n.
 
     d <= sqrt(n) iff d <= e, and d < sqrt(n) iff d < e, so the boundary
-    term (d = e) enters only through the -a class.
+    term (d = e) enters only through the -a class.  For each d the pairs
+    sit at n = d e, a slice of step d from d^2 (class -a) or from d(d + 1)
+    (class a), and d^l is added to the whole slice as one C-level map.
     """
     coeffs = [0] * (order + 1)
     for d in range(1, isqrt(order) + 1):
-        dl = d**l
-        minus = (d + a) % p == 0
-        plus = (d - a) % p == 0
-        if not (minus or plus):
-            continue
-        for e in range(d, order // d + 1):
-            n = d * e
-            if minus:
-                coeffs[n] += dl
-            if plus and d < e:
-                coeffs[n] += dl
+        dl = repeat(d**l)
+        if (d + a) % p == 0:
+            coeffs[d * d :: d] = map(add, coeffs[d * d :: d], dl)
+        if (d - a) % p == 0:
+            coeffs[d * (d + 1) :: d] = map(add, coeffs[d * (d + 1) :: d], dl)
     return QSeries(coeffs)
 
 
@@ -96,18 +108,20 @@ def lambda_series(l: int, m: int, M: int, order: int) -> QSeries:
     classes coincide, so m = 0 contributes each solution twice.
 
     Built by sieving over the factor pairs n = u v, in doubled weights;
-    integral coefficients stay ints.
+    integral coefficients stay ints.  The term v = u is added alone.  For
+    fixed u the v > u whose t lies in one branch's class step by 2M, so
+    their n = u v form a slice of step 2uM, to which 2u^l is added as one
+    C-level map.
     """
     doubled = [0] * (order + 1)
     for u in range(1, isqrt(order) + 1):
         ul = u**l
-        for v in range(u, order // u + 1, 2):
-            t = (u + v) // 2
-            value = ul if u == v else 2 * ul
-            if (t - m) % M == 0:
-                doubled[u * v] += value
-            if (t + m) % M == 0:
-                doubled[u * v] += value
+        for target in (m, -m):
+            if (u - target) % M == 0:  # v = u, t = u
+                doubled[u * u] += ul
+            t = u + 1 + (target - u - 1) % M  # least t > u in the class
+            tail = slice(u * (2 * t - u), None, 2 * u * M)
+            doubled[tail] = map(add, doubled[tail], repeat(2 * ul))
     return QSeries([Fraction(d, 2) if d % 2 else d // 2 for d in doubled])
 
 
@@ -117,14 +131,17 @@ def _lopsided_series(l: int, p: int, m: int, order: int) -> QSeries:
     This is the residue-class-0 contribution coming from factorizations
     whose p-divisible member is the smaller one; no phi-type divisor sum
     at n or n/p reproduces it because the boundary sits at sqrt(n/p),
-    not sqrt(n).
+    not sqrt(n).  For each d and each of the classes +-m (once when they
+    coincide) the e > d of the class step by p, so their n = d e form a
+    slice of step d p, to which d^l is added as one C-level map.
     """
     coeffs = [0] * (order + 1)
     for d in range(p, isqrt(order) + 1, p):
         dl = d**l
-        for e in range(d + 1, order // d + 1):
-            if (e - m) % p == 0 or (e + m) % p == 0:
-                coeffs[d * e] += dl
+        for c in {m % p, -m % p}:
+            e = d + 1 + (c - d - 1) % p  # least e > d in the class
+            tail = slice(d * e, None, d * p)
+            coeffs[tail] = map(add, coeffs[tail], repeat(dl))
     return QSeries(coeffs)
 
 

@@ -106,16 +106,22 @@ def cmd_sum(args) -> int:
     return 0
 
 
+def _cells(r):
+    """(m, direct, formula, match) per cell of a table row, the two values
+    rendered from their 24ths."""
+    return ((m, str(Fraction(d, 24)), str(Fraction(f, 24)), d == f) for m, d, f in r.cells)
+
+
 def _table_line(r) -> str:
     rep = f"x={r.x} y={r.y}" if r.x is not None else "inert"
-    cells = "  ".join(
-        f"m{m}: {fmt_rat(d)}{'=' if ok else '!='}{fmt_rat(f)}" for m, d, f, ok in r.cells
-    )
+    cells = "  ".join(f"m{m}: {d}{'=' if ok else '!='}{f}" for m, d, f, ok in _cells(r))
     flag = "" if r.ok else "  MISMATCH"
     return f"p={r.p} (class {r.residue}, {rep})  {cells}{flag}"
 
 
 def cmd_table(args) -> int:
+    if args.pmax < 3:
+        raise ValueError("--pmax must be at least 3")
     _check_h_index("--pmax", args.pmax, 4 * args.pmax)
     rows = list(main_table_rows(args.pmax))
     all_ok = all(r.ok for r in rows)
@@ -131,8 +137,8 @@ def cmd_table(args) -> int:
                     "x": r.x,
                     "y": r.y,
                     "cells": [
-                        {"m": m, "direct": fmt_rat(d), "formula": fmt_rat(f), "match": ok}
-                        for m, d, f, ok in r.cells
+                        {"m": m, "direct": d, "formula": f, "match": ok}
+                        for m, d, f, ok in _cells(r)
                     ],
                 }
                 for r in rows
@@ -143,7 +149,7 @@ def cmd_table(args) -> int:
         + [f"m{m}_{col}" for m in range(4) for col in ("direct", "formula", "match")],
         lambda: (
             [r.p, r.residue, r.x, r.y]
-            + [v for _, d, f, ok in r.cells for v in (fmt_rat(d), fmt_rat(f), int(ok))]
+            + [v for _, d, f, ok in _cells(r) for v in (d, f, int(ok))]
             for r in rows
         ),
         lambda: map(_table_line, rows),

@@ -13,9 +13,10 @@ residue-restricted sums
 
     H_{m,M}(n) = sum over a = m (mod M) of H(4n - a^2)
 
-are likewise computed two ways: hmm_sum by direct summation and
-hmm_series as the series product (H-series * theta_{m,M}) | U_4, of
-which only the coefficients U_4 keeps are computed.
+are likewise computed two ways: hmm_sum by direct summation, whose
+kernel hmm_twelfths returns 12*H_{m,M}(n) as an int, and hmm_series as
+the series product (H-series * theta_{m,M}) | U_4, of which only the
+coefficients U_4 keeps are computed.
 
 The weights 1/2 and 1/3 and H(0) = -1/12 make every 12*H(N) an integer,
 so both H routes count in twelfths, and the table, the direct sums and
@@ -183,12 +184,35 @@ def hurwitz_series(order: int) -> QSeries:
     return QSeries([Fraction(t, 12) for t in twelfths_upto(order)[: order + 1]])
 
 
-def hmm_sum(m: int, M: int, n: int) -> ExactRational:
-    """H_{m,M}(n) summed directly over all integers a = m (mod M).
+def hmm_twelfths(m: int, M: int, n: int) -> int:
+    """12*H_{m,M}(n), an int, summed directly over all integers a = m (mod M).
 
-    The twelfths are added in a plain loop; the value is an int when it is
-    integral and a Fraction otherwise.  The largest index read, 4n, is
-    checked against MAX_H_INDEX before the table is read.
+    The twelfths are added in a plain loop.  The largest index read, 4n,
+    is checked against MAX_H_INDEX before the table is read.
+    """
+    if M < 1:
+        raise ValueError("M must be positive")
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    four_n = 4 * n
+    if four_n > MAX_H_INDEX:
+        raise ValueError(f"index 4n = {four_n} is over the cap MAX_H_INDEX = {MAX_H_INDEX}")
+    twelfths = twelfths_upto(four_n)
+    r = isqrt(four_n)
+    first = -r + (m + r) % M  # least a >= -r in the residue class
+    total = 0
+    for a in range(first, r + 1, M):
+        total += twelfths[four_n - a * a]
+    return total
+
+
+def hmm_sum(m: int, M: int, n: int) -> ExactRational:
+    """H_{m,M}(n) by the direct sum: hmm_twelfths divided by 12 once, an
+    int when it is integral and a Fraction otherwise.
+
+    The kernel's body is repeated here, not called: at n <= 750, as in a
+    comparison with hmm_series, the extra call cost about a tenth of the
+    time per value.
     """
     if M < 1:
         raise ValueError("M must be positive")

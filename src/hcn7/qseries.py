@@ -15,6 +15,11 @@ act purely on exponents and coefficient values:
     op_dilate(f, M)   a(n) moved to exponent M n   (q -> q^M)
     op_sieve(f, M, r) keep exponents n == r (mod M)
 
+series_add and series_sub are one C-level map over the two coefficient
+tuples, and the three operators are slices of the coefficient tuple
+(f.coeffs[::M], out[::M] = f.coeffs, out[r::M] = f.coeffs[r::M]), so
+none of them loops over coefficients in Python.
+
 The product route of H_{m,M}, (H-series * theta_{m,M}) | U_4, does not
 use series_mul: hurwitz.hmm_series packs the H table into big ints and
 computes only the coefficients U_4 keeps.
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress, islice, repeat
-from operator import add, mul
+from operator import add, mul, sub
 
 # Exact rational scalar.  Series coefficients are exact ints or Fractions:
 # an int is the ExactRational of denominator 1, equal to it and hashed alike.
@@ -85,14 +90,14 @@ class QSeries:
 
 
 def series_add(f: QSeries, g: QSeries) -> QSeries:
-    """Coefficientwise sum, truncated to the shorter operand."""
-    order = min(f.order, g.order)
-    return QSeries([f.coeffs[n] + g.coeffs[n] for n in range(order + 1)])
+    """Coefficientwise sum, truncated to the shorter operand (where map
+    stops)."""
+    return QSeries(map(add, f.coeffs, g.coeffs))
 
 
 def series_sub(f: QSeries, g: QSeries) -> QSeries:
-    order = min(f.order, g.order)
-    return QSeries([f.coeffs[n] - g.coeffs[n] for n in range(order + 1)])
+    """Coefficientwise difference, truncated to the shorter operand."""
+    return QSeries(map(sub, f.coeffs, g.coeffs))
 
 
 def series_scale(f: QSeries, c) -> QSeries:
@@ -143,7 +148,7 @@ def op_u(f: QSeries, M: int) -> QSeries:
         raise ValueError("M must be positive")
     if M == 1:
         return f
-    return QSeries([f.coeffs[M * n] for n in range(f.order // M + 1)])
+    return QSeries(f.coeffs[::M])
 
 
 def op_dilate(f: QSeries, M: int) -> QSeries:
@@ -161,13 +166,15 @@ def op_dilate(f: QSeries, M: int) -> QSeries:
 
 
 def op_sieve(f: QSeries, M: int, r: int) -> QSeries:
-    """Keep coefficients at exponents n == r (mod M), zero the rest."""
+    """Keep coefficients at exponents n == r (mod M), zero the rest: the
+    kept ones are copied as one slice, and every other coefficient is the
+    int 0."""
     if M < 1:
         raise ValueError("M must be positive")
     r %= M
-    return QSeries(
-        [c if n % M == r else 0 for n, c in enumerate(f.coeffs)]
-    )
+    out = [0] * (f.order + 1)
+    out[r::M] = f.coeffs[r::M]
+    return QSeries(out)
 
 
 # The quadratic character mod 7: +1 on {1,2,4}, -1 on {3,5,6}, 0 on 7Z.

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 from .arith import d_pa_series, d_series, hk_rhs_series, lambda_series, prop31_rhs, psi_7, theta_chi1, theta_mM
-from .hurwitz import hmm_series, hmm_sum, twelfths_upto
+from .hurwitz import hmm_series, hmm_twelfths, twelfths_upto
 from .newform49 import g_series, represent_7
 from .primes import euler_phi, prime_factors, primes_up_to
 from .qseries import (
@@ -212,6 +212,12 @@ def verify_prop31(k: int, m: int, order: int) -> VerificationReport:
 # split rows r = 1, 2, 4, and 0 in the inert rows.  In every row
 # c_0 + 2(c_1 + c_2 + c_3) = (48, 0, 0), the row law
 # H_0 + 2H_1 + 2H_2 + 2H_3 = 2p for every p and a_p.
+#
+# Both sides of a cell are kept as ints in 24ths: the direct side is
+# 2 * hmm_twelfths(m, 7, p), the formula side c_p p + c_1 + c_a a_p, and
+# the row law reads d_0 + 2(d_1 + d_2 + d_3) = 48p.  A Fraction is built
+# only where a value is shown: a reported first mismatch, or a rendered
+# cell.
 # --------------------------------------------------------------------------
 
 _TABLE_WEIGHTS: dict[int, tuple[tuple[int, int, int], ...]] = {
@@ -225,17 +231,21 @@ _TABLE_WEIGHTS: dict[int, tuple[tuple[int, int, int], ...]] = {
 
 
 class TableRow(NamedTuple):
-    """One prime's worth of closing-table data, as shown by the CLI."""
+    """One prime's worth of closing-table data, as shown by the CLI.
+
+    Each cell is (m, direct, formula): 24 H_{m,7}(p) by the direct sum and
+    by the table formula, both ints.
+    """
 
     p: int
     residue: int
     x: int | None
     y: int | None
-    cells: tuple[tuple[int, ExactRational, ExactRational, bool], ...]
+    cells: tuple[tuple[int, int, int], ...]
 
     @property
     def ok(self) -> bool:
-        return all(match for _, _, _, match in self.cells)
+        return all(direct == formula for _, direct, formula in self.cells)
 
 
 def _main_table_row(p: int) -> TableRow:
@@ -251,12 +261,11 @@ def _main_table_row(p: int) -> TableRow:
     if r in (1, 2, 4):
         x, y = represent_7(p)
         ap = 2 * chi_minus7(x) * x
-    cells = []
-    for m, (c_p, c_1, c_a) in enumerate(_TABLE_WEIGHTS[r]):
-        direct = hmm_sum(m, 7, p)
-        formula = Fraction(c_p * p + c_1 + c_a * ap, 24)
-        cells.append((m, direct, formula, direct == formula))
-    return TableRow(p, r, x, y, tuple(cells))
+    cells = tuple(
+        (m, 2 * hmm_twelfths(m, 7, p), c_p * p + c_1 + c_a * ap)
+        for m, (c_p, c_1, c_a) in enumerate(_TABLE_WEIGHTS[r])
+    )
+    return TableRow(p, r, x, y, cells)
 
 
 def main_table_rows(p_max: int) -> Iterator[TableRow]:
@@ -267,7 +276,7 @@ def main_table_rows(p_max: int) -> Iterator[TableRow]:
     """
     if p_max < 3:
         raise ValueError("p_max must be at least 3")
-    twelfths_upto(4 * p_max)  # one sieve for every hmm_sum below
+    twelfths_upto(4 * p_max)  # one sieve for every direct sum below
     return (_main_table_row(p) for p in primes_up_to(p_max) if p not in (2, 7))
 
 
@@ -276,9 +285,10 @@ def verify_main_table(p_max: int) -> list[VerificationReport]:
 
     Returns one report per (residue row, column) cell keyed by the first
     mismatching prime, plus a report for the row-sum identity
-    H_0 + 2H_1 + 2H_2 + 2H_3 = 2p.  Elapsed time of the shared scan is
-    recorded on every report.  p_max >= 29 gives every row a prime: row 1
-    starts at 29, rows 2 to 6 at 23, 3, 11, 5 and 13.
+    H_0 + 2H_1 + 2H_2 + 2H_3 = 2p, all compared in 24ths; a first mismatch
+    is reported as Fractions.  Elapsed time of the shared scan is recorded
+    on every report.  p_max >= 29 gives every row a prime: row 1 starts at
+    29, rows 2 to 6 at 23, 3, 11, 5 and 13.
     """
     if p_max < 29:
         raise ValueError("p_max must be at least 29, the first prime p = 1 (mod 7)")
@@ -288,13 +298,13 @@ def verify_main_table(p_max: int) -> list[VerificationReport]:
     for row in main_table_rows(p_max):
         p = row.p
         total = 0
-        for m, direct, formula, match in row.cells:
+        for m, direct, formula in row.cells:
             total += direct if m == 0 else 2 * direct
             key = (row.residue, m)
-            if not match and key not in first_bad:
-                first_bad[key] = (p, direct, formula)
-        if total != 2 * p and rowsum_bad is None:
-            rowsum_bad = (p, total, Fraction(2 * p))
+            if direct != formula and key not in first_bad:
+                first_bad[key] = (p, Fraction(direct, 24), Fraction(formula, 24))
+        if total != 48 * p and rowsum_bad is None:
+            rowsum_bad = (p, Fraction(total, 24), Fraction(2 * p))
     elapsed = time.perf_counter() - start
     reports = [
         VerificationReport(f"main.r{r}.m{m}", p_max, first_bad.get((r, m)), elapsed)

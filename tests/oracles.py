@@ -1,9 +1,10 @@
 """Per-coefficient oracles that the tests compare the package's sieves
-against, and the literal-U negative control of Lemma 4.2.
+against, the element-wise loops that the slice-add builders of
+hcn7.arith replaced, and the literal-U negative control of Lemma 4.2.
 
 Each oracle computes one coefficient by its definition, with a plain
-divisor loop, or one table entry at a time, and shares no code with the
-builder it checks.
+divisor loop, or one table entry or one coefficient at a time, and shares
+no code with the builder it checks.
 """
 
 import time
@@ -12,7 +13,7 @@ from math import isqrt
 
 from hcn7.arith import psi_7
 from hcn7.newform49 import g_series, newform_ap
-from hcn7.qseries import op_u, series_add, series_scale, series_sub, series_truncate
+from hcn7.qseries import QSeries, op_u, series_add, series_scale, series_sub, series_truncate
 from hcn7.verify import VerificationReport, compare
 
 
@@ -94,6 +95,66 @@ def phi_pa(n: int, l: int, p: int, a: int) -> int:
         if d * d < n and (d - a) % p == 0:
             total += d**l
     return total
+
+
+def d_series_loop(order: int) -> QSeries:
+    """sigma(n) for n <= order, adding each divisor d to each multiple in
+    turn: the reference for arith.d_series."""
+    coeffs = [0] * (order + 1)
+    for d in range(1, order + 1):
+        for n in range(d, order + 1, d):
+            coeffs[n] += d
+    return QSeries(coeffs)
+
+
+def d_pa_series_loop(l: int, p: int, a: int, order: int) -> QSeries:
+    """phi_l^(p,a)(n) for n <= order, one factor pair d*e = n, d <= e, at a
+    time: the reference for arith.d_pa_series.  The d = e term enters only
+    through the -a class."""
+    coeffs = [0] * (order + 1)
+    for d in range(1, isqrt(order) + 1):
+        dl = d**l
+        minus = (d + a) % p == 0
+        plus = (d - a) % p == 0
+        if not (minus or plus):
+            continue
+        for e in range(d, order // d + 1):
+            n = d * e
+            if minus:
+                coeffs[n] += dl
+            if plus and d < e:
+                coeffs[n] += dl
+    return QSeries(coeffs)
+
+
+def lambda_series_loop(l: int, m: int, M: int, order: int) -> QSeries:
+    """The correction series for n <= order, one factor pair n = u v, u <= v
+    of equal parity, at a time, in doubled weights: the reference for
+    arith.lambda_series (see lambda_coeff for the weights)."""
+    doubled = [0] * (order + 1)
+    for u in range(1, isqrt(order) + 1):
+        ul = u**l
+        for v in range(u, order // u + 1, 2):
+            t = (u + v) // 2
+            value = ul if u == v else 2 * ul
+            if (t - m) % M == 0:
+                doubled[u * v] += value
+            if (t + m) % M == 0:
+                doubled[u * v] += value
+    return QSeries([Fraction(d, 2) if d % 2 else d // 2 for d in doubled])
+
+
+def lopsided_series_loop(l: int, p: int, m: int, order: int) -> QSeries:
+    """Sum of d^l over pairs d e = n <= order with p | d, d < e and
+    e = +-m (mod p), one pair at a time: the reference for
+    arith._lopsided_series."""
+    coeffs = [0] * (order + 1)
+    for d in range(p, isqrt(order) + 1, p):
+        dl = d**l
+        for e in range(d + 1, order // d + 1):
+            if (e - m) % p == 0 or (e + m) % p == 0:
+                coeffs[d * e] += dl
+    return QSeries(coeffs)
 
 
 def newform_an_oracle(n: int) -> int:

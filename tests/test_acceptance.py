@@ -104,11 +104,13 @@ def test_c08_main_table():
     reports = verify_main_table(10**4)
     for rep in reports:
         assert rep.ok, str(rep)
-    formula = {(row.p, m): f for row in main_table_rows(23) for m, _, f, _ in row.cells}
-    assert hmm_sum(0, 7, 11) == formula[11, 0] == 4
-    assert hmm_sum(1, 7, 11) == formula[11, 1] == 2
-    assert hmm_sum(0, 7, 23) == formula[23, 0] == 8
-    assert hmm_sum(0, 7, 3) == formula[3, 0] == Fraction(4, 3)
+    # cells are in 24ths: 24 H_{m,7}(p) by the formula
+    formula = {(row.p, m): f for row in main_table_rows(23) for m, _, f in row.cells}
+    assert 24 * hmm_sum(0, 7, 11) == formula[11, 0] == 96  # 4
+    assert 24 * hmm_sum(1, 7, 11) == formula[11, 1] == 48  # 2
+    assert 24 * hmm_sum(0, 7, 23) == formula[23, 0] == 192  # 8
+    assert 24 * hmm_sum(0, 7, 3) == formula[3, 0] == 32  # 4/3
+    assert hmm_sum(0, 7, 3) == Fraction(4, 3)
     for p in primes_up_to(10**4):
         if p in (2, 7):
             continue

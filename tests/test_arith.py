@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 from math import isqrt
 
+import pytest
+
 from hcn7.arith import (
+    _lopsided_series,
     d_pa_series,
     d_series,
     lambda_series,
@@ -13,8 +16,21 @@ from hcn7.arith import (
     theta_chi1,
     theta_mM,
 )
-from hcn7.qseries import op_dilate, op_u, series_add, series_mul, series_truncate
-from oracles import lambda_coeff, phi_pa, sigma
+from hcn7.qseries import QSeries, op_dilate, op_u, series_add, series_mul, series_truncate
+from oracles import (
+    d_pa_series_loop,
+    d_series_loop,
+    lambda_coeff,
+    lambda_series_loop,
+    lopsided_series_loop,
+    phi_pa,
+    sigma,
+)
+
+# Orders around the squares 0, 1, 4, 49 and beyond, so that every builder
+# meets a last d (or u) whose d = e term, or whose first slice start, sits
+# at or past the order.
+BUILDER_ORDERS = [0, 1, 2, 5, 48, 49, 50, 300, 1200]
 
 
 def divisors(n):
@@ -33,6 +49,34 @@ def test_d_series():
     assert d[0] == 0 and d[1] == 1 and d[6] == 12
     for n in range(1, 13):
         assert d[n] == sigma(n)
+
+
+@pytest.mark.parametrize("order", BUILDER_ORDERS)
+def test_slice_builders_match_loops(order):
+    assert d_series(order) == d_series_loop(order)
+    for l in (1, 3):
+        for p in (1, 7):
+            for a in range(-1, 8):
+                assert d_pa_series(l, p, a, order) == d_pa_series_loop(l, p, a, order), (l, p, a)
+            for m in range(-1, 8):
+                lopsided = _lopsided_series(l, p, m, order)
+                assert lopsided == lopsided_series_loop(l, p, m, order), (l, p, m)
+        for m in range(-1, 8):
+            for M in (1, 5, 7):
+                assert lambda_series(l, m, M, order) == lambda_series_loop(l, m, M, order), (l, m, M)
+
+
+def test_slice_builder_boundaries():
+    # the d = e term of d_pa_series: 49 = 7 * 7 counts 7 once in class -a = 0
+    assert d_pa_series(1, 7, 0, 49)[49] == phi_pa(49, 1, 7, 0) == 7
+    # ... and the pairs d < e twice when both classes match (p = 1)
+    assert d_pa_series(1, 1, 0, 50)[50] == phi_pa(50, 1, 1, 0) == 2 * (1 + 2 + 5)
+    # a start past the order adds nothing: lambda's v = u term at u^2 = 49
+    # with no v > u left, and a lopsided pair 7 * 8 = 56 > 50
+    assert lambda_series(1, 0, 7, 50)[49] == lambda_coeff(1, 0, 7, 49) == 7
+    assert _lopsided_series(1, 7, 1, 50) == lopsided_series_loop(1, 7, 1, 50) == QSeries.zero(50)
+    for builder in (d_series(0), d_pa_series(1, 7, 0, 0), lambda_series(1, 0, 7, 0)):
+        assert builder == QSeries([0])
 
 
 def test_phi_pa_examples():

@@ -1,8 +1,9 @@
 """Error paths of the hcn7 command: a reader that leaves early, a
 negative series order, a negative verify bound, a main-suite bound
-that leaves a residue row without a prime, `hurwitz` given both a
-single N and --max, a `newform --nmax` below its least value, and a
-series name that is not exactly one of the accepted names."""
+that leaves a residue row without a prime, a `table --pmax` below 3,
+`hurwitz` given both a single N and --max, a `newform --nmax` below its
+least value, and a series name that is not exactly one of the accepted
+names."""
 
 import os
 import subprocess
@@ -74,6 +75,15 @@ def test_main_suite_bound_below_first_row_1_prime_is_usage_error(capsys):
     assert "29" in captured.err
     assert main(["verify", "--suite", "main", "--bound", "29", "--format", "csv"]) == 0
     assert capsys.readouterr().out.count(",1,29,,,") == 25  # 24 cells and the row sum
+
+
+@pytest.mark.parametrize("pmax", ["2", "-4"])
+def test_table_pmax_below_3_names_the_option(capsys, pmax):
+    # before, this named the internal parameter p_max
+    assert main(["table", "--pmax", pmax]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --pmax must be at least 3\n"
 
 
 def test_hurwitz_n_and_max_together_is_usage_error(capsys):

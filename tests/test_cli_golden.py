@@ -4,10 +4,12 @@ Each case's expected stdout is the file tests/golden/<case>.out, written by
 the CLI as it stood before its per-format branches were folded into one
 renderer.  Only the wall-clock seconds in text-format verify lines vary
 between runs; they are masked on both sides.  Usage errors must leave
-stdout empty.  The three patched cases force a mismatch to pin the
-failure rendering (exit 1) of table, verify and the cross-check.  After a
-deliberate change of output, rewrite a case's file with what run_case
-returns for it.
+stdout empty.  The patched cases force a mismatch to pin the failure
+rendering (exit 1) of table, verify (the hk suite, and an integral and a
+rational first mismatch of the main suite) and the cross-check; the two
+verify-main cases were written while the table's cells were still
+Fractions, before they became ints in 24ths.  After a deliberate change
+of output, rewrite a case's file with what run_case returns for it.
 """
 
 import io
@@ -40,6 +42,15 @@ def _break_table(mp):
     mp.setitem(hcn7.verify._TABLE_WEIGHTS, 4, tuple(row))
 
 
+def _nudge_table(mp):
+    # 1 more on c_1 of row 4, column 2: the formula side of H_{2,7}(p) is
+    # off by 1/24 at every p = 4 (mod 7), so the mismatch at 11 is rational
+    row = list(hcn7.verify._TABLE_WEIGHTS[4])
+    c_p, c_1, c_a = row[2]
+    row[2] = (c_p, c_1 + 1, c_a)
+    mp.setitem(hcn7.verify._TABLE_WEIGHTS, 4, tuple(row))
+
+
 def _break_hk(mp):
     rhs_series = hcn7.verify.hk_rhs_series
 
@@ -67,6 +78,8 @@ _FORMATTED = [
     ("series", ["series", "H", "--order", "20"], 0, None),
     ("table-mismatch", ["table", "--pmax", "30"], 1, _break_table),
     ("verify-fail", ["verify", "--suite", "hk", "--bound", "30"], 1, _break_hk),
+    ("verify-main-fail", ["verify", "--suite", "main", "--bound", "30"], 1, _break_table),
+    ("verify-main-rational", ["verify", "--suite", "main", "--bound", "30"], 1, _nudge_table),
     ("newform-cross-fail", ["newform", "--nmax", "40", "--method", "cross"], 1, _break_cm),
 ]
 

@@ -11,6 +11,7 @@ from hcn7.arith import theta_mM
 from hcn7.hurwitz import (
     hmm_series,
     hmm_sum,
+    hmm_twelfths,
     hurwitz_batch,
     hurwitz_series,
     hurwitz_single,
@@ -248,6 +249,7 @@ def test_hmm_series_matches_composed_product():
 
 def test_hmm_series_does_not_use_the_direct_sum(monkeypatch):
     monkeypatch.setattr(hcn7.hurwitz, "hmm_sum", unreachable)
+    monkeypatch.setattr(hcn7.hurwitz, "hmm_twelfths", unreachable)
     monkeypatch.setattr(hcn7.hurwitz, "hurwitz_single", unreachable)
     assert hmm_series(3, 7, 200) == composed_hmm_series(3, 7, 200)
 
@@ -294,9 +296,24 @@ def test_hmm_sum_respects_the_cap(monkeypatch):
     monkeypatch.setattr(hcn7.hurwitz, "MAX_H_INDEX", 5000)
     monkeypatch.setattr(hcn7.hurwitz, "_cache", hurwitz_batch(0))
     # 4n = 8000 is over the patched cap
-    with pytest.raises(ValueError, match="MAX_H_INDEX"):
-        hmm_sum(0, 7, 2000)
+    for direct in (hmm_sum, hmm_twelfths):
+        with pytest.raises(ValueError, match="MAX_H_INDEX"):
+            direct(0, 7, 2000)
     assert hcn7.hurwitz._cache == hurwitz_batch(0)
+
+
+def test_hmm_sum_is_its_kernel_over_12():
+    # hmm_sum repeats hmm_twelfths' body rather than call it
+    for M in (1, 2, 5, 7, 11):
+        for m in range(-2, M + 2):
+            for n in range(0, 300, 7):
+                twelfths = hmm_twelfths(m, M, n)
+                assert type(twelfths) is int
+                assert hmm_sum(m, M, n) == Fraction(twelfths, 12), (m, M, n)
+    for args, message in (((0, 0, 5), "M must be positive"), ((0, 7, -1), "n must be non-negative")):
+        for direct in (hmm_sum, hmm_twelfths):
+            with pytest.raises(ValueError, match=message):
+                direct(*args)
 
 
 def test_hurwitz_kronecker():

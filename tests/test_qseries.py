@@ -191,6 +191,45 @@ def test_mul_matches_schoolbook(f, g):
         assert all(type(c) is int for c in product.coeffs)
 
 
+def _kinds(coeffs):
+    return [type(c) for c in coeffs]
+
+
+@settings(deadline=None, max_examples=200, database=None)
+@given(series, series)
+def test_add_sub_match_elementwise(f, g):
+    # orders differ in most draws: the result stops at the shorter one
+    order = min(f.order, g.order)
+    for op, ref in ((series_add, lambda a, b: a + b), (series_sub, lambda a, b: a - b)):
+        want = [ref(f.coeffs[n], g.coeffs[n]) for n in range(order + 1)]
+        got = op(f, g)
+        assert got.order == order
+        assert list(got.coeffs) == want and _kinds(got.coeffs) == _kinds(want)
+
+
+@settings(deadline=None, max_examples=200, database=None)
+@given(series, st.integers(1, 50), st.integers(-60, 60))
+def test_sieve_and_u_match_elementwise(f, M, r):
+    # M ranges past the orders drawn (at most 39), r over negative values too
+    sieved = op_sieve(f, M, r)
+    want = [c if n % M == r % M else 0 for n, c in enumerate(f.coeffs)]
+    assert list(sieved.coeffs) == want and _kinds(sieved.coeffs) == _kinds(want)
+    assert all(type(c) is int for n, c in enumerate(sieved.coeffs) if n % M != r % M)
+    assert list(op_u(f, M).coeffs) == [f.coeffs[M * n] for n in range(f.order // M + 1)]
+    if M == 1:
+        assert op_u(f, M) is f and sieved == f
+
+
+def test_sieve_and_u_examples():
+    f = QSeries([Fraction(1, 2), 3, Fraction(-5, 7), 0, 9])
+    assert op_sieve(f, 3, -1) == QSeries([0, 0, Fraction(-5, 7), 0, 0])
+    assert op_sieve(f, 9, 4) == QSeries([0, 0, 0, 0, 9])  # M past the order
+    assert _kinds(op_sieve(f, 2, 1).coeffs) == [int] * 5
+    assert op_u(f, 9) == QSeries([Fraction(1, 2)])
+    assert op_u(f, 2) == QSeries([Fraction(1, 2), Fraction(-5, 7), 9])
+    assert series_sub(f, QSeries([Fraction(1, 2), 3])) == QSeries([0, 0])
+
+
 def test_scale_truncate_operators():
     f = QSeries([1, 2, 3, 4])
     assert series_scale(f, Fraction(1, 2)) == QSeries([Fraction(1, 2), 1, Fraction(3, 2), 2])

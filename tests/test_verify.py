@@ -167,7 +167,7 @@ def test_hurwitz_kronecker_sides(monkeypatch):
         raise AssertionError("unexpected call")
 
     # the left side is the product route, the right side reads no H
-    monkeypatch.setattr(hcn7.verify, "hmm_sum", unreachable)
+    monkeypatch.setattr(hcn7.verify, "hmm_twelfths", unreachable)
     assert verify_hurwitz_kronecker(300).ok
     monkeypatch.setattr(hcn7.hurwitz, "twelfths_upto", unreachable)
     definition = [
@@ -185,23 +185,27 @@ def test_prop31_reports():
 
 
 def test_main_table_rows():
+    # each cell is (m, direct, formula), both 24 H_{m,7}(p) as ints
     rows = {row.p: row for row in main_table_rows(23)}
     assert sorted(rows) == [3, 5, 11, 13, 17, 19, 23]
     row = rows[11]
     assert row.residue == 4 and (row.x, row.y) == (2, 1)
     assert row.ok
-    assert row.cells[0][1] == row.cells[0][2] == 4
-    assert row.cells[1][2] == 2
+    assert row.cells[0][1] == row.cells[0][2] == 96  # H_{0,7}(11) = 4
+    assert row.cells[1][2] == 48  # 2
     row = rows[3]
-    assert row.x is None and row.cells[0][1] == row.cells[0][2] == Fraction(4, 3)
-    assert rows[23].cells[0][2] == 8
-    assert rows[13].cells[0][2] == Fraction(8, 3)
+    assert row.x is None and row.cells[0][1] == row.cells[0][2] == 32  # 4/3
+    assert rows[23].cells[0][2] == 192  # 8
+    assert rows[13].cells[0][2] == 64  # 8/3
+    for row in rows.values():
+        for m, direct, formula in row.cells:
+            assert type(direct) is int and type(formula) is int
+            assert Fraction(direct, 24) == hmm_sum(m, 7, row.p)
 
     # the row's contract: these fields in this order, immutable, ok only if every cell matches
-    bad = TableRow(3, 3, None, None, rows[3].cells[:1] + ((1, 1, 2, False),))
+    bad = TableRow(3, 3, None, None, rows[3].cells[:1] + ((1, 24, 48),))
     assert repr(bad) == (
-        "TableRow(p=3, residue=3, x=None, y=None, "
-        "cells=((0, Fraction(4, 3), Fraction(4, 3), True), (1, 1, 2, False)))"
+        "TableRow(p=3, residue=3, x=None, y=None, cells=((0, 32, 32), (1, 24, 48)))"
     )
     assert not bad.ok
     with pytest.raises(AttributeError):
@@ -228,6 +232,28 @@ def test_main_table_small():
     assert all(r.ok for r in reports)
     ids = {r.id for r in reports}
     assert "main.rowsum" in ids and "main.r1.m0" in ids
+
+
+def test_main_table_mismatch_reports_fractions(monkeypatch):
+    # one twelfth more on every direct H_{1,7}(p): the row law and the m = 1
+    # cells fail, each by a non-integral amount
+    twelfths = hcn7.verify.hmm_twelfths
+
+    def nudged(m, M, n):
+        return twelfths(m, M, n) + (m == 1)
+
+    monkeypatch.setattr(hcn7.verify, "hmm_twelfths", nudged)
+    reports = {r.id: r for r in verify_main_table(60)}
+    direct = {m: Fraction(nudged(m, 7, 3), 12) for m in range(4)}
+    total = direct[0] + 2 * (direct[1] + direct[2] + direct[3])
+    assert total == 6 + Fraction(1, 6)
+    assert reports["main.rowsum"].first_mismatch == (3, total, 6)
+    for r, p in ((1, 29), (2, 23), (3, 3), (4, 11), (5, 5), (6, 13)):
+        n, lhs, rhs = reports[f"main.r{r}.m1"].first_mismatch
+        assert (n, lhs) == (p, Fraction(nudged(1, 7, p), 12)), r
+        assert rhs == hmm_sum(1, 7, p) and lhs - rhs == Fraction(1, 12), r
+        assert all(type(v) is Fraction for v in (lhs, rhs))
+        assert reports[f"main.r{r}.m0"].ok
 
 
 def test_rowsum_identity():
