@@ -42,7 +42,6 @@ from .qseries import (
     op_sieve,
     series_add,
     series_scale,
-    series_truncate,
 )
 
 
@@ -180,8 +179,8 @@ def prop31_rhs(k: int, m: int, order: int) -> QSeries:
         for a in range(1, p):
             term = d_pa_series(l, p, a * inv2 % p, order)
             total = series_add(total, op_sieve(term, p, -a * a * inv4 % p))
-        base = d_pa_series(l, 1, 0, -(-order // (p * p)))  # ceil(order / p^2)
-        tail = series_truncate(op_dilate(base, p * p), order)
+        base = d_pa_series(l, 1, 0, order // (p * p))
+        tail = op_dilate(base, p * p, order)
         total = series_add(total, series_scale(tail, p**l))
         return series_scale(total, 2**l)
     # total accumulates twice the bracket, so that it stays in ints

@@ -40,17 +40,14 @@ MAX_NEWFORM_N = 10**6
 
 
 def _check_h_index(option: str, value: int, index: int) -> None:
-    """Reject, before any allocation, an input that reaches H past MAX_H_INDEX."""
+    """Reject, before any allocation, a negative input or one reaching H past MAX_H_INDEX."""
+    if value < 0:
+        raise ValueError(f"{option} must be non-negative")
     if index > MAX_H_INDEX:
         raise ValueError(
             f"{option} {value} would reach H index {index}, "
             f"over the cap MAX_H_INDEX = {MAX_H_INDEX}"
         )
-
-
-def fmt_rat(x) -> str:
-    """Render exactly: "num/den" for proper fractions, plain decimal else."""
-    return str(Fraction(x))
 
 
 def emit(fmt: str, kind: str, payload, header: list[str], rows, lines) -> None:
@@ -83,7 +80,7 @@ def cmd_hurwitz(args) -> int:
         raise ValueError("give a single N or --max N, exactly one of the two")
     if args.max is not None:
         _check_h_index("--max", args.max, args.max)
-        pairs = [(n, fmt_rat(Fraction(t, 12))) for n, t in enumerate(hurwitz_batch(args.max))]
+        pairs = [(n, str(Fraction(t, 12))) for n, t in enumerate(hurwitz_batch(args.max))]
         emit(
             args.format,
             "hurwitz-table",
@@ -94,14 +91,16 @@ def cmd_hurwitz(args) -> int:
         )
         return 0
     _check_h_index("N", args.N, args.N)
-    value = fmt_rat(hurwitz_single(args.N))
+    value = str(hurwitz_single(args.N))
     emit_record(args.format, "hurwitz", {"N": args.N, "H": value}, value)
     return 0
 
 
 def cmd_sum(args) -> int:
+    if args.M < 1:
+        raise ValueError("--M must be positive")
     _check_h_index("--n", args.n, 4 * args.n)
-    value = fmt_rat(hmm_sum(args.m, args.M, args.n))
+    value = str(hmm_sum(args.m, args.M, args.n))
     emit_record(args.format, "sum", {"m": args.m, "M": args.M, "n": args.n, "value": value}, value)
     return 0
 
@@ -161,7 +160,7 @@ def _mismatch(r) -> tuple[int, str, str] | None:
     if r.first_mismatch is None:
         return None
     n, lhs, rhs = r.first_mismatch
-    return n, fmt_rat(lhs), fmt_rat(rhs)
+    return n, str(lhs), str(rhs)
 
 
 def _report_line(r) -> str:
@@ -271,7 +270,7 @@ def cmd_series(args) -> int:
     if args.order > MAX_NEWFORM_N:
         raise ValueError(f"--order {args.order} is over the cap MAX_NEWFORM_N = {MAX_NEWFORM_N}")
     series = named_series(args.name, args.order)
-    coeffs = [fmt_rat(c) for c in series.coeffs]
+    coeffs = [str(c) for c in series.coeffs]
     emit(
         args.format,
         "series",

@@ -156,12 +156,12 @@ def _sieve(twelfths: list[int], lo: int) -> None:
             twelfths[n::4] = map(add, twelfths[n::4], _unpack(packed[r], count))
 
 
-# Cache behind hurwitz_series, hmm_sum and hmm_series; query results are
-# pure.  It grows by sieving only the indices it lacks, to at least twice
-# its last index and at least 1,024, so that callers asking in small steps
-# sieve few times, but past MAX_H_INDEX only as far as a caller asks; the
-# main suite and `hcn7 table` ask for their whole range up front, and the
-# hk suite reads it once, through hmm_series.
+# Cache behind hurwitz_series, hmm_series and hmm_twelfths (which reads it
+# in place once it reaches 4n); query results are pure.  It grows by sieving
+# only the indices it lacks, to at least twice its last index and at least
+# 1,024, so that callers asking in small steps sieve few times, but past
+# MAX_H_INDEX only as far as a caller asks; the main suite and `hcn7 table`
+# ask for their whole range up front, and the hk suite reads it once.
 _cache: tuple[int, ...] = hurwitz_batch(0)
 
 
@@ -187,8 +187,8 @@ def hurwitz_series(order: int) -> QSeries:
 def hmm_twelfths(m: int, M: int, n: int) -> int:
     """12*H_{m,M}(n), an int, summed directly over all integers a = m (mod M).
 
-    The twelfths are added in a plain loop.  The largest index read, 4n,
-    is checked against MAX_H_INDEX before the table is read.
+    The twelfths are added in a plain loop.  4n, the largest index read, is
+    checked against MAX_H_INDEX first; a cache that covers it is read in place.
     """
     if M < 1:
         raise ValueError("M must be positive")
@@ -197,7 +197,7 @@ def hmm_twelfths(m: int, M: int, n: int) -> int:
     four_n = 4 * n
     if four_n > MAX_H_INDEX:
         raise ValueError(f"index 4n = {four_n} is over the cap MAX_H_INDEX = {MAX_H_INDEX}")
-    twelfths = twelfths_upto(four_n)
+    twelfths = _cache if four_n < len(_cache) else twelfths_upto(four_n)
     r = isqrt(four_n)
     first = -r + (m + r) % M  # least a >= -r in the residue class
     total = 0
@@ -208,25 +208,8 @@ def hmm_twelfths(m: int, M: int, n: int) -> int:
 
 def hmm_sum(m: int, M: int, n: int) -> ExactRational:
     """H_{m,M}(n) by the direct sum: hmm_twelfths divided by 12 once, an
-    int when it is integral and a Fraction otherwise.
-
-    The kernel's body is repeated here, not called: at n <= 750, as in a
-    comparison with hmm_series, the extra call cost about a tenth of the
-    time per value.
-    """
-    if M < 1:
-        raise ValueError("M must be positive")
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    four_n = 4 * n
-    if four_n > MAX_H_INDEX:
-        raise ValueError(f"index 4n = {four_n} is over the cap MAX_H_INDEX = {MAX_H_INDEX}")
-    twelfths = twelfths_upto(four_n)
-    r = isqrt(four_n)
-    first = -r + (m + r) % M  # least a >= -r in the residue class
-    total = 0
-    for a in range(first, r + 1, M):
-        total += twelfths[four_n - a * a]
+    int when it is integral and a Fraction otherwise."""
+    total = hmm_twelfths(m, M, n)
     return total // 12 if total % 12 == 0 else Fraction(total, 12)
 
 

@@ -8,17 +8,17 @@ as the builder gave them: an int and the equal Fraction compare and hash
 alike, so every operation is exact and equality is by value.
 
 Series arithmetic is spelled as functions only: series_add, series_sub,
-series_scale, series_truncate and series_mul.  The coefficient operators
-act purely on exponents and coefficient values:
+series_scale and series_mul.  The coefficient operators act purely on
+exponents and coefficient values:
 
-    op_u(f, M)        a(M n) re-indexed to n
-    op_dilate(f, M)   a(n) moved to exponent M n   (q -> q^M)
-    op_sieve(f, M, r) keep exponents n == r (mod M)
+    op_u(f, M)               a(M n) re-indexed to n
+    op_dilate(f, M, order)   a(n) moved to exponent M n <= order (q -> q^M)
+    op_sieve(f, M, r)        keep exponents n == r (mod M)
 
 series_add and series_sub are one C-level map over the two coefficient
 tuples, and the three operators are slices of the coefficient tuple
-(f.coeffs[::M], out[::M] = f.coeffs, out[r::M] = f.coeffs[r::M]), so
-none of them loops over coefficients in Python.
+(f.coeffs[::M], out[::M] = f.coeffs[: order // M + 1] and
+out[r::M] = f.coeffs[r::M]), so none of them loops in Python.
 
 The product route of H_{m,M}, (H-series * theta_{m,M}) | U_4, does not
 use series_mul: hurwitz.hmm_series packs the H table into big ints and
@@ -106,12 +106,6 @@ def series_scale(f: QSeries, c) -> QSeries:
     return QSeries([c * a if a else 0 for a in f.coeffs])
 
 
-def series_truncate(f: QSeries, order: int) -> QSeries:
-    if order > f.order:
-        raise ValueError(f"cannot extend order {f.order} to {order}")
-    return QSeries(f.coeffs[: order + 1])
-
-
 def series_mul(f: QSeries, g: QSeries) -> QSeries:
     """Cauchy product up to min(f.order, g.order).
 
@@ -151,17 +145,17 @@ def op_u(f: QSeries, M: int) -> QSeries:
     return QSeries(f.coeffs[::M])
 
 
-def op_dilate(f: QSeries, M: int) -> QSeries:
-    """Substitute q -> q^M: a(n) moves to exponent M n, zeros elsewhere.
-
-    The resulting order is f.order * M; callers truncate what they need.
-    """
+def op_dilate(f: QSeries, M: int, order: int) -> QSeries:
+    """Substitute q -> q^M up to order: a(n) moves to exponent M n, zeros
+    elsewhere.  f must reach order // M, the last n that lands within
+    order, so that no term is invented."""
     if M < 1:
         raise ValueError("M must be positive")
-    if M == 1:
-        return f
-    out = [0] * (f.order * M + 1)
-    out[::M] = f.coeffs
+    top = order // M
+    if f.order < top:
+        raise ValueError(f"cannot dilate order {f.order} by {M} to order {order}")
+    out = [0] * (order + 1)
+    out[::M] = f.coeffs[: top + 1]
     return QSeries(out)
 
 

@@ -36,7 +36,6 @@ from .qseries import (
     series_mul,
     series_scale,
     series_sub,
-    series_truncate,
 )
 
 
@@ -173,16 +172,16 @@ def verify_lemma42(order: int) -> VerificationReport:
         raise ValueError(f"order must cover the Sturm bound {sturm}")
     start = time.perf_counter()
     g = g_series(order)
-    rhs = series_sub(g, series_truncate(op_dilate(g, 2), order))
-    rhs = series_add(rhs, series_scale(series_truncate(op_dilate(g, 4), order), 4))
+    rhs = series_sub(g, op_dilate(g, 2, order))
+    rhs = series_add(rhs, series_scale(op_dilate(g, 4, order), 4))
     return compare("lemma42", order, start, psi_7(order), rhs)
 
 
 def verify_prop41(order: int) -> VerificationReport:
     """Product form of the lattice sum: Psi_7 = theta(chi,1) * theta0(q^7)."""
     start = time.perf_counter()
-    theta0 = theta_mM(0, 1, -(-order // 7))
-    rhs = series_mul(theta_chi1(order), series_truncate(op_dilate(theta0, 7), order))
+    theta0 = theta_mM(0, 1, order // 7)
+    rhs = series_mul(theta_chi1(order), op_dilate(theta0, 7, order))
     return compare("prop41", order, start, psi_7(order), rhs)
 
 

@@ -13,7 +13,7 @@ from math import isqrt
 
 from hcn7.arith import psi_7
 from hcn7.newform49 import g_series, newform_ap
-from hcn7.qseries import QSeries, op_u, series_add, series_scale, series_sub, series_truncate
+from hcn7.qseries import QSeries, op_u, series_add, series_scale, series_sub
 from hcn7.verify import VerificationReport, compare
 
 
@@ -234,6 +234,6 @@ def verify_lemma42_literal_u(order: int = 56) -> VerificationReport:
     the right side is -4)."""
     start = time.perf_counter()
     g = g_series(4 * order)
-    rhs = series_sub(series_truncate(g, order), op_u(g, 2))
+    rhs = series_sub(QSeries(g.coeffs[: order + 1]), op_u(g, 2))
     rhs = series_add(rhs, series_scale(op_u(g, 4), 4))
     return compare("lemma42.literal-u", order, start, psi_7(order), rhs)

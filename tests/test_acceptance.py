@@ -144,7 +144,7 @@ def test_c10_operator_algebra():
     for _ in range(100):
         f = _random_series(rng, 100)
         M = rng.randint(1, 10)
-        assert op_u(op_dilate(f, M), M) == f
+        assert op_u(op_dilate(f, M, f.order * M), M) == f
     for _ in range(100):
         f = _random_series(rng, 200)
         M = rng.randint(1, 12)

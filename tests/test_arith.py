@@ -16,7 +16,7 @@ from hcn7.arith import (
     theta_chi1,
     theta_mM,
 )
-from hcn7.qseries import QSeries, op_dilate, op_u, series_add, series_mul, series_truncate
+from hcn7.qseries import QSeries, op_dilate, op_u, series_add, series_mul
 from oracles import (
     d_pa_series_loop,
     d_series_loop,
@@ -204,10 +204,7 @@ def test_theta_product_identity():
     order = 500
     lhs = psi_7(order)
     theta0 = theta_mM(0, 1, order // 7 + 1)
-    rhs = series_mul(
-        theta_chi1(order),
-        series_truncate(op_dilate(theta0, 7), order),
-    )
+    rhs = series_mul(theta_chi1(order), op_dilate(theta0, 7, order))
     assert lhs == rhs
 
 

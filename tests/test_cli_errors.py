@@ -1,9 +1,9 @@
 """Error paths of the hcn7 command: a reader that leaves early, a
 negative series order, a negative verify bound, a main-suite bound
 that leaves a residue row without a prime, a `table --pmax` below 3,
-`hurwitz` given both a single N and --max, a `newform --nmax` below its
-least value, and a series name that is not exactly one of the accepted
-names."""
+`hurwitz` given both a single N and --max, a negative `hurwitz --max` or
+`sum --n`, a `sum --M` below 1, a `newform --nmax` below its least value,
+and a series name that is not exactly one of the accepted names."""
 
 import os
 import subprocess
@@ -92,6 +92,23 @@ def test_hurwitz_n_and_max_together_is_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: give a single N or --max N, exactly one of the two\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["hurwitz", "--max", "-1"], "--max must be non-negative"),
+        (["sum", "--m", "0", "--M", "7", "--n", "-1"], "--n must be non-negative"),
+        (["sum", "--m", "0", "--M", "0", "--n", "5"], "--M must be positive"),
+        (["sum", "--m", "1", "--M", "-3", "--n", "-1"], "--M must be positive"),
+    ],
+)
+def test_hurwitz_and_sum_errors_name_the_option(capsys, argv, message):
+    # before, these named the internal parameters n_max, n and M
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -302,14 +302,32 @@ def test_hmm_sum_respects_the_cap(monkeypatch):
     assert hcn7.hurwitz._cache == hurwitz_batch(0)
 
 
+def test_direct_sum_reads_a_covering_cache_in_place(monkeypatch):
+    # a cache that already reaches 4n is read without calling twelfths_upto
+    H = [hurwitz_single(N) for N in range(401)]
+    monkeypatch.setattr(hcn7.hurwitz, "_cache", hurwitz_batch(400))
+    monkeypatch.setattr(hcn7.hurwitz, "twelfths_upto", unreachable)
+    for M in (1, 2, 7):
+        for m in range(M):
+            for n in range(101):  # 4n <= 400, the cache's last index
+                r = isqrt(4 * n)
+                expected = sum(H[4 * n - a * a] for a in range(-r, r + 1) if (a - m) % M == 0)
+                assert hmm_twelfths(m, M, n) == 12 * expected, (m, M, n)
+                assert hmm_sum(m, M, n) == expected, (m, M, n)
+    for direct in (hmm_sum, hmm_twelfths):
+        with pytest.raises(AssertionError):  # 4n = 404 is past the cache
+            direct(0, 7, 101)
+
+
 def test_hmm_sum_is_its_kernel_over_12():
-    # hmm_sum repeats hmm_twelfths' body rather than call it
+    # hmm_sum calls hmm_twelfths and divides once: an int where 12 divides it
     for M in (1, 2, 5, 7, 11):
         for m in range(-2, M + 2):
             for n in range(0, 300, 7):
                 twelfths = hmm_twelfths(m, M, n)
                 assert type(twelfths) is int
                 assert hmm_sum(m, M, n) == Fraction(twelfths, 12), (m, M, n)
+                assert (type(hmm_sum(m, M, n)) is int) == (twelfths % 12 == 0)
     for args, message in (((0, 0, 5), "M must be positive"), ((0, 7, -1), "n must be non-negative")):
         for direct in (hmm_sum, hmm_twelfths):
             with pytest.raises(ValueError, match=message):

@@ -17,7 +17,6 @@ from hcn7.qseries import (
     series_mul,
     series_scale,
     series_sub,
-    series_truncate,
 )
 
 
@@ -101,17 +100,20 @@ def test_op_u():
 
 def test_op_dilate():
     f = QSeries([1, 2, 3])
-    assert op_dilate(f, 1) == f
-    d = op_dilate(f, 3)
+    assert op_dilate(f, 1, 2) == f
+    d = op_dilate(f, 3, 6)
     assert d.order == 6
     assert d == QSeries([1, 0, 0, 2, 0, 0, 3])
 
 
 def test_op_dilate_cap():
     f = QSeries([1] * 8)
-    d = op_dilate(f, 4)
-    assert d.order == 28  # f.order * 4, never clamped
-    assert d[0] == 1 and d[4] == 1 and d[8] == 1 and d[5] == 0
+    d = op_dilate(f, 4, 13)
+    assert d.order == 13  # stops at the order asked for
+    assert d[0] == 1 and d[4] == 1 and d[8] == 1 and d[12] == 1 and d[5] == 0
+    assert op_dilate(f, 4, 31).order == 31  # 31 // 4 = 7 = f.order
+    with pytest.raises(ValueError, match="cannot dilate"):
+        op_dilate(f, 4, 32)  # would need a(8), past f.order: never invented
 
 
 def test_op_sieve():
@@ -127,7 +129,7 @@ def test_u_inverts_dilate():
     for _ in range(100):
         f = rand_series(rng, max_order=100)
         M = rng.randint(1, 10)
-        assert op_u(op_dilate(f, M), M) == f
+        assert op_u(op_dilate(f, M, f.order * M), M) == f
 
 
 def test_sieve_partition():
@@ -233,9 +235,9 @@ def test_sieve_and_u_examples():
 def test_scale_truncate_operators():
     f = QSeries([1, 2, 3, 4])
     assert series_scale(f, Fraction(1, 2)) == QSeries([Fraction(1, 2), 1, Fraction(3, 2), 2])
-    assert series_truncate(f, 1) == QSeries([1, 2])
+    assert op_dilate(f, 1, 1) == QSeries([1, 2])  # q -> q^1 truncates
     with pytest.raises(ValueError):
-        series_truncate(f, 9)
+        op_dilate(f, 1, 9)
     assert series_sub(f, f) == QSeries.zero(3)
     assert series_scale(f, 2) == QSeries([2, 4, 6, 8])
 
