@@ -34,7 +34,7 @@ from .arith import d_pa_series, d_series, lambda_series, psi_7, theta_mM
 from .hurwitz import hmm_sum, hurwitz_batch, hurwitz_series, hurwitz_single
 from .newform49 import ap_pairs, cm_ap, g_series, newform_an, newform_ap
 from .qseries import MAX_H_INDEX, QSeries
-from .verify import SUITE_NAMES, main_table_rows, run_suite
+from .verify import LEAST_BOUND, SUITE_NAMES, main_table_rows, run_suite
 
 MAX_NEWFORM_N = 10**6
 
@@ -176,6 +176,9 @@ def _report_line(r) -> str:
 def cmd_verify(args) -> int:
     if args.bound is not None and args.bound < 0:
         raise ValueError("--bound must be non-negative")
+    for suite in SUITE_NAMES if args.suite == "all" else (args.suite,):
+        if args.bound is not None and args.bound < LEAST_BOUND.get(suite, 0):
+            raise ValueError(f"--bound must be at least {LEAST_BOUND[suite]} for --suite {suite}")
     reports = run_suite(args.suite, args.bound)
     all_ok = all(r.ok for r in reports)
     emit(

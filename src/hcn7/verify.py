@@ -76,19 +76,25 @@ def compare(
 
 
 # --------------------------------------------------------------------------
-# The 19 weight-2 identities: one for residue 0 and six per theta shift
-# m = 1, 2, 3.  Each non-zero-residue row reads
+# Theorem 3.5: 24 weight-2 identities, one row (m, a) for each theta shift
+# m = 0..3 and class a = 1..6, checked as 19 reports.  Row (m, a) reads
 #
 #   (H-series * theta_{m,7}) | U_4 | S_{7,a}  +  extra divisor terms
 #       = cD * D | S_{7,a}  +  cG * G | S_{7,a}
 #
 # with the extras a list of (coefficient, class) pairs for D_1^(7,class).
-# In the m = 3 block the G term of the class-4 row is sieved to class 4:
-# a series supported on class 4 cannot equal one supported on class 1,
-# and the check passes only with matching classes.
+# The six m = 0 rows are checked as their sum, a form on Gamma0(196).  G
+# vanishes on the inert classes 3, 5, 6, so those rows carry cG = 0.  In
+# row (3, 4) G is sieved to class 4, not 1: only matching classes agree.
 # --------------------------------------------------------------------------
 
 _THM35_ROWS: dict[tuple[int, int], tuple[list[tuple[Fraction, int]], Fraction, Fraction]] = {
+    (0, 1): ([], Fraction(1, 4), Fraction(1, 4)),
+    (0, 2): ([], Fraction(1, 4), Fraction(1, 4)),
+    (0, 3): ([(Fraction(2), 2)], Fraction(1, 3), Fraction(0)),
+    (0, 4): ([], Fraction(1, 4), Fraction(1, 4)),
+    (0, 5): ([(Fraction(2), 3)], Fraction(1, 3), Fraction(0)),
+    (0, 6): ([(Fraction(2), 1)], Fraction(1, 3), Fraction(0)),
     (1, 1): ([(Fraction(1), 3), (Fraction(1), 5)], Fraction(1, 3), Fraction(0)),
     (1, 2): ([(Fraction(1, 2), 3), (Fraction(1, 2), 4)], Fraction(7, 24), Fraction(1, 8)),
     (1, 3): ([], Fraction(1, 4), Fraction(0)),
@@ -114,11 +120,6 @@ THM35_BOUND = sturm_bound(2, 196, 7) + 1
 THM35_BOUND_M0 = sturm_bound(2, 196, 1) + 1
 
 
-def _drop_sevens(f: QSeries) -> QSeries:
-    """Zero the coefficients at multiples of 7: the twist by chi_minus7^2."""
-    return QSeries([c if n % 7 else 0 for n, c in enumerate(f.coeffs)])
-
-
 def _thm35_sides(m: int, a: int, b: int, hmm, d, g) -> tuple[QSeries, QSeries]:
     extras, c_d, c_g = _THM35_ROWS[(m, a)]
     lhs = op_sieve(hmm(m, 7, b), 7, a)
@@ -130,28 +131,19 @@ def _thm35_sides(m: int, a: int, b: int, hmm, d, g) -> tuple[QSeries, QSeries]:
     return lhs, rhs
 
 
-def _thm35_m0_sides(b: int, hmm, d, g) -> tuple[QSeries, QSeries]:
-    lhs = _drop_sevens(hmm(0, 7, b))
-    for cls, sieve in ((1, 6), (2, 3), (3, 5)):
-        lhs = series_add(lhs, series_scale(op_sieve(d_pa_series(1, 7, cls, b), 7, sieve), 2))
-    dd = d(b)
-    rhs = series_scale(_drop_sevens(dd), Fraction(1, 4))
-    # sigma(n) chi(n)(chi(n) - 1) / 24: nonzero only on residues where
-    # the mod-7 character is -1, where it contributes sigma(n) / 12
-    mid = QSeries([dd[n] * chi_minus7(n) * (chi_minus7(n) - 1) for n in range(b + 1)])
-    rhs = series_add(rhs, series_scale(mid, Fraction(1, 24)))
-    return lhs, series_add(rhs, series_scale(_drop_sevens(g(b)), Fraction(1, 4)))
-
-
 def verify_thm35(bound: int = THM35_BOUND, bound_m0: int = THM35_BOUND_M0) -> list[VerificationReport]:
-    """All 19 identities, m = 0 to bound_m0 and the 18 others to bound.
+    """All 24 rows as 19 reports: the sum of the six m = 0 rows to bound_m0,
+    and the 18 others to bound.
 
     They share one build of each H_{m,7}, D and G series per bound: the
     six rows of an m read the same hmm_series(m, 7, b).
     """
     series = cache(hmm_series), cache(d_series), cache(g_series)
     start = time.perf_counter()
-    reports = [compare("thm35.m0", bound_m0, start, *_thm35_m0_sides(bound_m0, *series))]
+    rows = [_thm35_sides(0, a, bound_m0, *series) for a in range(1, 7)]
+    # row (0, a) lives on class a, so the six rows' sum reads n off row n mod 7
+    sides = (QSeries(side[n % 7 - 1][n] if n % 7 else 0 for n in range(bound_m0 + 1)) for side in zip(*rows))
+    reports = [compare("thm35.m0", bound_m0, start, *sides)]
     for m in (1, 2, 3):
         for a in range(1, 7):
             start = time.perf_counter()
@@ -167,9 +159,8 @@ def verify_lemma42(order: int) -> VerificationReport:
     reading, with U_2 and U_4 in place of the dilations, fails at n = 1.
     order must cover the Sturm bound for Gamma0(196), as thm35.m0 does.
     """
-    sturm = THM35_BOUND_M0 - 1
-    if order < sturm:
-        raise ValueError(f"order must cover the Sturm bound {sturm}")
+    if order < LEAST_BOUND["lemma42"]:
+        raise ValueError(f"order must cover the Sturm bound {LEAST_BOUND['lemma42']}")
     start = time.perf_counter()
     g = g_series(order)
     rhs = series_sub(g, op_dilate(g, 2, order))
@@ -205,28 +196,29 @@ def verify_prop31(k: int, m: int, order: int) -> VerificationReport:
 
 # --------------------------------------------------------------------------
 # The closing table: H_{m,7}(p) for odd primes p != 7, by residue row
-# r = p mod 7 and column m = 0..3.  Each cell is (c_p p + c_1 + c_a a_p) / 24
-# with the integer weights (c_p, c_1, c_a) below and a_p the prime
-# coefficient of 49.2.a.a: a_p = 2 chi(x) x with p = x^2 + 7y^2 in the
-# split rows r = 1, 2, 4, and 0 in the inert rows.  In every row
-# c_0 + 2(c_1 + c_2 + c_3) = (48, 0, 0), the row law
-# H_0 + 2H_1 + 2H_2 + 2H_3 = 2p for every p and a_p.
+# r = p mod 7 and column m = 0..3, is Theorem 3.5 read at a prime.  There
+# D(p) = p + 1, G(p) = a_p, and phi_1^(7,cls)(p) is 1 when cls = +-1 (mod 7)
+# and 0 otherwise, since (1, p) is the one factor pair.  So row (m, r)
+# gives 24 H_{m,7}(p) = c_p p + c_1 + c_a a_p with the integer weights
+# _CELL_WEIGHTS, computed once at import.  In every row
+# c_0 + 2(c_1 + c_2 + c_3) = (48, 0, 0): the row law H_0 + 2H_1 + 2H_2 + 2H_3 = 2p.
 #
-# Both sides of a cell are kept as ints in 24ths: the direct side is
-# 2 * hmm_twelfths(m, 7, p), the formula side c_p p + c_1 + c_a a_p, and
-# the row law reads d_0 + 2(d_1 + d_2 + d_3) = 48p.  A Fraction is built
-# only where a value is shown: a reported first mismatch, or a rendered
-# cell.
+# Both sides of a cell are ints in 24ths, the direct one
+# 2 * hmm_twelfths(m, 7, p); the row law reads d_0 + 2(d_1 + d_2 + d_3) = 48p.
+# A Fraction is built only to show a value.
 # --------------------------------------------------------------------------
 
-_TABLE_WEIGHTS: dict[int, tuple[tuple[int, int, int], ...]] = {
-    1: ((6, 6, 6), (8, 8, 0), (7, -17, 3), (6, 6, -6)),
-    2: ((6, 6, 6), (7, 7, 3), (6, 6, -6), (8, -16, 0)),
-    3: ((8, 8, 0), (6, 6, 0), (6, 6, 0), (8, -16, 0)),
-    4: ((6, 6, 6), (6, 6, -6), (8, -16, 0), (7, 7, 3)),
-    5: ((8, 8, 0), (8, -16, 0), (6, 6, 0), (6, 6, 0)),
-    6: ((8, -40, 0), (6, 6, 0), (8, 8, 0), (6, 6, 0)),
-}
+
+def _cell_weights(m: int, r: int) -> tuple[int, int, int]:
+    """24 times the weights of p, 1 and a_p in row (m, r) at a prime p, in
+    ints: every row coefficient is a whole number of 24ths."""
+    extras, c_d, c_g = _THM35_ROWS[(m, r)]
+    c_p, c_a = 24 * c_d.numerator // c_d.denominator, 24 * c_g.numerator // c_g.denominator
+    c_1 = c_p - sum(24 * c.numerator // c.denominator for c, cls in extras if cls in (1, 6))
+    return c_p, c_1, c_a
+
+
+_CELL_WEIGHTS = {r: tuple(_cell_weights(m, r) for m in range(4)) for r in range(1, 7)}
 
 
 class TableRow(NamedTuple):
@@ -262,7 +254,7 @@ def _main_table_row(p: int) -> TableRow:
         ap = 2 * chi_minus7(x) * x
     cells = tuple(
         (m, 2 * hmm_twelfths(m, 7, p), c_p * p + c_1 + c_a * ap)
-        for m, (c_p, c_1, c_a) in enumerate(_TABLE_WEIGHTS[r])
+        for m, (c_p, c_1, c_a) in enumerate(_CELL_WEIGHTS[r])
     )
     return TableRow(p, r, x, y, cells)
 
@@ -289,7 +281,7 @@ def verify_main_table(p_max: int) -> list[VerificationReport]:
     on every report.  p_max >= 29 gives every row a prime: row 1 starts at
     29, rows 2 to 6 at 23, 3, 11, 5 and 13.
     """
-    if p_max < 29:
+    if p_max < LEAST_BOUND["main"]:
         raise ValueError("p_max must be at least 29, the first prime p = 1 (mod 7)")
     start = time.perf_counter()
     first_bad: dict[tuple[int, int], tuple[int, ExactRational, ExactRational]] = {}
@@ -319,6 +311,9 @@ def verify_main_table(p_max: int) -> list[VerificationReport]:
 # --------------------------------------------------------------------------
 
 SUITE_NAMES = ("thm35", "lemma42", "prop31", "prop41", "hk", "main")
+# The least bound of each suite that has one: lemma42 covers its Sturm
+# bound, hk starts at n = 1, and main gives every residue row a prime.
+LEAST_BOUND = {"lemma42": THM35_BOUND_M0 - 1, "hk": 1, "main": 29}
 
 
 def _cap(default: int, bound: int | None) -> int:

@@ -1,6 +1,8 @@
 """Per-coefficient oracles that the tests compare the package's sieves
 against, the element-wise loops that the slice-add builders of
-hcn7.arith replaced, and the literal-U negative control of Lemma 4.2.
+hcn7.arith replaced, the literal-U negative control of Lemma 4.2, and the
+hand-written statements of Theorem 3.5 at m = 0 and of the closing table
+that hcn7.verify derives from the theorem's rows.
 
 Each oracle computes one coefficient by its definition, with a plain
 divisor loop, or one table entry or one coefficient at a time, and shares
@@ -11,9 +13,10 @@ import time
 from fractions import Fraction
 from math import isqrt
 
-from hcn7.arith import psi_7
+from hcn7.arith import d_pa_series, d_series, psi_7
+from hcn7.hurwitz import hmm_series
 from hcn7.newform49 import g_series, newform_ap
-from hcn7.qseries import QSeries, op_u, series_add, series_scale, series_sub
+from hcn7.qseries import QSeries, chi_minus7, op_sieve, op_u, series_add, series_scale, series_sub
 from hcn7.verify import VerificationReport, compare
 
 
@@ -237,3 +240,35 @@ def verify_lemma42_literal_u(order: int = 56) -> VerificationReport:
     rhs = series_sub(QSeries(g.coeffs[: order + 1]), op_u(g, 2))
     rhs = series_add(rhs, series_scale(op_u(g, 4), 4))
     return compare("lemma42.literal-u", order, start, psi_7(order), rhs)
+
+
+# The closing table's weights (c_p, c_1, c_a) per residue row r = p mod 7,
+# one triple per column m = 0..3, as written by hand: the reference for
+# verify._CELL_WEIGHTS, which reads them off Theorem 3.5's rows.
+TABLE_WEIGHTS: dict[int, tuple[tuple[int, int, int], ...]] = {
+    1: ((6, 6, 6), (8, 8, 0), (7, -17, 3), (6, 6, -6)),
+    2: ((6, 6, 6), (7, 7, 3), (6, 6, -6), (8, -16, 0)),
+    3: ((8, 8, 0), (6, 6, 0), (6, 6, 0), (8, -16, 0)),
+    4: ((6, 6, 6), (6, 6, -6), (8, -16, 0), (7, 7, 3)),
+    5: ((8, 8, 0), (8, -16, 0), (6, 6, 0), (6, 6, 0)),
+    6: ((8, -40, 0), (6, 6, 0), (8, 8, 0), (6, 6, 0)),
+}
+
+
+def _drop_sevens(f: QSeries) -> QSeries:
+    """Zero the coefficients at multiples of 7: the twist by chi_minus7^2."""
+    return QSeries([c if n % 7 else 0 for n, c in enumerate(f.coeffs)])
+
+
+def thm35_m0_sides(b: int) -> tuple[QSeries, QSeries]:
+    """Both sides of Theorem 3.5 at m = 0 to order b, in the paper's form
+    with the sigma(n) chi(n)(chi(n) - 1) / 24 term: the reference for the
+    sum of the six rows (0, a) that verify.verify_thm35 checks."""
+    lhs = _drop_sevens(hmm_series(0, 7, b))
+    for cls, sieve in ((1, 6), (2, 3), (3, 5)):
+        lhs = series_add(lhs, series_scale(op_sieve(d_pa_series(1, 7, cls, b), 7, sieve), 2))
+    dd = d_series(b)
+    rhs = series_scale(_drop_sevens(dd), Fraction(1, 4))
+    mid = QSeries([dd[n] * chi_minus7(n) * (chi_minus7(n) - 1) for n in range(b + 1)])
+    rhs = series_add(rhs, series_scale(mid, Fraction(1, 24)))
+    return lhs, series_add(rhs, series_scale(_drop_sevens(g_series(b)), Fraction(1, 4)))

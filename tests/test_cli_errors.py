@@ -1,6 +1,6 @@
 """Error paths of the hcn7 command: a reader that leaves early, a
-negative series order, a negative verify bound, a main-suite bound
-that leaves a residue row without a prime, a `table --pmax` below 3,
+negative series order, a negative verify bound, a verify bound below the
+least its suite accepts, a `table --pmax` below 3,
 `hurwitz` given both a single N and --max, a negative `hurwitz --max` or
 `sum --n`, a `sum --M` below 1, a `newform --nmax` below its least value,
 and a series name that is not exactly one of the accepted names."""
@@ -67,14 +67,22 @@ def test_negative_verify_bound_is_usage_error(capsys, suite):
     assert captured.err == "error: --bound must be non-negative\n"
 
 
-def test_main_suite_bound_below_first_row_1_prime_is_usage_error(capsys):
-    # 29 is the first prime p = 1 (mod 7); below it row 1 would pass on no prime
-    assert main(["verify", "--suite", "main", "--bound", "28"]) == 2
+@pytest.mark.parametrize(
+    "suite, least, named",
+    [("lemma42", 56, "lemma42"), ("hk", 1, "hk"), ("main", 29, "main"), ("all", 56, "lemma42")],
+    ids=["lemma42", "hk", "main", "all"],
+)
+def test_verify_bound_below_the_suites_least_names_bound(capsys, suite, least, named):
+    # before, these named the internal parameters order, n_max and p_max.
+    # lemma42 covers its Sturm bound 56, hk starts at n = 1, and 29 is the
+    # first prime p = 1 (mod 7): below it row 1 of main would pass on no prime
+    assert main(["verify", "--suite", suite, "--bound", str(least - 1)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "29" in captured.err
-    assert main(["verify", "--suite", "main", "--bound", "29", "--format", "csv"]) == 0
-    assert capsys.readouterr().out.count(",1,29,,,") == 25  # 24 cells and the row sum
+    assert captured.err == f"error: --bound must be at least {least} for --suite {named}\n"
+    assert main(["verify", "--suite", suite, "--bound", str(least), "--format", "csv"]) == 0
+    if suite == "main":
+        assert capsys.readouterr().out.count(",1,29,,,") == 25  # 24 cells and the row sum
 
 
 @pytest.mark.parametrize("pmax", ["2", "-4"])

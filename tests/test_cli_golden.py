@@ -36,19 +36,19 @@ def mask(text: str) -> str:
 def _break_table(mp):
     # 24 more on c_1 of row 4, column 2: one more on H_{2,7}(p) at every
     # p = 4 (mod 7), of which 11 is the only one up to 30
-    row = list(hcn7.verify._TABLE_WEIGHTS[4])
+    row = list(hcn7.verify._CELL_WEIGHTS[4])
     c_p, c_1, c_a = row[2]
     row[2] = (c_p, c_1 + 24, c_a)
-    mp.setitem(hcn7.verify._TABLE_WEIGHTS, 4, tuple(row))
+    mp.setitem(hcn7.verify._CELL_WEIGHTS, 4, tuple(row))
 
 
 def _nudge_table(mp):
     # 1 more on c_1 of row 4, column 2: the formula side of H_{2,7}(p) is
     # off by 1/24 at every p = 4 (mod 7), so the mismatch at 11 is rational
-    row = list(hcn7.verify._TABLE_WEIGHTS[4])
+    row = list(hcn7.verify._CELL_WEIGHTS[4])
     c_p, c_1, c_a = row[2]
     row[2] = (c_p, c_1 + 1, c_a)
-    mp.setitem(hcn7.verify._TABLE_WEIGHTS, 4, tuple(row))
+    mp.setitem(hcn7.verify._CELL_WEIGHTS, 4, tuple(row))
 
 
 def _break_hk(mp):

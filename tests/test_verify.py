@@ -8,18 +8,17 @@ import pytest
 import hcn7.hurwitz
 import hcn7.newform49
 import hcn7.verify
-from hcn7.arith import d_series, hk_rhs_series
+from hcn7.arith import d_pa_series, d_series, hk_rhs_series
 from hcn7.hurwitz import hmm_series, hmm_sum, hurwitz_batch
 from hcn7.newform49 import g_series, newform_ap
 from hcn7.primes import primes_up_to
-from hcn7.qseries import QSeries
+from hcn7.qseries import QSeries, op_sieve
 from hcn7.verify import (
-    _TABLE_WEIGHTS,
+    _CELL_WEIGHTS,
     THM35_BOUND,
     THM35_BOUND_M0,
     TableRow,
     VerificationReport,
-    _thm35_m0_sides,
     _thm35_sides,
     compare,
     main_table_rows,
@@ -32,7 +31,7 @@ from hcn7.verify import (
     verify_prop41,
     verify_thm35,
 )
-from oracles import sigma, verify_lemma42_literal_u
+from oracles import TABLE_WEIGHTS, sigma, thm35_m0_sides, verify_lemma42_literal_u
 
 
 def test_sturm_bound_values():
@@ -99,9 +98,26 @@ def test_thm35_worked_coefficients():
     # class-4 row at n = 4: H(15) = 2 = sigma(4)/4 - a_4/4
     lhs, rhs = _thm35_sides(1, 4, 10, *series)
     assert lhs[4] == rhs[4] == 2
-    # residue-0 row at n = 6: the sigma/12 middle term is what closes the gap
-    lhs, rhs = _thm35_m0_sides(10, *series)
+    # row (0, 6) at n = 6: H_{0,7}(6) + 2 phi_1^(7,1)(6) = 2 + 2 = sigma(6)/3,
+    # the 1/4 + 1/12 of an inert class
+    lhs, rhs = _thm35_sides(0, 6, 10, *series)
+    assert hmm_series(0, 7, 10)[6] == 2
     assert lhs[6] == rhs[6] == 4
+
+
+@pytest.mark.parametrize("order", [57, 400])
+def test_thm35_m0_is_the_sum_of_its_six_rows(monkeypatch, order):
+    # the sides thm35.m0 compares are the paper's m = 0 identity, whose
+    # sigma chi(chi - 1)/24 term the inert rows carry as cD = 1/3
+    sides = {}
+
+    def recording(id, bound, start, lhs, rhs, first=0):
+        sides[id] = (lhs, rhs)
+        return compare(id, bound, start, lhs, rhs, first)
+
+    monkeypatch.setattr(hcn7.verify, "compare", recording)
+    assert all(rep.ok for rep in verify_thm35(60, order))
+    assert sides["thm35.m0"] == thm35_m0_sides(order)
 
 
 def test_thm35_all_hold_small():
@@ -266,10 +282,32 @@ def test_rowsum_identity():
         assert total == 2 * p, p
 
 
+def test_phi_at_a_prime_is_one_exactly_on_the_classes_plus_minus_1():
+    # the closed form the table weights are read off with: the one factor
+    # pair of p is (1, p)
+    primes = [p for p in primes_up_to(3000) if p not in (2, 7)]
+    for c in range(7):
+        phi = d_pa_series(1, 7, c, 3000)
+        assert all(phi[p] == (c in (1, 6)) for p in primes), c
+
+
+def test_g_vanishes_on_the_inert_classes():
+    # so the inert rows of Theorem 3.5 carry cG = 0, and a cell's c_a is 0
+    # where a_p is
+    g = g_series(2000)
+    for a in (3, 5, 6):
+        assert not any(op_sieve(g, 7, a).coeffs), a
+
+
+def test_cell_weights_equal_the_hand_written_table():
+    assert _CELL_WEIGHTS == TABLE_WEIGHTS
+    assert all(type(c) is int for row in _CELL_WEIGHTS.values() for cell in row for c in cell)
+
+
 def test_table_weights_obey_the_row_law():
     # H_0 + 2H_1 + 2H_2 + 2H_3 = 2p whatever p and a_p: (48, 0, 0) / 24
-    assert sorted(_TABLE_WEIGHTS) == [1, 2, 3, 4, 5, 6]
-    for r, row in _TABLE_WEIGHTS.items():
+    assert sorted(_CELL_WEIGHTS) == [1, 2, 3, 4, 5, 6]
+    for r, row in _CELL_WEIGHTS.items():
         assert len(row) == 4
         law = [row[0][i] + 2 * (row[1][i] + row[2][i] + row[3][i]) for i in range(3)]
         assert law == [48, 0, 0], r
@@ -285,7 +323,7 @@ def test_table_weights_hold_with_the_curve_ap(monkeypatch):
         if p in (2, 7):
             continue
         ap = newform_ap(p)
-        for m, (c_p, c_1, c_a) in enumerate(_TABLE_WEIGHTS[p % 7]):
+        for m, (c_p, c_1, c_a) in enumerate(_CELL_WEIGHTS[p % 7]):
             assert Fraction(c_p * p + c_1 + c_a * ap, 24) == hmm_sum(m, 7, p), (p, m)
 
 
