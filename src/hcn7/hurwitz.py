@@ -28,8 +28,8 @@ table lives in two classes, N = 4k and N = 4k + 3.  The sieve and the
 series product each hold a class as one int of unsigned 32-bit slots
 (struct's standard ">I", whatever the platform), the first slot most
 significant, so that one big-int add, with a right shift for the
-product, adds a whole row.  Each checks before it packs that no slot can
-reach 2^32.
+product, adds a whole row.  No slot may reach 2^32: the sieve checks that
+before it packs, and the product before its first shift-add.
 """
 
 from __future__ import annotations
@@ -213,15 +213,37 @@ def hmm_sum(m: int, M: int, n: int) -> ExactRational:
     return total // 12 if total % 12 == 0 else Fraction(total, 12)
 
 
+# The last (table, internal order) hmm_series packed, and what it packed.
+_packed: tuple = (None, -1, 0, ())
+
+
+def _packed_rows(table: tuple[int, ...], internal: int) -> tuple[int, tuple[int, ...]]:
+    """The largest 12H(N), N <= internal, and the rows hmm_series shifts:
+    slot j of rows[r] is 12H(4j + r), classes 1 and 2 of the table zero.
+
+    Calls with the same table object and internal order, as every modulus
+    at one order makes, share one packing; the key holds the table itself,
+    so a new table never matches an old one's id.
+    """
+    global _packed
+    if _packed[0] is not table or _packed[1] != internal:
+        twelfths = table[: internal + 1]
+        class0 = int.from_bytes(_slot_bytes((0,) + twelfths[4::4]), "big")
+        class3 = int.from_bytes(_slot_bytes(twelfths[3::4] + (0,)), "big")
+        _packed = table, internal, max(twelfths), (class0, 0, 0, class3)
+    return _packed[2], _packed[3]
+
+
 def hmm_series(m: int, M: int, order: int) -> QSeries:
     """H_{m,M} by the product route: (H-series * theta_{m,M}) | U_4.
 
     The product is taken in twelfths: coefficient k sums c * 12H(4k - i)
     over the terms c q^i of theta_{m,M}, and 4k - i is in the class
     r = -i (mod 4) of the table.  12H(4j), j >= 1, and 12H(4j + 3), for
-    j <= order, are packed as one int each, so each term adds its class's
-    int moved ceil(i / 4) slots on, which drops the slots past order: one
-    big-int shift and add per nonzero of theta.  H(0) = -1/12 is left out
+    j <= order, are packed as one int each, once per table and order
+    (_packed_rows), so each term adds its class's int moved ceil(i / 4)
+    slots on, which drops the slots past order: one big-int shift and add
+    per nonzero of theta.  H(0) = -1/12 is left out
     of the packing and subtracted where 4k = i.  No slot exceeds
     sum(theta) times the largest 12*H, which is checked against 2^32.
     Each coefficient is then divided by 12 on its own: an int where it is
@@ -233,14 +255,10 @@ def hmm_series(m: int, M: int, order: int) -> QSeries:
     internal = 4 * order
     if internal > MAX_H_INDEX:
         raise ValueError(f"internal order {internal} is over the cap MAX_H_INDEX = {MAX_H_INDEX}")
-    twelfths = twelfths_upto(internal)[: internal + 1]
+    largest, rows = _packed_rows(twelfths_upto(internal), internal)
     theta = theta_mM(m, M, internal).coeffs
-    if sum(theta) * max(twelfths) >= 1 << 32:
+    if sum(theta) * largest >= 1 << 32:
         raise OverflowError(f"a coefficient of 12*H_{{{m},{M}}} may not fit a 32-bit slot")
-    # slot j of rows[r] is 12H(4j + r); classes 1 and 2 of the table are zero
-    class0 = int.from_bytes(_slot_bytes((0,) + twelfths[4::4]), "big")
-    class3 = int.from_bytes(_slot_bytes(twelfths[3::4] + (0,)), "big")
-    rows = (class0, 0, 0, class3)
     total = 0
     for i, c in compress(enumerate(theta), theta):
         row = rows[-i % 4] >> 32 * -(-i // 4)  # slot j moves to j + ceil(i / 4)

@@ -25,6 +25,14 @@ Two fully independent routes to the prime coefficients a_p:
     (x, y) is the unique positive pair with p = x^2 + 7 y^2, found by
     Cornacchia's algorithm from a square root of -7 mod p.
 
+A range of primes is point counted at once, into the cache behind
+newform_ap: by ap_pairs, and by newform_an on the point-count route.  From
+_SPLIT_MIN_PRIMES primes on, when a second core is free and no other
+thread runs, one forked child counts every other prime of the range and
+sends its counts back through a pipe; both processes run ec_point_count,
+so the split changes no value and no output, only the wall time.  It is
+not an option: a command's output never depends on how it was counted.
+
 a_7 = 0 is fixed directly (additive reduction at the level prime); the
 value is confirmed numerically by the dilation identity relating the form
 to the x^2 + 7y^2 lattice sum.  Coefficients at composite indices follow
@@ -34,6 +42,9 @@ multiplicativity.
 
 from __future__ import annotations
 
+import marshal
+import os
+import sys
 from itertools import islice
 from math import isqrt
 from typing import Callable, Iterator
@@ -255,7 +266,78 @@ def _bsgs_count(p: int) -> int | None:
     return None
 
 
+# A range of fewer primes is counted in one process.  Forking the child,
+# its start and the pipe cost about 1.5-3 ms.  Measured on 2 cores (medians
+# of 15, three runs), the split broke even at 192 to 384 primes, as the
+# machine's speed drifted, and the first 512 odd primes took 0.68-0.86 of
+# their one-process time.  512 keeps the battery's G (168 primes) whole.
+_SPLIT_MIN_PRIMES = 512
+
+
+def _split_map(f: Callable[[int], int], primes: list[int]) -> list[int]:
+    """[f(p) for p in primes], in order, with the odd positions computed by
+    one forked child when the range has _SPLIT_MIN_PRIMES primes, a second
+    core is free and no other thread runs.
+
+    The child sends its values through a pipe as marshal bytes and leaves
+    only by os._exit, so it never flushes the stdout buffer it inherited
+    and never returns to the caller.  The parent computes the even
+    positions, reads the pipe to its end, then closes it and reaps the
+    child on every path; closing first frees a child blocked on a full
+    pipe.  The child exits 0 only once all its bytes are written; if it
+    does not, the parent computes that share itself, so an error in f
+    comes up in the parent as it would in one process.
+    """
+    threading = sys.modules.get("threading")
+    if (
+        len(primes) < _SPLIT_MIN_PRIMES
+        or not hasattr(os, "fork")
+        or not hasattr(os, "sched_getaffinity")
+        or len(os.sched_getaffinity(0)) < 2
+        or (threading is not None and threading.active_count() > 1)
+    ):
+        return [f(p) for p in primes]
+    theirs = primes[1::2]
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: count in this one
+        os.close(read_end)
+        os.close(write_end)
+        return [f(p) for p in primes]
+    if pid == 0:
+        try:
+            os.close(read_end)
+            data = memoryview(marshal.dumps([f(p) for p in theirs]))
+            while data:
+                data = data[os.write(write_end, data) :]
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write_end)
+    chunks = []
+    try:
+        mine = [f(p) for p in primes[::2]]
+        while chunk := os.read(read_end, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(read_end)
+        status = os.waitpid(pid, 0)[1]
+    values = marshal.loads(b"".join(chunks)) if status == 0 else [f(p) for p in theirs]
+    out = primes[:]
+    out[::2], out[1::2] = mine, values
+    return out
+
+
 _ap_cache: dict[int, int] = {7: 0}
+
+
+def _count_points(primes: list[int]) -> None:
+    """Put a_p into _ap_cache for every prime in primes, counting the points
+    for those not there yet (a_7 = 0 always is) as one range: _split_map."""
+    todo = [p for p in primes if p not in _ap_cache]
+    for p, count in zip(todo, _split_map(ec_point_count, todo)):
+        _ap_cache[p] = p + 1 - count
 
 
 def newform_ap(p: int) -> int:
@@ -273,6 +355,8 @@ def newform_an(n_max: int, ap: Callable[[int], int] = newform_ap) -> QSeries:
     closed form)."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    if ap is newform_ap:
+        _count_points(primes_up_to(n_max))
     spf = list(range(n_max + 1))  # smallest prime factor: the last p written
     for p in reversed(primes_up_to(isqrt(n_max))):
         spf[p * p :: p] = [p] * ((n_max - p * p) // p + 1)
@@ -381,4 +465,6 @@ def ap_pairs(p_max: int) -> Iterator[tuple[int, int, int]]:
     """(p, a_p by point count, a_p by CM) for each odd prime p <= p_max, p != 7."""
     if p_max < 3:
         raise ValueError("p_max must be at least 3")
-    return ((p, newform_ap(p), cm_ap(p)) for p in primes_up_to(p_max) if p not in (2, 7))
+    primes = [p for p in primes_up_to(p_max) if p not in (2, 7)]
+    _count_points(primes)
+    return ((p, newform_ap(p), cm_ap(p)) for p in primes)

@@ -51,6 +51,23 @@ def test_reader_gone_before_short_output_exits_141_quietly(tmp_path):
     assert (tmp_path / "stderr").read_bytes() == b""
 
 
+def test_reader_closing_early_on_split_point_counts_exits_141_quietly(tmp_path):
+    # like `hcn7 newform --nmax 100000 --method cross --format csv | head -1`:
+    # the point counts of 9,590 primes may fork a child; in its own session
+    # the command's process group is its pid, so killpg sees any child left
+    argv, env = _hcn7("newform", "--nmax", "100000", "--method", "cross", "--format", "csv")
+    with open(tmp_path / "stderr", "wb") as err:
+        proc = subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=err, env=env, start_new_session=True
+        )
+        assert proc.stdout.readline() == b"p,a_p_ec,a_p_cm,match\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 141
+    assert (tmp_path / "stderr").read_bytes() == b""
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
+
 @pytest.mark.parametrize("name", ["Psi7", "H"])
 def test_negative_series_order_is_usage_error(capsys, name):
     assert main(["series", name, "--order", "-5"]) == 2

@@ -167,6 +167,24 @@ def test_product_checks_the_slot_bound_before_it_packs(monkeypatch):
                 hmm_series(0, 1, 2)
 
 
+def test_product_packs_once_per_table_and_order(monkeypatch):
+    twelfths_upto(400)  # sieved first: the sieve packs too
+    packed = []
+    slot_bytes = hcn7.hurwitz._slot_bytes
+    monkeypatch.setattr(hcn7.hurwitz, "_slot_bytes", lambda v: packed.append(len(v)) or slot_bytes(v))
+    monkeypatch.setattr(hcn7.hurwitz, "_packed", (None, -1, 0, ()))
+    first = [hmm_series(m, 7, 100) for m in range(7)]
+    assert len(packed) == 2  # the two classes, once for all seven residues
+    hmm_series(0, 7, 60)
+    assert len(packed) == 4  # another order packs again
+    table = tuple(twelfths_upto(400))  # equal entries, another object
+    monkeypatch.setattr(hcn7.hurwitz, "twelfths_upto", lambda n_max: table)
+    assert [hmm_series(m, 7, 100) for m in range(7)] == first
+    assert len(packed) == 6
+    for m in range(7):
+        assert first[m] == QSeries([hmm_sum(m, 7, n) for n in range(101)])
+
+
 def test_series():
     s = hurwitz_series(4)
     assert s.coeffs == (Fraction(-1, 12), 0, 0, Fraction(1, 3), Fraction(1, 2))

@@ -1,6 +1,12 @@
-"""The level-49 newform: point counts, Hecke recursion, CM closed form."""
+"""The level-49 newform: point counts, Hecke recursion, CM closed form,
+and a prime range's point counts split across two processes."""
 
+import os
 import random
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +15,7 @@ import hcn7.newform49
 import hcn7.primes
 import hcn7.verify
 from hcn7.newform49 import (
+    _split_map,
     ap_pairs,
     cm_ap,
     ec_point_count,
@@ -20,6 +27,8 @@ from hcn7.newform49 import (
 from hcn7.primes import primes_up_to
 from hcn7.verify import main_table_rows
 from oracles import newform_an_oracle, represent_7_scan
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def brute_points(p):
@@ -167,3 +176,129 @@ def test_primes_come_only_from_the_sieve(monkeypatch):
     assert [p for p, ec, cm in ap_pairs(3000) if ec != cm] == []
     assert newform_an(3000) == newform_an(3000, cm_ap)
     assert all(r.ok for r in main_table_rows(3000))
+
+
+# -- one prime range split across two processes ------------------------------
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Let a range of 8 primes split, start from a cold a_p cache, and
+    record the pid of every child forked."""
+    monkeypatch.setattr(hcn7.newform49, "_SPLIT_MIN_PRIMES", 8)
+    monkeypatch.setattr(hcn7.newform49, "_ap_cache", {7: 0})
+    pids = []
+    fork = os.fork
+
+    def recorded_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    return pids
+
+
+def _cores(monkeypatch, n):
+    """The split sees n cores, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def test_one_process_and_two_give_equal_lists(forks, monkeypatch):
+    primes = [p for p in primes_up_to(3000) if p != 7]
+
+    def count_where(p):
+        return ec_point_count(p), os.getpid()
+
+    _cores(monkeypatch, 1)
+    one = _split_map(count_where, primes)
+    assert forks == []
+    _cores(monkeypatch, 2)
+    two = _split_map(count_where, primes)
+    _assert_no_child_left()
+    assert len(forks) == 1
+    assert [c for c, _ in two] == [c for c, _ in one] == list(map(ec_point_count, primes))
+    # the parent counted the even positions, its one child the odd ones
+    assert {pid for _, pid in one + two[::2]} == {os.getpid()}
+    assert {pid for _, pid in two[1::2]} == set(forks)
+    # ap_pairs fills its cache through the split: one more child
+    assert list(ap_pairs(3000)) == [(p, p + 1 - c, cm_ap(p)) for p, (c, _) in zip(primes, one)][1:]
+    assert len(forks) == 2
+    _assert_no_child_left()
+
+
+def test_no_fork_while_another_thread_runs(forks, monkeypatch):
+    # a fork in a threaded process may deadlock the child, and Python 3.12
+    # warns of it, which the test settings turn into an error
+    _cores(monkeypatch, 2)
+    primes = [p for p in primes_up_to(200) if p != 7]
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert _split_map(ec_point_count, primes) == list(map(ec_point_count, primes))
+    finally:
+        release.set()
+        thread.join(timeout=60)
+    assert forks == []
+    _split_map(ec_point_count, primes)
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def test_a_count_failing_in_the_child_fails_in_the_parent(forks, monkeypatch):
+    _cores(monkeypatch, 2)
+    primes = [p for p in primes_up_to(500) if p not in (2, 7)]
+    bad = primes[5]  # an odd position: the child's share
+    raised_in = []
+
+    def failing_count(p):
+        if p == bad:
+            raised_in.append(os.getpid())
+            raise ValueError(f"no count at {p}")
+        return ec_point_count(p)
+
+    monkeypatch.setattr(hcn7.newform49, "ec_point_count", failing_count)
+    with pytest.raises(ValueError, match=f"^no count at {bad}$"):
+        ap_pairs(500)
+    _assert_no_child_left()
+    assert len(forks) == 1
+    # the child's raise stayed in the child; the parent recounted its share
+    assert raised_in == [os.getpid()]
+    assert bad not in hcn7.newform49._ap_cache
+
+
+def test_a_parent_failing_before_it_reads_does_not_wait_on_a_full_pipe(tmp_path):
+    # the child's share marshals to about 1 MiB, far past a 64 KiB pipe
+    # buffer; the parent fails at its first prime, before it reads, and
+    # must still close the pipe and reap the child
+    script = tmp_path / "split.py"
+    script.write_text(
+        "import os, sys\n"
+        "import hcn7.newform49 as nf\n"
+        "nf._SPLIT_MIN_PRIMES = 2\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "def f(i):\n"
+        "    if i == 0:\n"
+        "        raise ValueError('the parent failed')\n"
+        "    return (1 << 8192) + i  # 1 KiB each, and no two alike\n"
+        "try:\n"
+        "    nf._split_map(f, list(range(2048)))\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    print('no child left')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"the parent failed\nno child left\n", b"")
