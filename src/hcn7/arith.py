@@ -11,6 +11,7 @@ Contents:
                              factorizations t^2 - s^2 = n
     prop31_rhs               the divisor-sum form of the corrected series
                              after extracting every 4th coefficient
+    theta_terms              the nonzero terms of theta_mM, as (exponent, count)
     theta_mM                 sum over integers n = m (mod M) of q^(n^2)
     theta_chi1               weight-3/2 theta: coefficient chi(x) x at x^2
     psi_7                    lattice sum over x^2 + 7 y^2 = n of chi(x) x, halved
@@ -198,15 +199,30 @@ def prop31_rhs(k: int, m: int, order: int) -> QSeries:
     return series_scale(total, 2 ** (l - 1))
 
 
-def theta_mM(m: int, M: int, order: int) -> QSeries:
-    """Count integers n = m (mod M), both signs, at exponent n^2."""
+def theta_terms(m: int, M: int, order: int) -> list[tuple[int, int]]:
+    """The nonzero terms of theta_{m,M} to order, as (a^2, count) pairs.
+
+    For a >= 0 the count is the number of n in {a, -a} with n = m (mod M):
+    a runs over the classes m and -m (mod M) once each, and over their one
+    class twice when they coincide, except that a = 0 is a single n.
+    """
     if M < 1:
         raise ValueError("M must be positive")
-    coeffs = [0] * (order + 1)
     r = isqrt(order)
-    first = -r + (m + r) % M  # least n >= -r in the residue class
-    for n in range(first, r + 1, M):
-        coeffs[n * n] += 1
+    lo, hi = sorted((m % M, -m % M))
+    if lo != hi:
+        return [(a * a, 1) for a in range(lo, r + 1, M)] + [(a * a, 1) for a in range(hi, r + 1, M)]
+    terms = [(a * a, 2) for a in range(lo, r + 1, M)]
+    if lo == 0 and terms:
+        terms[0] = (0, 1)
+    return terms
+
+
+def theta_mM(m: int, M: int, order: int) -> QSeries:
+    """Count integers n = m (mod M), both signs, at exponent n^2."""
+    coeffs = [0] * (order + 1)
+    for e, c in theta_terms(m, M, order):
+        coeffs[e] = c
     return QSeries(coeffs)
 
 

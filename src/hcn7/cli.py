@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import partial
 
 from .arith import d_pa_series, d_series, lambda_series, psi_7, theta_mM
-from .hurwitz import hmm_sum, hurwitz_batch, hurwitz_series, hurwitz_single
+from .hurwitz import div12, hmm_sum, hurwitz_batch, hurwitz_series, hurwitz_single
 from .newform49 import ap_pairs, cm_ap, g_series, newform_an, newform_ap
 from .qseries import MAX_H_INDEX, QSeries
 from .verify import LEAST_BOUND, SUITE_NAMES, main_table_rows, run_suite
@@ -80,7 +80,7 @@ def cmd_hurwitz(args) -> int:
         raise ValueError("give a single N or --max N, exactly one of the two")
     if args.max is not None:
         _check_h_index("--max", args.max, args.max)
-        pairs = [(n, str(Fraction(t, 12))) for n, t in enumerate(hurwitz_batch(args.max))]
+        pairs = [(n, str(div12(t))) for n, t in enumerate(hurwitz_batch(args.max))]
         emit(
             args.format,
             "hurwitz-table",

@@ -21,26 +21,33 @@ coefficients U_4 keeps are computed.
 The weights 1/2 and 1/3 and H(0) = -1/12 make every 12*H(N) an integer,
 so both H routes count in twelfths, and the table, the direct sums and
 the series product stay ints; the division by 12 happens once, at the
-end of each route, and gives an int wherever H_{m,M}(n) is integral.
+end of each route, and gives an int wherever the value is integral.
+The sieve's routes (hurwitz_series, hmm_sum, hmm_series and the rendered
+table of `hcn7 hurwitz --max`) divide by div12's rule: t // 12 where 12
+divides t, else the Fraction t/12, built once per t and kept in a table,
+since the same non-integral twelfths recur across residues, moduli and
+coefficients.  The table keeps at most _DIV12_CAP values and never
+evicts; past the cap a new value is built on each use.
 
 A reduced form of index N = 4ac - b^2 has N = 0 or 3 (mod 4), so the
 table lives in two classes, N = 4k and N = 4k + 3.  The sieve and the
 series product each hold a class as one int of unsigned 32-bit slots
 (struct's standard ">I", whatever the platform), the first slot most
 significant, so that one big-int add, with a right shift for the
-product, adds a whole row.  No slot may reach 2^32: the sieve checks that
-before it packs, and the product before its first shift-add.
+product, adds a whole row.  The product reads theta_{m,M} as its nonzero
+(exponent, count) pairs, arith.theta_terms, about 2 sqrt(4 order) / M of
+them, and shifts one row per pair.  No slot may reach 2^32: the sieve
+checks that before it packs, and the product before its first shift-add.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
 from math import isqrt
-from operator import add, sub
+from operator import add
 from struct import pack, unpack
 
-from .arith import theta_mM
+from .arith import theta_terms
 from .qseries import MAX_H_INDEX, ExactRational, QSeries
 
 
@@ -177,11 +184,36 @@ def twelfths_upto(n_max: int) -> tuple[int, ...]:
     return _cache
 
 
+# Fraction(t, 12) for the t that 12 does not divide, each built on its
+# first lookup; at most _DIV12_CAP are kept, and none is ever evicted.
+_DIV12_CAP = 4096
+
+
+class _Div12Table(dict):
+    def __missing__(self, t: int) -> Fraction:
+        value = Fraction(t, 12)
+        if len(self) < _DIV12_CAP:
+            self[t] = value
+        return value
+
+
+_div12_table = _Div12Table()
+
+
+def div12(t: int) -> ExactRational:
+    """t / 12 exactly: an int where 12 divides t, else a Fraction."""
+    return t // 12 if t % 12 == 0 else _div12_table[t]
+
+
 def hurwitz_series(order: int) -> QSeries:
-    """Generating series sum_n H(n) q^n."""
+    """Generating series sum_n H(n) q^n, an int wherever H(n) is integral.
+    The order is an H index, so MAX_H_INDEX caps it, checked before the
+    table is read."""
     if order < 0:
         raise ValueError("order must be non-negative")
-    return QSeries([Fraction(t, 12) for t in twelfths_upto(order)[: order + 1]])
+    if order > MAX_H_INDEX:
+        raise ValueError(f"order {order} is over the cap MAX_H_INDEX = {MAX_H_INDEX}")
+    return QSeries(map(div12, twelfths_upto(order)[: order + 1]))
 
 
 def hmm_twelfths(m: int, M: int, n: int) -> int:
@@ -210,7 +242,7 @@ def hmm_sum(m: int, M: int, n: int) -> ExactRational:
     """H_{m,M}(n) by the direct sum: hmm_twelfths divided by 12 once, an
     int when it is integral and a Fraction otherwise."""
     total = hmm_twelfths(m, M, n)
-    return total // 12 if total % 12 == 0 else Fraction(total, 12)
+    return total // 12 if total % 12 == 0 else _div12_table[total]
 
 
 # The last (table, internal order) hmm_series packed, and what it packed.
@@ -237,31 +269,36 @@ def _packed_rows(table: tuple[int, ...], internal: int) -> tuple[int, tuple[int,
 def hmm_series(m: int, M: int, order: int) -> QSeries:
     """H_{m,M} by the product route: (H-series * theta_{m,M}) | U_4.
 
-    The product is taken in twelfths: coefficient k sums c * 12H(4k - i)
-    over the terms c q^i of theta_{m,M}, and 4k - i is in the class
-    r = -i (mod 4) of the table.  12H(4j), j >= 1, and 12H(4j + 3), for
-    j <= order, are packed as one int each, once per table and order
-    (_packed_rows), so each term adds its class's int moved ceil(i / 4)
-    slots on, which drops the slots past order: one big-int shift and add
-    per nonzero of theta.  H(0) = -1/12 is left out
-    of the packing and subtracted where 4k = i.  No slot exceeds
-    sum(theta) times the largest 12*H, which is checked against 2^32.
-    Each coefficient is then divided by 12 on its own: an int where it is
-    integral, a Fraction otherwise.  The internal order 4*order is an H
-    index, so MAX_H_INDEX caps it, checked before the table is read.
+    The product is taken in twelfths: coefficient k sums c * 12H(4k - a^2)
+    over the nonzero terms (a^2, c) of theta_{m,M} (arith.theta_terms), and
+    4k - a^2 is in the class r = -a^2 (mod 4) of the table.  12H(4j),
+    j >= 1, and 12H(4j + 3), for j <= order, are packed as one int each,
+    once per table and order (_packed_rows), so each term adds its class's
+    int moved ceil(a^2 / 4) slots on, which drops the slots past order: one
+    big-int shift and add per term.  H(0) = -1/12 is left out of the
+    packing and c is subtracted at k = a^2 / 4 for each even a.  No slot
+    exceeds the sum of the counts times the largest 12*H, which is checked
+    against 2^32.  Each coefficient is then divided by 12 on its own, as
+    div12 does: an int where it is integral, a Fraction otherwise.  The
+    internal order 4*order is an H index, so MAX_H_INDEX caps it; it and
+    M >= 1 are checked before the table is read.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
     internal = 4 * order
     if internal > MAX_H_INDEX:
         raise ValueError(f"internal order {internal} is over the cap MAX_H_INDEX = {MAX_H_INDEX}")
+    terms = theta_terms(m, M, internal)
     largest, rows = _packed_rows(twelfths_upto(internal), internal)
-    theta = theta_mM(m, M, internal).coeffs
-    if sum(theta) * largest >= 1 << 32:
+    if sum(c for _, c in terms) * largest >= 1 << 32:
         raise OverflowError(f"a coefficient of 12*H_{{{m},{M}}} may not fit a 32-bit slot")
     total = 0
-    for i, c in compress(enumerate(theta), theta):
-        row = rows[-i % 4] >> 32 * -(-i // 4)  # slot j moves to j + ceil(i / 4)
+    for e, c in terms:
+        row = rows[-e % 4] >> 32 * -(-e // 4)  # slot j moves to j + ceil(e / 4)
         total += row if c == 1 else c * row
-    product = map(sub, _unpack(total, order + 1), theta[::4])
-    return QSeries([t // 12 if t % 12 == 0 else Fraction(t, 12) for t in product])
+    product = list(_unpack(total, order + 1))
+    for e, c in terms:
+        if e % 4 == 0:
+            product[e // 4] -= c
+    table = _div12_table
+    return QSeries([t // 12 if t % 12 == 0 else table[t] for t in product])

@@ -1,6 +1,7 @@
 """Per-coefficient oracles that the tests compare the package's sieves
 against, the element-wise loops that the slice-add builders of
-hcn7.arith replaced, the literal-U negative control of Lemma 4.2, and the
+hcn7.arith replaced, the whole product that the H_{m,M} product route
+skips most of, the literal-U negative control of Lemma 4.2, and the
 hand-written statements of Theorem 3.5 at m = 0 and of the closing table
 that hcn7.verify derives from the theorem's rows.
 
@@ -14,9 +15,9 @@ from fractions import Fraction
 from math import isqrt
 
 from hcn7.arith import d_pa_series, d_series, psi_7
-from hcn7.hurwitz import hmm_series
+from hcn7.hurwitz import hmm_series, twelfths_upto
 from hcn7.newform49 import g_series, newform_ap
-from hcn7.qseries import QSeries, chi_minus7, op_sieve, op_u, series_add, series_scale, series_sub
+from hcn7.qseries import QSeries, chi_minus7, op_sieve, op_u, series_add, series_mul, series_scale, series_sub
 from hcn7.verify import VerificationReport, compare
 
 
@@ -33,6 +34,22 @@ def sigma(n: int, l: int = 1) -> int:
             if e != d:
                 total += e**l
     return total
+
+
+def composed_hmm_series(m: int, M: int, order: int) -> QSeries:
+    """Reference for hurwitz.hmm_series: the whole product of the H table's
+    twelfths with a dense theta_{m,M} to order 4*order, counted here one
+    integer a at a time, then op_u keeps every 4th coefficient, then each
+    is divided by 12."""
+    internal = 4 * order
+    r = isqrt(internal)
+    theta = [0] * (internal + 1)
+    for a in range(-r, r + 1):
+        if (a - m) % M == 0:
+            theta[a * a] += 1
+    twelfths = QSeries(twelfths_upto(internal)[: internal + 1])
+    product = op_u(series_mul(twelfths, QSeries(theta)), 4)
+    return QSeries(Fraction(t, 12) for t in product.coeffs)
 
 
 def sieve_oracle(twelfths: list[int], lo: int) -> None:

@@ -9,6 +9,7 @@ import pytest
 import hcn7.hurwitz
 from hcn7.arith import theta_mM
 from hcn7.hurwitz import (
+    div12,
     hmm_series,
     hmm_sum,
     hmm_twelfths,
@@ -18,7 +19,7 @@ from hcn7.hurwitz import (
     twelfths_upto,
 )
 from hcn7.qseries import MAX_H_INDEX, QSeries, op_u, series_mul
-from oracles import hk_rhs_oracle, sieve_oracle
+from oracles import composed_hmm_series, hk_rhs_oracle, sieve_oracle
 
 # Frozen values, each recomputable by listing reduced forms by hand:
 # H(3) <- (1,1,1) at weight 1/3; H(4) <- (1,0,1) at 1/2; H(11) <- (1,1,3);
@@ -200,6 +201,37 @@ def test_series_rejects_negative_order_after_the_cache_grew():
         hurwitz_series(-5)
 
 
+def test_series_respects_the_cap(monkeypatch):
+    monkeypatch.setattr(hcn7.hurwitz, "MAX_H_INDEX", 5000)
+    monkeypatch.setattr(hcn7.hurwitz, "_cache", hurwitz_batch(0))
+    cache = hcn7.hurwitz._cache
+    with pytest.raises(ValueError, match="order 9000 is over the cap MAX_H_INDEX = 5000"):
+        hurwitz_series(9000)
+    assert hcn7.hurwitz._cache is cache
+    assert hurwitz_series(5000).order == 5000  # the cap itself is admitted
+
+
+def test_div12_is_exact_and_an_int_where_integral(monkeypatch):
+    monkeypatch.setattr(hcn7.hurwitz, "_div12_table", hcn7.hurwitz._Div12Table())
+    for _ in range(2):  # the second pass reads the table
+        for t in range(-50, 5001):  # 12 H(0) = -1 included
+            value = div12(t)
+            assert value == Fraction(t, 12), t
+            assert type(value) is (int if t % 12 == 0 else Fraction), t
+
+
+def test_div12_table_stops_at_its_cap_and_stays_exact(monkeypatch):
+    monkeypatch.setattr(hcn7.hurwitz, "_div12_table", hcn7.hurwitz._Div12Table())
+    cap = hcn7.hurwitz._DIV12_CAP
+    assert cap == 4096
+    values = range(1, 12 * (cap + 500), 12)  # distinct, none a multiple of 12
+    for _ in range(2):
+        for t in values:
+            value = div12(t)
+            assert type(value) is Fraction and value == Fraction(t, 12), t
+        assert len(hcn7.hurwitz._div12_table) == cap
+
+
 @pytest.mark.parametrize("grow_to", [0, 2000])
 def test_hmm_series_rejects_negative_order_whatever_the_cache_holds(monkeypatch, grow_to):
     monkeypatch.setattr(hcn7.hurwitz, "_cache", hurwitz_batch(0))
@@ -245,16 +277,6 @@ def test_hmm_series_matches_direct_sum():
         s = hmm_series(m, 7, 120)
         for n in range(121):
             assert s[n] == hmm_sum(m, 7, n), (m, n)
-
-
-def composed_hmm_series(m, M, order):
-    """Reference for hmm_series: the whole product of the twelfths with
-    theta_{m,M} to order 4*order, then op_u keeps every 4th coefficient,
-    then each is divided by 12."""
-    internal = 4 * order
-    twelfths = QSeries(twelfths_upto(internal)[: internal + 1])
-    product = op_u(series_mul(twelfths, theta_mM(m, M, internal)), 4)
-    return QSeries(Fraction(t, 12) for t in product.coeffs)
 
 
 def test_hmm_series_matches_composed_product():
@@ -308,6 +330,13 @@ def test_hmm_series_respects_order_cap(monkeypatch):
     # internal order 4 * order just over MAX_H_INDEX
     with pytest.raises(ValueError, match="MAX_H_INDEX"):
         hmm_series(0, 7, MAX_H_INDEX // 4 + 1)
+
+
+@pytest.mark.parametrize("M", [0, -3])
+def test_hmm_series_rejects_a_modulus_below_1_before_reading_the_table(monkeypatch, M):
+    monkeypatch.setattr(hcn7.hurwitz, "twelfths_upto", unreachable)
+    with pytest.raises(ValueError, match="M must be positive"):
+        hmm_series(2, M, 5)
 
 
 def test_hmm_sum_respects_the_cap(monkeypatch):

@@ -3,7 +3,8 @@
 Both H routes (reduced-form enumeration and the sieve) and both H_{m,M}
 routes (direct sum and series product) are compared on drawn arguments,
 with M != 7 so that the moduli differ from the ones the acceptance tests
-fix.  The cache behind hmm_sum and hurwitz_series is reset before each
+fix; the series product is also compared with the whole product it skips
+most of, over moduli up to 60, where theta_{m,M} may have no term or one.  The cache behind hmm_sum and hurwitz_series is reset before each
 draw, so that the draws make it grow (it sieves only the indices it
 lacks) and not only read a table some earlier test left behind.  The
 correction series built by its factor-pair sieve is compared with its
@@ -27,7 +28,7 @@ from hcn7.hurwitz import (
     hurwitz_single,
     twelfths_upto,
 )
-from oracles import hk_rhs_oracle, lambda_coeff
+from oracles import composed_hmm_series, hk_rhs_oracle, lambda_coeff
 
 PROPERTY = settings(deadline=None, max_examples=50, database=None)
 
@@ -95,6 +96,26 @@ def test_direct_sum_matches_product(M, m, n, ahead):
         direct = hmm_sum(m, M, n)  # grows the table to >= 4n
         series = hmm_series(m, M, order)  # to >= 4 * order, maybe by doubling
         assert series[n] == direct == hmm_sum(m, M, n)
+
+
+# m in [-2M, 2M]: theta_{m,M} to 4 * 200 has no term when the classes +-m
+# start past isqrt(800) = 28, and one term when only a = 0 or one a is in.
+residues = st.integers(1, 60).flatmap(lambda M: st.tuples(st.integers(-2 * M, 2 * M), st.just(M)))
+
+
+@PROPERTY
+@given(spec=residues, order=st.integers(0, 200))
+@example(spec=(30, 60), order=200)  # no term
+@example(spec=(0, 60), order=200)  # one term, a = 0
+@example(spec=(-59, 60), order=200)  # one term, a = 1
+@example(spec=(29, 58), order=200)  # the classes +-m coincide, count 2
+def test_product_walk_matches_composed_product_and_direct_sum(spec, order):
+    m, M = spec
+    with fresh_cache():
+        series = hmm_series(m, M, order)
+        assert series == composed_hmm_series(m, M, order)
+        direct = [hmm_sum(m, M, n) for n in range(order + 1)]
+    assert [(type(c), c) for c in series.coeffs] == [(type(d), d) for d in direct]
 
 
 @PROPERTY

@@ -4,8 +4,9 @@ Each of the 25 series names of `hcn7 series` stands for one builder call.
 
 QSeries stores what a builder hands it, so the integer series stay ints
 and a product of two int series is int work.  The divisor-sum side of
-Prop. 3.1 is integral and is built in ints.  Both H_{m,M} routes give an
-int exactly where the value is integral.  Scaling leaves a zero the int 0.
+Prop. 3.1 is integral and is built in ints.  The H-series, the
+correction series and both H_{m,M} routes give an int exactly where the
+value is integral.  Scaling leaves a zero the int 0.
 """
 
 import random
@@ -57,6 +58,12 @@ def test_every_named_series_is_exact(name):
 @pytest.mark.parametrize("name", INTEGER_NAMES)
 def test_integer_series_stay_ints(name):
     assert all(type(c) is int for c in named_series(name, 60).coeffs)
+
+
+@pytest.mark.parametrize("name", [n for n in NAMES if n not in INTEGER_NAMES])
+def test_rational_series_give_ints_exactly_where_integral(name):
+    for value in named_series(name, 60).coeffs:
+        assert type(value) is (int if Fraction(value).denominator == 1 else Fraction), value
 
 
 def test_product_of_int_series_is_int():
