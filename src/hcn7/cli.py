@@ -32,7 +32,7 @@ from functools import partial
 
 from .arith import d_pa_series, d_series, lambda_series, psi_7, theta_mM
 from .hurwitz import div12, hmm_sum, hurwitz_batch, hurwitz_series, hurwitz_single
-from .newform49 import ap_pairs, cm_ap, g_series, newform_an, newform_ap
+from .newform49 import ap_pairs, cm_aps, ec_aps, g_series, newform_an
 from .qseries import MAX_H_INDEX, QSeries
 from .verify import LEAST_BOUND, SUITE_NAMES, main_table_rows, run_suite
 
@@ -216,7 +216,7 @@ def cmd_newform(args) -> int:
     if args.nmax > MAX_NEWFORM_N:
         raise ValueError(f"--nmax {args.nmax} is over the cap MAX_NEWFORM_N = {MAX_NEWFORM_N}")
     if args.method != "cross":
-        values = newform_an(args.nmax, cm_ap if args.method == "cm" else newform_ap).coeffs[1:]
+        values = newform_an(args.nmax, cm_aps if args.method == "cm" else ec_aps).coeffs[1:]
         emit(
             args.format,
             "newform",

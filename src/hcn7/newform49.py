@@ -22,12 +22,13 @@ Two fully independent routes to the prime coefficients a_p:
 
   * the CM closed form: a_p = 0 for p = 3, 5, 6 (mod 7), and otherwise
     a_p = 2 chi(x) x where chi is the quadratic character mod 7 and
-    (x, y) is the unique positive pair with p = x^2 + 7 y^2, found by
-    Cornacchia's algorithm from a square root of -7 mod p.
+    (x, y) is the unique positive pair with p = x^2 + 7 y^2.  One sweep
+    of x^2 + 7 y^2 up to the largest prime asked for finds the pairs of
+    the whole range, with no square root taken mod p.
 
-A range of primes is point counted at once, into the cache behind
-newform_ap: by ap_pairs, and by newform_an on the point-count route.  From
-_SPLIT_MIN_PRIMES primes on, when a second core is free and no other
+Both routes take a list of primes and give their a_p in the same order.
+The point-count route counts the primes not yet in its cache as one range.
+From _SPLIT_MIN_PRIMES primes on, when a second core is free and no other
 thread runs, one forked child counts every other prime of the range and
 sends its counts back through a pipe; both processes run ec_point_count,
 so the split changes no value and no output, only the wall time.  It is
@@ -332,36 +333,32 @@ def _split_map(f: Callable[[int], int], primes: list[int]) -> list[int]:
 _ap_cache: dict[int, int] = {7: 0}
 
 
-def _count_points(primes: list[int]) -> None:
-    """Put a_p into _ap_cache for every prime in primes, counting the points
-    for those not there yet (a_7 = 0 always is) as one range: _split_map."""
+def ec_aps(primes: list[int]) -> list[int]:
+    """a_p = p + 1 - #E(F_p) for each prime of primes, in order, a_7 = 0;
+    the primes not in _ap_cache yet are point counted as one range,
+    _split_map, into it."""
     todo = [p for p in primes if p not in _ap_cache]
     for p, count in zip(todo, _split_map(ec_point_count, todo)):
         _ap_cache[p] = p + 1 - count
+    return [_ap_cache[p] for p in primes]
 
 
-def newform_ap(p: int) -> int:
-    """a_p = p + 1 - #E(F_p) for good p; a_7 = 0."""
-    ap = _ap_cache.get(p)
-    if ap is None:
-        ap = _ap_cache[p] = p + 1 - ec_point_count(p)
-    return ap
-
-
-def newform_an(n_max: int, ap: Callable[[int], int] = newform_ap) -> QSeries:
-    """The q-expansion a_0 = 0, a_1, ..., a_n_max, with a_n for n >= 2 from
-    the Hecke recursion and multiplicativity and each prime coefficient a_p
-    (p != 7) from the route ap: newform_ap (point counts) or cm_ap (CM
-    closed form)."""
+def newform_an(n_max: int, aps: Callable[[list[int]], list[int]] = ec_aps) -> QSeries:
+    """The q-expansion a_0 = 0, a_1, ..., a_n_max, with each prime
+    coefficient a_p (p != 7) from the route aps, run once on the primes up to
+    n_max: ec_aps (point counts) or cm_aps (CM closed form), and a_n for
+    the other n >= 2 from the Hecke recursion and multiplicativity."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    if ap is newform_ap:
-        _count_points(primes_up_to(n_max))
+    primes = primes_up_to(n_max)
+    values = aps(primes)  # before the two big lists below: a lower peak
     spf = list(range(n_max + 1))  # smallest prime factor: the last p written
     for p in reversed(primes_up_to(isqrt(n_max))):
         spf[p * p :: p] = [p] * ((n_max - p * p) // p + 1)
     a = [0] * (n_max + 1)
     a[1] = 1
+    for p, ap in zip(primes, values):
+        a[p] = ap
     for n in range(2, n_max + 1):
         p = spf[n]
         m = n
@@ -373,92 +370,58 @@ def newform_an(n_max: int, ap: Callable[[int], int] = newform_ap) -> QSeries:
             a[n] = a[pe] * a[m]
         elif p == 7:
             a[n] = 0
-        elif pe == p:
-            a[n] = ap(p)
-        else:
+        elif pe > p:
             a[n] = a[p] * a[pe // p] - p * a[pe // (p * p)]
     return QSeries(a)
 
 
-def _sqrt_mod(a: int, n: int) -> int:
-    """A square root of a mod n by Tonelli-Shanks, for an odd prime n from
-    the caller; ValueError if a is not a square mod n.
+def represent_7(primes: list[int]) -> dict[int, tuple[int, int]]:
+    """{p: (x, y)} with x, y > 0 and p = x^2 + 7 y^2, for each p of primes
+    that has such a pair.
 
-    Every loop is bounded, so any other n ends too: in ValueError, or in a
-    value whose square the caller must check.
+    One sweep over every y >= 1 and x >= 1 with x^2 + 7 y^2 <= max(primes),
+    about 0.3 max(primes) pairs, keeps the values that are in primes.  A
+    prime has at most one pair, and has one exactly when it is odd and
+    p = 1, 2, 4 (mod 7); so 2, 7 and the inert primes get no entry.  Any
+    other n given gets one of its pairs, or none.
     """
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"no square root mod {n}: not an odd prime")
-    q, e = n - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        e += 1
-    root, t = pow(a, (q + 1) // 2, n), pow(a, q, n)
-    if t in (0, 1):
-        return root
-    half = (n - 1) // 2
-    z = next((z for z in range(2, n) if pow(z, half, n) == n - 1), None)
-    if z is None:
-        raise ValueError(f"no square root mod {n}: no non-residue")
-    c = pow(z, q, n)
-    while t != 1:
-        i, t2 = 0, t  # the least i with t^(2^i) = 1, below e
-        while t2 != 1:
-            i += 1
-            if i >= e:
-                raise ValueError(f"{a} is not a square mod {n}")
-            t2 = t2 * t2 % n
-        b = pow(c, 1 << (e - i - 1), n)
-        root, c = root * b % n, b * b % n
-        t, e = t * c % n, i
-    return root
+    wanted = set(primes)
+    top = max(primes, default=0)
+    found = {}
+    for y in range(1, isqrt(top // 7) + 1):
+        seven_y2 = 7 * y * y
+        for x in range(1, isqrt(top - seven_y2) + 1):
+            n = x * x + seven_y2
+            if n in wanted:
+                found[n] = x, y
+    return found
 
 
-def represent_7(p: int) -> tuple[int, int]:
-    """The unique (x, y) with x, y > 0 and p = x^2 + 7 y^2, for a prime p
-    from the caller's sieve; nothing re-checks it.
-
-    Exists exactly for odd primes p = 1, 2, 4 (mod 7).  Cornacchia's
-    algorithm (Cohen, GTM 138, 1.5.2): Euclid on (p, r), r a square root
-    of -7 mod p, until the remainder x drops below sqrt(p); then
-    p - x^2 = 7 y^2.  Either root does: the remainders from (p, r) and
-    from (p, p - r) differ only in one leading term above p / 2 > sqrt(p).
-    Raises ValueError unless x^2 + 7 y^2 = p with x, y > 0: for 2, 7, the
-    inert primes and any n it cannot represent.
-    """
-    a, x = p, _sqrt_mod(-7, p)
-    bound = isqrt(p)
-    while x > bound:
-        a, x = x, a % x
-    y2, rest = divmod(p - x * x, 7)
-    y = isqrt(y2)
-    if rest or x == 0 or y == 0 or y * y != y2:
-        raise ValueError(f"no representation of {p} = x^2 + 7y^2 with x, y > 0")
-    return x, y
-
-
-def cm_ap(p: int) -> int:
-    """a_p from the CM closed form, for a prime p from the caller's sieve;
-    nothing re-checks it.  No odd p is point counted.  p = 2 is the one
-    exception: x^2 + 7y^2 never represents 2, so it defers to the curve count.
-    """
-    if p == 2:
-        return newform_ap(2)
-    if p == 7:
-        return 0
-    if p % 7 in (3, 5, 6):
-        return 0
-    x, _ = represent_7(p)
+def cm_ap_at(x: int) -> int:
+    """a_p = 2 chi(x) x, the CM closed form, for the split prime
+    p = x^2 + 7 y^2 with x, y > 0."""
     return 2 * chi_minus7(x) * x
+
+
+def cm_aps(primes: list[int]) -> list[int]:
+    """a_p from the CM closed form for each prime of primes, in order: 0 for
+    7 and the inert primes, which represent_7 leaves out.  No odd prime is
+    point counted.  p = 2 is the one exception: x^2 + 7y^2 never represents
+    2, so a_2 comes from the curve count."""
+    found = represent_7(primes)
+    return [
+        ec_aps([2])[0] if p == 2 else cm_ap_at(found[p][0]) if p in found else 0
+        for p in primes
+    ]
 
 
 def g_series(order: int) -> QSeries:
     """q-expansion of the newform, coefficient 0 at n = 0."""
     if order < 1:
         return QSeries.zero(order)
-    # point counts, never cm_ap: the lemma42 check compares G against the
+    # point counts, never cm_aps: the lemma42 check compares G against the
     # x^2 + 7y^2 lattice sum, so G must not be built from that lattice
-    return newform_an(order, newform_ap)
+    return newform_an(order, ec_aps)
 
 
 def ap_pairs(p_max: int) -> Iterator[tuple[int, int, int]]:
@@ -466,5 +429,4 @@ def ap_pairs(p_max: int) -> Iterator[tuple[int, int, int]]:
     if p_max < 3:
         raise ValueError("p_max must be at least 3")
     primes = [p for p in primes_up_to(p_max) if p not in (2, 7)]
-    _count_points(primes)
-    return ((p, newform_ap(p), cm_ap(p)) for p in primes)
+    return zip(primes, ec_aps(primes), cm_aps(primes))

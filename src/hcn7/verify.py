@@ -23,12 +23,11 @@ from typing import Iterator, NamedTuple
 
 from .arith import d_pa_series, d_series, hk_rhs_series, lambda_series, prop31_rhs, psi_7, theta_chi1, theta_mM
 from .hurwitz import hmm_series, hmm_twelfths, twelfths_upto
-from .newform49 import g_series, represent_7
+from .newform49 import cm_ap_at, g_series, represent_7
 from .primes import euler_phi, prime_factors, primes_up_to
 from .qseries import (
     ExactRational,
     QSeries,
-    chi_minus7,
     op_dilate,
     op_sieve,
     op_u,
@@ -239,19 +238,16 @@ class TableRow(NamedTuple):
         return all(direct == formula for _, direct, formula in self.cells)
 
 
-def _main_table_row(p: int) -> TableRow:
+def _main_table_row(p: int, xy: tuple[int, int] | None) -> TableRow:
     """Direct sums against the table formulas for one odd prime p != 7,
-    with one representation p = x^2 + 7y^2 for all four cells.
+    with its representation p = x^2 + 7y^2 for all four cells.
 
-    Only the split rows r = 1, 2, 4 have (x, y), found by represent_7, and
-    a_p = 2 chi(x) x; a_p is 0 in the inert rows.
+    Only the split rows r = 1, 2, 4 have (x, y), and there a_p = cm_ap_at(x);
+    a_p is 0 in the inert rows.
     """
     r = p % 7
-    x = y = None
-    ap = 0
-    if r in (1, 2, 4):
-        x, y = represent_7(p)
-        ap = 2 * chi_minus7(x) * x
+    x, y = xy or (None, None)
+    ap = 0 if x is None else cm_ap_at(x)
     cells = tuple(
         (m, 2 * hmm_twelfths(m, 7, p), c_p * p + c_1 + c_a * ap)
         for m, (c_p, c_1, c_a) in enumerate(_CELL_WEIGHTS[r])
@@ -263,12 +259,14 @@ def main_table_rows(p_max: int) -> Iterator[TableRow]:
     """The closing-table row of every odd prime p <= p_max, p != 7, in order.
 
     The rows are built only here, from the sieve, so no row is ever built
-    for a composite.
+    for a composite; one sweep, represent_7, finds every row's (x, y).
     """
     if p_max < 3:
         raise ValueError("p_max must be at least 3")
     twelfths_upto(4 * p_max)  # one sieve for every direct sum below
-    return (_main_table_row(p) for p in primes_up_to(p_max) if p not in (2, 7))
+    primes = [p for p in primes_up_to(p_max) if p not in (2, 7)]
+    found = represent_7(primes)
+    return (_main_table_row(p, found.get(p)) for p in primes)
 
 
 def verify_main_table(p_max: int) -> list[VerificationReport]:

@@ -16,7 +16,7 @@ from math import isqrt
 
 from hcn7.arith import d_pa_series, d_series, psi_7
 from hcn7.hurwitz import hmm_series, twelfths_upto
-from hcn7.newform49 import g_series, newform_ap
+from hcn7.newform49 import ec_point_count, g_series
 from hcn7.qseries import QSeries, chi_minus7, op_sieve, op_u, series_add, series_mul, series_scale, series_sub
 from hcn7.verify import VerificationReport, compare
 
@@ -181,9 +181,11 @@ def newform_an_oracle(n: int) -> int:
     """a_n of the level-49 newform for one n >= 1: the reference for
     newform49.newform_an.
 
-    n is factored by trial division; each a(p^k) comes from newform_ap by
-    the Hecke recursion a(p^(k+1)) = a_p a(p^k) - p a(p^(k-1)), a(7^k) = 0
-    for k >= 1, and the prime powers multiply.
+    n is factored by trial division; each a(p^k) comes from
+    a_p = p + 1 - ec_point_count(p), counted here rather than read from the
+    cache that newform_an fills, by the Hecke recursion
+    a(p^(k+1)) = a_p a(p^k) - p a(p^(k-1)), a(7^k) = 0 for k >= 1, and the
+    prime powers multiply.
     """
     an = 1
     p = 2
@@ -197,7 +199,7 @@ def newform_an_oracle(n: int) -> int:
         if k:
             if p == 7:
                 return 0
-            ap = newform_ap(p)
+            ap = p + 1 - ec_point_count(p)
             prev, cur = 1, ap  # a(p^0), a(p^1)
             for _ in range(k - 1):
                 prev, cur = cur, ap * cur - p * prev

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from hcn7.arith import lambda_series, prop31_rhs
 from hcn7.hurwitz import hmm_series, hmm_sum
-from hcn7.newform49 import cm_ap, ec_point_count, newform_an
+from hcn7.newform49 import cm_aps, ec_point_count, newform_an
 from hcn7.primes import primes_up_to
 from hcn7.qseries import QSeries, op_dilate, op_sieve, op_u, series_add
 from hcn7.verify import (
@@ -88,10 +88,8 @@ def test_c06_prop41_product_to_1000():
 
 def test_c07_newform_cross_check():
     start = time.perf_counter()
-    for p in primes_up_to(10**4):
-        if p in (2, 7):
-            continue
-        ap = cm_ap(p)
+    primes = [p for p in primes_up_to(10**4) if p not in (2, 7)]
+    for p, ap in zip(primes, cm_aps(primes)):
         assert ap == p + 1 - ec_point_count(p), p
         assert (ap == 0) == (p % 7 in (3, 5, 6)), p
     an = newform_an(9)

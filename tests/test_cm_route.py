@@ -24,7 +24,7 @@ def test_cm_route_counts_no_odd_prime(monkeypatch, capsys):
     monkeypatch.setattr(nf, "ec_point_count", counting)
     # a cold a_p cache, so that values counted earlier hide nothing
     monkeypatch.setattr(nf, "_ap_cache", {7: 0})
-    cm = nf.newform_an(500, nf.cm_ap)
+    cm = nf.newform_an(500, nf.cm_aps)
     assert main(["newform", "--nmax", "500", "--method", "cm"]) == 0
     assert [p for p in counted if p != 2] == []
     assert capsys.readouterr().out.strip() == ",".join(map(str, cm.coeffs[1:]))

@@ -17,11 +17,11 @@ import hcn7.verify
 from hcn7.newform49 import (
     _split_map,
     ap_pairs,
-    cm_ap,
+    cm_aps,
+    ec_aps,
     ec_point_count,
     g_series,
     newform_an,
-    newform_ap,
     represent_7,
 )
 from hcn7.primes import primes_up_to
@@ -61,10 +61,9 @@ def test_point_count_validation():
 
 
 def test_ap_values():
-    assert newform_ap(2) == 1
-    assert newform_ap(3) == 0
-    assert newform_ap(7) == 0
-    assert newform_ap(11) == 4
+    assert ec_aps([2, 3, 7, 11]) == [1, 0, 0, 4]
+    assert ec_aps([11, 2]) == [4, 1]
+    assert ec_aps([]) == []
 
 
 def test_an_expansion():
@@ -95,59 +94,53 @@ def test_an_multiplicative():
 
 
 def test_hasse_bound():
-    for p in primes_up_to(3000):
-        if p == 7:
-            continue
-        ap = newform_ap(p)
+    primes = [p for p in primes_up_to(3000) if p != 7]
+    for p, ap in zip(primes, ec_aps(primes)):
         assert ap * ap <= 4 * p, p
 
 
 def test_inert_primes_vanish():
-    for p in primes_up_to(3000):
-        if p in (2, 7):
-            continue
-        if p % 7 in (3, 5, 6):
-            assert newform_ap(p) == 0, p
-        else:
-            assert newform_ap(p) != 0, p
+    primes = [p for p in primes_up_to(3000) if p not in (2, 7)]
+    for p, ap in zip(primes, ec_aps(primes)):
+        assert (ap == 0) == (p % 7 in (3, 5, 6)), p
 
 
 def test_representations():
-    assert represent_7(11) == (2, 1)
-    assert represent_7(23) == (4, 1)
-    assert represent_7(29) == (1, 2)
+    assert represent_7([11, 23, 29]) == {11: (2, 1), 23: (4, 1), 29: (1, 2)}
 
 
 def test_representation_uniqueness_full_scan():
+    # one sweep over the range finds the scan's one pair for every split
+    # prime, and nothing for any other prime
     split = [p for p in primes_up_to(10**5) if p % 7 in (1, 2, 4) and p != 2]
-    assert [p for p in split if represent_7(p) != represent_7_scan(p)] == []
+    assert represent_7(primes_up_to(10**5)) == {p: represent_7_scan(p) for p in split}
 
 
 def test_representation_errors():
-    with pytest.raises(ValueError):
-        represent_7(2)
-    with pytest.raises(ValueError):
-        represent_7(3)  # inert, no representation
-    with pytest.raises(ValueError):
-        represent_7(7)
-    with pytest.raises(ValueError):
-        represent_7(15)
-    # any n ends, in ValueError or in a true representation: 91 = 7 * 13 has
-    # none, 841 = 29^2 = 27^2 + 7 * 4^2
-    for n in [91, 841, *range(-3, 400)]:
-        try:
-            x, y = represent_7(n)
-        except ValueError:
-            continue
-        assert x > 0 and y > 0 and x * x + 7 * y * y == n, n
+    # 2, 7 and the inert primes have no pair, so no key
+    primes = primes_up_to(10**4)
+    found = represent_7(primes)
+    assert [p for p in found if p in (2, 7) or p % 7 in (3, 5, 6)] == []
+    # any other n gets a true pair or none: 91 = 7 * 13 has none,
+    # 841 = 29^2 = 27^2 + 7 * 4^2
+    found = represent_7([91, 841, *range(-3, 400)])
+    assert 91 not in found and 841 in found
+    assert all(x > 0 and y > 0 and x * x + 7 * y * y == n for n, (x, y) in found.items())
+
+
+def test_representation_of_any_list():
+    primes = primes_up_to(5000)
+    whole = represent_7(primes)
+    assert represent_7([]) == {}
+    assert represent_7(primes[::-1]) == whole
+    # a list with gaps: every other prime, so the largest wanted value is not
+    # the last of the range either
+    gaps = primes[1:-1:2]
+    assert represent_7(gaps) == {p: whole[p] for p in gaps if p in whole}
 
 
 def test_cm_ap():
-    assert cm_ap(11) == 4
-    assert cm_ap(29) == 2
-    assert cm_ap(3) == 0
-    assert cm_ap(2) == 1
-    assert cm_ap(7) == 0
+    assert cm_aps([2, 3, 7, 11, 29]) == [1, 0, 0, 4, 2]
 
 
 def test_cm_matches_point_counts():
@@ -174,7 +167,7 @@ def test_primes_come_only_from_the_sieve(monkeypatch):
                 monkeypatch.setattr(module, name, forbidden)
     monkeypatch.setattr(hcn7.newform49, "_ap_cache", {7: 0})
     assert [p for p, ec, cm in ap_pairs(3000) if ec != cm] == []
-    assert newform_an(3000) == newform_an(3000, cm_ap)
+    assert newform_an(3000) == newform_an(3000, cm_aps)
     assert all(r.ok for r in main_table_rows(3000))
 
 
@@ -228,7 +221,8 @@ def test_one_process_and_two_give_equal_lists(forks, monkeypatch):
     assert {pid for _, pid in one + two[::2]} == {os.getpid()}
     assert {pid for _, pid in two[1::2]} == set(forks)
     # ap_pairs fills its cache through the split: one more child
-    assert list(ap_pairs(3000)) == [(p, p + 1 - c, cm_ap(p)) for p, (c, _) in zip(primes, one)][1:]
+    cm = cm_aps(primes)
+    assert list(ap_pairs(3000)) == [(p, p + 1 - c, a) for p, (c, _), a in zip(primes, one, cm)][1:]
     assert len(forks) == 2
     _assert_no_child_left()
 

@@ -26,6 +26,7 @@ from hcn7.newform49 import (
     _bsgs_count,
     _multiples_in,
     _scan_count,
+    ec_aps,
     ec_point_count,
 )
 from hcn7.primes import primes_up_to
@@ -55,11 +56,15 @@ def test_point_count_reads_nothing_of_the_cm_side(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the point count reached the CM side")
 
-    for name in ("cm_ap", "represent_7", "_sqrt_mod", "chi_minus7"):
+    for name in ("cm_aps", "cm_ap_at", "represent_7", "chi_minus7"):
         monkeypatch.setattr(hcn7.newform49, name, forbidden)
-    for p in primes_up_to(10**4):
-        if p != 7:
-            assert ec_point_count(p) > 0
+    primes = [p for p in primes_up_to(10**4) if p != 7]
+    for p in primes:
+        assert ec_point_count(p) > 0
+    # the route over a range too, from a cold cache, so that every prime is
+    # counted, and split across two processes where the machine has two cores
+    monkeypatch.setattr(hcn7.newform49, "_ap_cache", {7: 0})
+    assert ec_aps(primes) == [p + 1 - ec_point_count(p) for p in primes]
 
 
 def test_curve_has_2_torsion_so_every_order_is_even():

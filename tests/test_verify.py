@@ -10,7 +10,7 @@ import hcn7.newform49
 import hcn7.verify
 from hcn7.arith import d_pa_series, d_series, hk_rhs_series
 from hcn7.hurwitz import hmm_series, hmm_sum, hurwitz_batch
-from hcn7.newform49 import g_series, newform_ap
+from hcn7.newform49 import ec_aps, g_series
 from hcn7.primes import primes_up_to
 from hcn7.qseries import QSeries, op_sieve
 from hcn7.verify import (
@@ -229,17 +229,17 @@ def test_main_table_rows():
 
 
 def test_main_table_represents_each_prime_once(monkeypatch):
-    calls = Counter()
+    # one sweep per table, over the table's odd primes other than 7
+    calls = []
     represent = hcn7.verify.represent_7
 
-    def counted(p):
-        calls[p] += 1
-        return represent(p)
+    def counted(primes):
+        calls.append(list(primes))
+        return represent(primes)
 
     monkeypatch.setattr(hcn7.verify, "represent_7", counted)
     assert all(r.ok for r in verify_main_table(600))
-    split = [p for p in primes_up_to(600) if p % 7 in (1, 2, 4) and p != 2]
-    assert calls == Counter(split)
+    assert calls == [[p for p in primes_up_to(600) if p not in (2, 7)]]
 
 
 def test_main_table_small():
@@ -319,10 +319,8 @@ def test_table_weights_hold_with_the_curve_ap(monkeypatch):
         raise AssertionError("represent_7 called")
 
     monkeypatch.setattr(hcn7.newform49, "represent_7", unreachable)
-    for p in primes_up_to(3000):
-        if p in (2, 7):
-            continue
-        ap = newform_ap(p)
+    primes = [p for p in primes_up_to(3000) if p not in (2, 7)]
+    for p, ap in zip(primes, ec_aps(primes)):
         for m, (c_p, c_1, c_a) in enumerate(_CELL_WEIGHTS[p % 7]):
             assert Fraction(c_p * p + c_1 + c_a * ap, 24) == hmm_sum(m, 7, p), (p, m)
 
