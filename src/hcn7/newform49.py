@@ -36,9 +36,11 @@ not an option: a command's output never depends on how it was counted.
 
 a_7 = 0 is fixed directly (additive reduction at the level prime); the
 value is confirmed numerically by the dilation identity relating the form
-to the x^2 + 7y^2 lattice sum.  Coefficients at composite indices follow
-from the Hecke recursion a(p^(r+1)) = a_p a(p^r) - p a(p^(r-1)) and
-multiplicativity.
+to the x^2 + 7y^2 lattice sum.  newform_an builds the other coefficients
+in one pass over the prime powers p^e <= n_max, with no n factored: the
+a(p^e) follow a(p^(e+1)) = a_p a(p^e) - (p != 7) * p * a(p^(e-1)), so every
+a(7^e) is 0, and one slice per p^e multiplies a(p^e) into every k p^e with
+p not dividing k, which is multiplicativity.
 """
 
 from __future__ import annotations
@@ -46,8 +48,9 @@ from __future__ import annotations
 import marshal
 import os
 import sys
-from itertools import islice
+from itertools import cycle, islice, repeat
 from math import isqrt
+from operator import mul
 from typing import Callable, Iterator
 
 from .primes import primes_up_to
@@ -345,33 +348,27 @@ def ec_aps(primes: list[int]) -> list[int]:
 
 def newform_an(n_max: int, aps: Callable[[list[int]], list[int]] = ec_aps) -> QSeries:
     """The q-expansion a_0 = 0, a_1, ..., a_n_max, with each prime
-    coefficient a_p (p != 7) from the route aps, run once on the primes up to
-    n_max: ec_aps (point counts) or cm_aps (CM closed form), and a_n for
-    the other n >= 2 from the Hecke recursion and multiplicativity."""
+    coefficient a_p from the route aps, run once on the primes up to n_max:
+    ec_aps (point counts) or cm_aps (CM closed form).
+
+    a starts as [0] + [1] * n_max, and each prime power p^e <= n_max
+    multiplies its a(p^e) into every k p^e with p not dividing k, as one
+    slice a[p^e::p^e] against a(p^e) repeated p - 1 times, then 1.  So each
+    a_n ends as the product over its prime-power parts.  The a(p^e) follow
+    the Hecke recursion a(p^(e+1)) = a_p a(p^e) - (p != 7) * p * a(p^(e-1)):
+    with a_7 = 0 from both routes, every a(7^e) is 0."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     primes = primes_up_to(n_max)
-    values = aps(primes)  # before the two big lists below: a lower peak
-    spf = list(range(n_max + 1))  # smallest prime factor: the last p written
-    for p in reversed(primes_up_to(isqrt(n_max))):
-        spf[p * p :: p] = [p] * ((n_max - p * p) // p + 1)
-    a = [0] * (n_max + 1)
-    a[1] = 1
+    values = aps(primes)  # before the big list below: a lower peak
+    a = [0] + [1] * n_max
     for p, ap in zip(primes, values):
-        a[p] = ap
-    for n in range(2, n_max + 1):
-        p = spf[n]
-        m = n
-        pe = 1
-        while m % p == 0:
-            m //= p
-            pe *= p
-        if m > 1:
-            a[n] = a[pe] * a[m]
-        elif p == 7:
-            a[n] = 0
-        elif pe > p:
-            a[n] = a[p] * a[pe // p] - p * a[pe // (p * p)]
+        below, ape, pe = 1, ap, p  # a(p^(e-1)), a(p^e), p^e
+        while pe <= n_max:
+            # k p^e <= n_max < p^(e+1) leaves k < p: no k is a multiple of p
+            factors = repeat(ape) if pe * p > n_max else cycle([ape] * (p - 1) + [1])
+            a[pe::pe] = map(mul, a[pe::pe], factors)
+            below, ape, pe = ape, ap * ape - (p != 7) * p * below, pe * p
     return QSeries(a)
 
 

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -75,10 +76,29 @@ def test_an_expansion():
         an[50]
 
 
-def test_an_matches_factoring_oracle():
-    an = newform_an(5000)
+@pytest.mark.parametrize("n_max", [1, 2, 343, 2401, 4096, 5000])
+def test_an_matches_factoring_oracle(n_max):
+    # 343 = 7^3, 2401 = 7^4 and 4096 = 2^12 end the range on a prime power,
+    # whose slice holds one element
+    an = newform_an(n_max)
+    assert an.order == n_max
     assert an[0] == 0
-    assert [n for n in range(1, 5001) if an[n] != newform_an_oracle(n)] == []
+    assert [n for n in range(1, n_max + 1) if an[n] != newform_an_oracle(n)] == []
+
+
+def test_an_peak_memory_is_the_coefficient_list():
+    # the coefficient list and the QSeries tuple built from it take 8 bytes a
+    # slot each, the a_n outside the small-int cache about 4.5 bytes per n,
+    # and the slices a few more: about 26 bytes per n on CPython 3.10-3.12.
+    # One more per-n list, such as a smallest-prime-factor table, passes 32.
+    n_max = 200_000
+    tracemalloc.start()
+    try:
+        newform_an(n_max, cm_aps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n_max < 32, peak / n_max
 
 
 def test_an_multiplicative():
