@@ -5,11 +5,13 @@ the CLI as it stood before its per-format branches were folded into one
 renderer.  Only the wall-clock seconds in text-format verify lines vary
 between runs; they are masked on both sides.  Usage errors must leave
 stdout empty.  The patched cases force a mismatch to pin the failure
-rendering (exit 1) of table, verify (the hk suite, and an integral and a
-rational first mismatch of the main suite) and the cross-check; the two
-verify-main cases were written while the table's cells were still
-Fractions, before they became ints in 24ths.  After a deliberate change
-of output, rewrite a case's file with what run_case returns for it.
+rendering (exit 1) of table, verify (the hk suite, thm35 with a rational
+and an integral first mismatch, and an integral and a rational first
+mismatch of the main suite) and the cross-check; the two verify-main
+cases were written while the table's cells were still Fractions, before
+they became ints in 24ths, and verify-thm35-fail while thm35's sides were
+still Fractions.  After a deliberate change of output, rewrite a case's
+file with what run_case returns for it.
 """
 
 import io
@@ -62,6 +64,19 @@ def _break_hk(mp):
     mp.setattr(hcn7.verify, "hk_rhs_series", broken)
 
 
+def _break_g(mp):
+    # one more on G's ninth coefficient: every thm35 row that reads G at
+    # n = 9, a class-2 exponent, fails there
+    g_series = hcn7.verify.g_series
+
+    def broken(order):
+        coeffs = list(g_series(order).coeffs)
+        coeffs[9] += 1
+        return QSeries(coeffs)
+
+    mp.setattr(hcn7.verify, "g_series", broken)
+
+
 def _break_cm(mp):
     mp.setattr(hcn7.newform49, "chi_minus7", lambda n: -chi_minus7(n))
 
@@ -78,6 +93,7 @@ _FORMATTED = [
     ("series", ["series", "H", "--order", "20"], 0, None),
     ("table-mismatch", ["table", "--pmax", "30"], 1, _break_table),
     ("verify-fail", ["verify", "--suite", "hk", "--bound", "30"], 1, _break_hk),
+    ("verify-thm35-fail", ["verify", "--suite", "thm35", "--bound", "40"], 1, _break_g),
     ("verify-main-fail", ["verify", "--suite", "main", "--bound", "30"], 1, _break_table),
     ("verify-main-rational", ["verify", "--suite", "main", "--bound", "30"], 1, _nudge_table),
     ("newform-cross-fail", ["newform", "--nmax", "40", "--method", "cross"], 1, _break_cm),
