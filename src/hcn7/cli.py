@@ -160,7 +160,7 @@ def _mismatch(r) -> tuple[int, str, str] | None:
     if r.first_mismatch is None:
         return None
     n, lhs, rhs = r.first_mismatch
-    return n, str(lhs), str(rhs)
+    return n, str(Fraction(lhs, r.unit)), str(Fraction(rhs, r.unit))
 
 
 def _report_line(r) -> str:

@@ -15,8 +15,8 @@ residue-restricted sums
 
 are likewise computed two ways: hmm_sum by direct summation, whose
 kernel hmm_twelfths returns 12*H_{m,M}(n) as an int, and hmm_series as
-the series product (H-series * theta_{m,M}) | U_4, of which only the
-coefficients U_4 keeps are computed.
+the series product (H-series * theta_{m,M}) | U_4, whose kernel
+hmm_product computes in twelfths only the coefficients U_4 keeps.
 
 The weights 1/2 and 1/3 and H(0) = -1/12 make every 12*H(N) an integer,
 so both H routes count in twelfths, and the table, the direct sums and
@@ -163,7 +163,7 @@ def _sieve(twelfths: list[int], lo: int) -> None:
             twelfths[n::4] = map(add, twelfths[n::4], _unpack(packed[r], count))
 
 
-# Cache behind hurwitz_series, hmm_series and hmm_twelfths (which reads it
+# Cache behind hurwitz_series, hmm_product and hmm_twelfths (which reads it
 # in place once it reaches 4n); query results are pure.  It grows by sieving
 # only the indices it lacks, to at least twice its last index and at least
 # 1,024, so that callers asking in small steps sieve few times, but past
@@ -245,12 +245,12 @@ def hmm_sum(m: int, M: int, n: int) -> ExactRational:
     return total // 12 if total % 12 == 0 else _div12_table[total]
 
 
-# The last (table, internal order) hmm_series packed, and what it packed.
+# The last (table, internal order) hmm_product packed, and what it packed.
 _packed: tuple = (None, -1, 0, ())
 
 
 def _packed_rows(table: tuple[int, ...], internal: int) -> tuple[int, tuple[int, ...]]:
-    """The largest 12H(N), N <= internal, and the rows hmm_series shifts:
+    """The largest 12H(N), N <= internal, and the rows hmm_product shifts:
     slot j of rows[r] is 12H(4j + r), classes 1 and 2 of the table zero.
 
     Calls with the same table object and internal order, as every modulus
@@ -266,22 +266,18 @@ def _packed_rows(table: tuple[int, ...], internal: int) -> tuple[int, tuple[int,
     return _packed[2], _packed[3]
 
 
-def hmm_series(m: int, M: int, order: int) -> QSeries:
-    """H_{m,M} by the product route: (H-series * theta_{m,M}) | U_4.
+def hmm_product(m: int, M: int, order: int) -> list[int]:
+    """12*H_{m,M}(k) for k <= order, as ints: (12H-series * theta_{m,M}) | U_4.
 
-    The product is taken in twelfths: coefficient k sums c * 12H(4k - a^2)
-    over the nonzero terms (a^2, c) of theta_{m,M} (arith.theta_terms), and
-    4k - a^2 is in the class r = -a^2 (mod 4) of the table.  12H(4j),
-    j >= 1, and 12H(4j + 3), for j <= order, are packed as one int each,
-    once per table and order (_packed_rows), so each term adds its class's
-    int moved ceil(a^2 / 4) slots on, which drops the slots past order: one
-    big-int shift and add per term.  H(0) = -1/12 is left out of the
-    packing and c is subtracted at k = a^2 / 4 for each even a.  No slot
-    exceeds the sum of the counts times the largest 12*H, which is checked
-    against 2^32.  Each coefficient is then divided by 12 on its own, as
-    div12 does: an int where it is integral, a Fraction otherwise.  The
-    internal order 4*order is an H index, so MAX_H_INDEX caps it; it and
-    M >= 1 are checked before the table is read.
+    Coefficient k sums c * 12H(4k - a^2) over the nonzero terms (a^2, c) of
+    theta_{m,M} (arith.theta_terms).  Each term adds the packed row of its
+    class r = -a^2 (mod 4) (_packed_rows) moved ceil(a^2 / 4) slots on,
+    which drops the slots past order: one big-int shift and add per term.
+    H(0) = -1/12 is left out of the packing and c is subtracted at
+    k = a^2 / 4 for each even a.  No slot exceeds the sum of the counts
+    times the largest 12*H, which is checked against 2^32.  The internal
+    order 4*order is an H index, so MAX_H_INDEX caps it; it and M >= 1 are
+    checked before the table is read.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
@@ -300,5 +296,11 @@ def hmm_series(m: int, M: int, order: int) -> QSeries:
     for e, c in terms:
         if e % 4 == 0:
             product[e // 4] -= c
+    return product
+
+
+def hmm_series(m: int, M: int, order: int) -> QSeries:
+    """H_{m,M} by the product route: each coefficient of hmm_product divided
+    by 12 as div12 does, an int where it is integral."""
     table = _div12_table
-    return QSeries([t // 12 if t % 12 == 0 else table[t] for t in product])
+    return QSeries([t // 12 if t % 12 == 0 else table[t] for t in hmm_product(m, M, order)])

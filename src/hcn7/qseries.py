@@ -21,12 +21,12 @@ tuples, and the three operators are slices of the coefficient tuple
 out[r::M] = f.coeffs[r::M]), so none of them loops in Python.
 
 The product route of H_{m,M}, (H-series * theta_{m,M}) | U_4, does not
-use series_mul: hurwitz.hmm_series packs the H table into big ints and
+use series_mul: hurwitz.hmm_product packs the H table into big ints and
 computes only the coefficients U_4 keeps.
 
 chi_minus7 is the one character the paper uses, the quadratic character
 mod 7.  MAX_H_INDEX caps every H(N) index the package tabulates, and with
-it the internal order of the product route hurwitz.hmm_series.
+it the internal order of the product route hurwitz.hmm_product.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def series_mul(f: QSeries, g: QSeries) -> QSeries:
     times theta_{1,7} at order 3000 (15 nonzeros in 3,001 slots) took
     1.6 ms for the big-int multiplication alone, against 1.5 ms for the
     whole product by row adds (CPython 3.11.7, a 2-core Xeon).  For a
-    sparse factor, hurwitz.hmm_series packs the dense one and adds one
+    sparse factor, hurwitz.hmm_product packs the dense one and adds one
     shifted copy per nonzero instead.
     """
     order = min(f.order, g.order)

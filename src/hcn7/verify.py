@@ -17,12 +17,10 @@ differing index with both values.
 from __future__ import annotations
 
 import time
-from functools import cache
-from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 from .arith import d_pa_series, d_series, hk_rhs_series, lambda_series, prop31_rhs, psi_7, theta_chi1, theta_mM
-from .hurwitz import hmm_series, hmm_twelfths, twelfths_upto
+from .hurwitz import hmm_product, hmm_series, hmm_twelfths, twelfths_upto
 from .newform49 import cm_ap_at, g_series, represent_7
 from .primes import euler_phi, prime_factors, primes_up_to
 from .qseries import (
@@ -55,6 +53,7 @@ class VerificationReport(NamedTuple):
     checked_upto: int
     first_mismatch: tuple[int, ExactRational, ExactRational] | None
     elapsed: float
+    unit: int = 1  # the mismatch's two values are in units of 1 / unit
 
     @property
     def ok(self) -> bool:
@@ -62,16 +61,16 @@ class VerificationReport(NamedTuple):
 
 
 def compare(
-    id: str, bound: int, start: float, lhs: QSeries, rhs: QSeries, first: int = 0
+    id: str, bound: int, start: float, lhs: QSeries, rhs: QSeries, first: int = 0, unit: int = 1
 ) -> VerificationReport:
     """Compare coefficients first..bound inclusive of lhs and rhs and report
-    the first (n, lhs, rhs) that differ, timed from start.  A side shorter
-    than bound is an error, never a shorter comparison."""
+    the first (n, lhs, rhs) that differ in units of 1 / unit, timed from
+    start.  A side shorter than bound is an error, never a shorter one."""
     if lhs.order < bound or rhs.order < bound:
         raise ValueError(f"{id}: a side has order {min(lhs.order, rhs.order)} < bound {bound}")
     pairs = zip(range(first, bound + 1), lhs.coeffs[first:], rhs.coeffs[first:])
     mismatch = next(((n, a, b) for n, a, b in pairs if a != b), None)
-    return VerificationReport(id, bound, mismatch, time.perf_counter() - start)
+    return VerificationReport(id, bound, mismatch, time.perf_counter() - start, unit)
 
 
 # --------------------------------------------------------------------------
@@ -82,36 +81,38 @@ def compare(
 #       = cD * D | S_{7,a}  +  cG * G | S_{7,a}
 #
 # with the extras a list of (coefficient, class) pairs for D_1^(7,class).
+# Every coefficient is a whole number of 24ths, so the rows state them as
+# ints in 24ths (cD = 7 is 7/24) and both sides are int series in 24ths.
 # The six m = 0 rows are checked as their sum, a form on Gamma0(196).  G
 # vanishes on the inert classes 3, 5, 6, so those rows carry cG = 0.  In
 # row (3, 4) G is sieved to class 4, not 1: only matching classes agree.
 # --------------------------------------------------------------------------
 
-_THM35_ROWS: dict[tuple[int, int], tuple[list[tuple[Fraction, int]], Fraction, Fraction]] = {
-    (0, 1): ([], Fraction(1, 4), Fraction(1, 4)),
-    (0, 2): ([], Fraction(1, 4), Fraction(1, 4)),
-    (0, 3): ([(Fraction(2), 2)], Fraction(1, 3), Fraction(0)),
-    (0, 4): ([], Fraction(1, 4), Fraction(1, 4)),
-    (0, 5): ([(Fraction(2), 3)], Fraction(1, 3), Fraction(0)),
-    (0, 6): ([(Fraction(2), 1)], Fraction(1, 3), Fraction(0)),
-    (1, 1): ([(Fraction(1), 3), (Fraction(1), 5)], Fraction(1, 3), Fraction(0)),
-    (1, 2): ([(Fraction(1, 2), 3), (Fraction(1, 2), 4)], Fraction(7, 24), Fraction(1, 8)),
-    (1, 3): ([], Fraction(1, 4), Fraction(0)),
-    (1, 4): ([], Fraction(1, 4), Fraction(-1, 4)),
-    (1, 5): ([(Fraction(1), 6), (Fraction(1), 2)], Fraction(1, 3), Fraction(0)),
-    (1, 6): ([], Fraction(1, 4), Fraction(0)),
-    (2, 1): ([(Fraction(1, 2), 1), (Fraction(1, 2), 6)], Fraction(7, 24), Fraction(1, 8)),
-    (2, 2): ([], Fraction(1, 4), Fraction(-1, 4)),
-    (2, 3): ([], Fraction(1, 4), Fraction(0)),
-    (2, 4): ([(Fraction(1), 3), (Fraction(1), 6)], Fraction(1, 3), Fraction(0)),
-    (2, 5): ([], Fraction(1, 4), Fraction(0)),
-    (2, 6): ([(Fraction(1), 4), (Fraction(1), 5)], Fraction(1, 3), Fraction(0)),
-    (3, 1): ([], Fraction(1, 4), Fraction(-1, 4)),
-    (3, 2): ([(Fraction(1), 1), (Fraction(1), 2)], Fraction(1, 3), Fraction(0)),
-    (3, 3): ([(Fraction(1), 4), (Fraction(1), 6)], Fraction(1, 3), Fraction(0)),
-    (3, 4): ([(Fraction(1, 2), 2), (Fraction(1, 2), 5)], Fraction(7, 24), Fraction(1, 8)),
-    (3, 5): ([], Fraction(1, 4), Fraction(0)),
-    (3, 6): ([], Fraction(1, 4), Fraction(0)),
+_THM35_ROWS: dict[tuple[int, int], tuple[list[tuple[int, int]], int, int]] = {
+    (0, 1): ([], 6, 6),
+    (0, 2): ([], 6, 6),
+    (0, 3): ([(48, 2)], 8, 0),
+    (0, 4): ([], 6, 6),
+    (0, 5): ([(48, 3)], 8, 0),
+    (0, 6): ([(48, 1)], 8, 0),
+    (1, 1): ([(24, 3), (24, 5)], 8, 0),
+    (1, 2): ([(12, 3), (12, 4)], 7, 3),
+    (1, 3): ([], 6, 0),
+    (1, 4): ([], 6, -6),
+    (1, 5): ([(24, 6), (24, 2)], 8, 0),
+    (1, 6): ([], 6, 0),
+    (2, 1): ([(12, 1), (12, 6)], 7, 3),
+    (2, 2): ([], 6, -6),
+    (2, 3): ([], 6, 0),
+    (2, 4): ([(24, 3), (24, 6)], 8, 0),
+    (2, 5): ([], 6, 0),
+    (2, 6): ([(24, 4), (24, 5)], 8, 0),
+    (3, 1): ([], 6, -6),
+    (3, 2): ([(24, 1), (24, 2)], 8, 0),
+    (3, 3): ([(24, 4), (24, 6)], 8, 0),
+    (3, 4): ([(12, 2), (12, 5)], 7, 3),
+    (3, 5): ([], 6, 0),
+    (3, 6): ([], 6, 0),
 }
 
 # One past the Sturm bound for Gamma0(196) n Gamma1(7), and for Gamma0(196).
@@ -119,35 +120,34 @@ THM35_BOUND = sturm_bound(2, 196, 7) + 1
 THM35_BOUND_M0 = sturm_bound(2, 196, 1) + 1
 
 
-def _thm35_sides(m: int, a: int, b: int, hmm, d, g) -> tuple[QSeries, QSeries]:
+def _thm35_sides(m: int, a: int, h, phi, d: QSeries, g: QSeries) -> tuple[QSeries, QSeries]:
+    """Row (m, a)'s sides in 24ths, from h[m] = 24 H_{m,7}, phi[cls], D and G."""
     extras, c_d, c_g = _THM35_ROWS[(m, a)]
-    lhs = op_sieve(hmm(m, 7, b), 7, a)
+    lhs = h[m]
     for coeff, cls in extras:
-        lhs = series_add(lhs, series_scale(op_sieve(d_pa_series(1, 7, cls, b), 7, a), coeff))
-    rhs = series_scale(op_sieve(d(b), 7, a), c_d)
-    if c_g:
-        rhs = series_add(rhs, series_scale(op_sieve(g(b), 7, a), c_g))
-    return lhs, rhs
+        lhs = series_add(lhs, series_scale(phi[cls], coeff))
+    rhs = series_add(series_scale(d, c_d), series_scale(g, c_g))
+    return op_sieve(lhs, 7, a), op_sieve(rhs, 7, a)
 
 
 def verify_thm35(bound: int = THM35_BOUND, bound_m0: int = THM35_BOUND_M0) -> list[VerificationReport]:
-    """All 24 rows as 19 reports: the sum of the six m = 0 rows to bound_m0,
-    and the 18 others to bound.
-
-    They share one build of each H_{m,7}, D and G series per bound: the
-    six rows of an m read the same hmm_series(m, 7, b).
-    """
-    series = cache(hmm_series), cache(d_series), cache(g_series)
+    """All 24 rows as 19 reports in 24ths: the sum of the six m = 0 rows to
+    bound_m0, and the 18 others to bound.  Each series a row reads is built
+    once, to the larger bound."""
     start = time.perf_counter()
-    rows = [_thm35_sides(0, a, bound_m0, *series) for a in range(1, 7)]
+    b = max(bound, bound_m0)
+    h = [QSeries([2 * t for t in hmm_product(m, 7, b)]) for m in range(4)]
+    phi = {cls: d_pa_series(1, 7, cls, b) for cls in range(1, 7)}
+    series = h, phi, d_series(b), g_series(b)
+    rows = [_thm35_sides(0, a, *series) for a in range(1, 7)]
     # row (0, a) lives on class a, so the six rows' sum reads n off row n mod 7
     sides = (QSeries(side[n % 7 - 1][n] if n % 7 else 0 for n in range(bound_m0 + 1)) for side in zip(*rows))
-    reports = [compare("thm35.m0", bound_m0, start, *sides)]
+    reports = [compare("thm35.m0", bound_m0, start, *sides, unit=24)]
     for m in (1, 2, 3):
         for a in range(1, 7):
             start = time.perf_counter()
-            sides = _thm35_sides(m, a, bound, *series)
-            reports.append(compare(f"thm35.m{m}.s{a}", bound, start, *sides))
+            sides = _thm35_sides(m, a, *series)
+            reports.append(compare(f"thm35.m{m}.s{a}", bound, start, *sides, unit=24))
     return reports
 
 
@@ -204,17 +204,15 @@ def verify_prop31(k: int, m: int, order: int) -> VerificationReport:
 #
 # Both sides of a cell are ints in 24ths, the direct one
 # 2 * hmm_twelfths(m, 7, p); the row law reads d_0 + 2(d_1 + d_2 + d_3) = 48p.
-# A Fraction is built only to show a value.
+# A report carries these ints with its unit, 24; only the CLI shows a Fraction.
 # --------------------------------------------------------------------------
 
 
 def _cell_weights(m: int, r: int) -> tuple[int, int, int]:
-    """24 times the weights of p, 1 and a_p in row (m, r) at a prime p, in
-    ints: every row coefficient is a whole number of 24ths."""
+    """24 times the weights of p, 1 and a_p in row (m, r) at a prime p: the
+    row's cD, cD less its extras on the classes +-1, and cG."""
     extras, c_d, c_g = _THM35_ROWS[(m, r)]
-    c_p, c_a = 24 * c_d.numerator // c_d.denominator, 24 * c_g.numerator // c_g.denominator
-    c_1 = c_p - sum(24 * c.numerator // c.denominator for c, cls in extras if cls in (1, 6))
-    return c_p, c_1, c_a
+    return c_d, c_d - sum(c for c, cls in extras if cls in (1, 6)), c_g
 
 
 _CELL_WEIGHTS = {r: tuple(_cell_weights(m, r) for m in range(4)) for r in range(1, 7)}
@@ -275,14 +273,14 @@ def verify_main_table(p_max: int) -> list[VerificationReport]:
     Returns one report per (residue row, column) cell keyed by the first
     mismatching prime, plus a report for the row-sum identity
     H_0 + 2H_1 + 2H_2 + 2H_3 = 2p, all compared in 24ths; a first mismatch
-    is reported as Fractions.  Elapsed time of the shared scan is recorded
-    on every report.  p_max >= 29 gives every row a prime: row 1 starts at
-    29, rows 2 to 6 at 23, 3, 11, 5 and 13.
+    is reported as those ints, with unit 24.  Elapsed time of the shared
+    scan is recorded on every report.  p_max >= 29 gives every row a prime:
+    row 1 starts at 29, rows 2 to 6 at 23, 3, 11, 5 and 13.
     """
     if p_max < LEAST_BOUND["main"]:
         raise ValueError("p_max must be at least 29, the first prime p = 1 (mod 7)")
     start = time.perf_counter()
-    first_bad: dict[tuple[int, int], tuple[int, ExactRational, ExactRational]] = {}
+    first_bad: dict[tuple[int, int], tuple[int, int, int]] = {}
     rowsum_bad = None
     for row in main_table_rows(p_max):
         p = row.p
@@ -291,16 +289,16 @@ def verify_main_table(p_max: int) -> list[VerificationReport]:
             total += direct if m == 0 else 2 * direct
             key = (row.residue, m)
             if direct != formula and key not in first_bad:
-                first_bad[key] = (p, Fraction(direct, 24), Fraction(formula, 24))
+                first_bad[key] = (p, direct, formula)
         if total != 48 * p and rowsum_bad is None:
-            rowsum_bad = (p, Fraction(total, 24), Fraction(2 * p))
+            rowsum_bad = (p, total, 48 * p)
     elapsed = time.perf_counter() - start
     reports = [
-        VerificationReport(f"main.r{r}.m{m}", p_max, first_bad.get((r, m)), elapsed)
+        VerificationReport(f"main.r{r}.m{m}", p_max, first_bad.get((r, m)), elapsed, 24)
         for r in range(1, 7)
         for m in range(4)
     ]
-    reports.append(VerificationReport("main.rowsum", p_max, rowsum_bad, elapsed))
+    reports.append(VerificationReport("main.rowsum", p_max, rowsum_bad, elapsed, 24))
     return reports
 
 

@@ -10,6 +10,7 @@ import hcn7.hurwitz
 from hcn7.arith import theta_mM
 from hcn7.hurwitz import (
     div12,
+    hmm_product,
     hmm_series,
     hmm_sum,
     hmm_twelfths,
@@ -275,8 +276,10 @@ def test_hmm_sum_symmetry_and_residue_partition():
 def test_hmm_series_matches_direct_sum():
     for m in range(7):
         s = hmm_series(m, 7, 120)
+        twelfths = hmm_product(m, 7, 120)
         for n in range(121):
             assert s[n] == hmm_sum(m, 7, n), (m, n)
+            assert twelfths[n] == hmm_twelfths(m, 7, n), (m, n)
 
 
 def test_hmm_series_matches_composed_product():
@@ -292,6 +295,7 @@ def test_hmm_series_does_not_use_the_direct_sum(monkeypatch):
     monkeypatch.setattr(hcn7.hurwitz, "hmm_twelfths", unreachable)
     monkeypatch.setattr(hcn7.hurwitz, "hurwitz_single", unreachable)
     assert hmm_series(3, 7, 200) == composed_hmm_series(3, 7, 200)
+    assert hmm_product(3, 7, 200) == [12 * c for c in composed_hmm_series(3, 7, 200).coeffs]
 
 
 @pytest.mark.parametrize(

@@ -9,12 +9,13 @@ import hcn7.hurwitz
 import hcn7.newform49
 import hcn7.verify
 from hcn7.arith import d_pa_series, d_series, hk_rhs_series
-from hcn7.hurwitz import hmm_series, hmm_sum, hurwitz_batch
+from hcn7.hurwitz import hmm_product, hmm_series, hmm_sum, hurwitz_batch
 from hcn7.newform49 import ec_aps, g_series
 from hcn7.primes import primes_up_to
-from hcn7.qseries import QSeries, op_sieve
+from hcn7.qseries import QSeries, op_sieve, series_scale
 from hcn7.verify import (
     _CELL_WEIGHTS,
+    _THM35_ROWS,
     THM35_BOUND,
     THM35_BOUND_M0,
     TableRow,
@@ -66,7 +67,7 @@ def test_compare_reports():
 
     # the report's contract: these fields in this order, immutable
     assert repr(VerificationReport("toy", 5, None, 0.5)) == (
-        "VerificationReport(id='toy', checked_upto=5, first_mismatch=None, elapsed=0.5)"
+        "VerificationReport(id='toy', checked_upto=5, first_mismatch=None, elapsed=0.5, unit=1)"
     )
     with pytest.raises(AttributeError):
         rep.checked_upto = 3
@@ -91,18 +92,21 @@ def test_thm35_suite_structure():
 
 
 def test_thm35_worked_coefficients():
-    series = hmm_series, d_series, g_series
+    # both sides in 24ths, from 24 H_{m,7}, D_1^(7,cls), D and G
+    h = [QSeries([2 * t for t in hmm_product(m, 7, 10)]) for m in range(4)]
+    phi = {cls: d_pa_series(1, 7, cls, 10) for cls in range(1, 7)}
+    series = h, phi, d_series(10), g_series(10)
     # class-3 row: H_{1,7}(3) = H(11) = 1 equals sigma(3)/4
-    lhs, rhs = _thm35_sides(1, 3, 10, *series)
-    assert lhs[3] == rhs[3] == 1
+    lhs, rhs = _thm35_sides(1, 3, *series)
+    assert lhs[3] == rhs[3] == 24
     # class-4 row at n = 4: H(15) = 2 = sigma(4)/4 - a_4/4
-    lhs, rhs = _thm35_sides(1, 4, 10, *series)
-    assert lhs[4] == rhs[4] == 2
+    lhs, rhs = _thm35_sides(1, 4, *series)
+    assert lhs[4] == rhs[4] == 48
     # row (0, 6) at n = 6: H_{0,7}(6) + 2 phi_1^(7,1)(6) = 2 + 2 = sigma(6)/3,
     # the 1/4 + 1/12 of an inert class
-    lhs, rhs = _thm35_sides(0, 6, 10, *series)
+    lhs, rhs = _thm35_sides(0, 6, *series)
     assert hmm_series(0, 7, 10)[6] == 2
-    assert lhs[6] == rhs[6] == 4
+    assert lhs[6] == rhs[6] == 96
 
 
 @pytest.mark.parametrize("order", [57, 400])
@@ -111,13 +115,14 @@ def test_thm35_m0_is_the_sum_of_its_six_rows(monkeypatch, order):
     # sigma chi(chi - 1)/24 term the inert rows carry as cD = 1/3
     sides = {}
 
-    def recording(id, bound, start, lhs, rhs, first=0):
+    def recording(id, bound, start, lhs, rhs, first=0, unit=1):
         sides[id] = (lhs, rhs)
-        return compare(id, bound, start, lhs, rhs, first)
+        return compare(id, bound, start, lhs, rhs, first, unit)
 
     monkeypatch.setattr(hcn7.verify, "compare", recording)
-    assert all(rep.ok for rep in verify_thm35(60, order))
-    assert sides["thm35.m0"] == thm35_m0_sides(order)
+    assert all(rep.ok and rep.unit == 24 for rep in verify_thm35(60, order))
+    # thm35 compares in 24ths; the oracle states the sides as values
+    assert sides["thm35.m0"] == tuple(series_scale(side, 24) for side in thm35_m0_sides(order))
 
 
 def test_thm35_all_hold_small():
@@ -139,10 +144,11 @@ def test_thm35_builds_each_series_once(monkeypatch):
 
         return wrapper
 
-    for name in ("hmm_series", "d_series", "g_series"):
+    for name in ("hmm_product", "d_pa_series", "d_series", "g_series"):
         monkeypatch.setattr(hcn7.verify, name, counting(name))
     assert all(rep.ok for rep in run_suite("thm35"))
-    assert sum(n for (name, *_), n in calls.items() if name == "hmm_series") == 4
+    assert sum(n for (name, *_), n in calls.items() if name == "hmm_product") == 4
+    assert sum(n for (name, *_), n in calls.items() if name == "d_pa_series") == 6
     assert calls[("g_series", THM35_BOUND)] == 1
     assert max(calls.values()) == 1
 
@@ -252,7 +258,7 @@ def test_main_table_small():
 
 def test_main_table_mismatch_reports_fractions(monkeypatch):
     # one twelfth more on every direct H_{1,7}(p): the row law and the m = 1
-    # cells fail, each by a non-integral amount
+    # cells fail, each by a non-integral amount, reported as ints in 24ths
     twelfths = hcn7.verify.hmm_twelfths
 
     def nudged(m, M, n):
@@ -260,15 +266,16 @@ def test_main_table_mismatch_reports_fractions(monkeypatch):
 
     monkeypatch.setattr(hcn7.verify, "hmm_twelfths", nudged)
     reports = {r.id: r for r in verify_main_table(60)}
-    direct = {m: Fraction(nudged(m, 7, 3), 12) for m in range(4)}
+    assert all(rep.unit == 24 for rep in reports.values())
+    direct = {m: 2 * nudged(m, 7, 3) for m in range(4)}
     total = direct[0] + 2 * (direct[1] + direct[2] + direct[3])
-    assert total == 6 + Fraction(1, 6)
-    assert reports["main.rowsum"].first_mismatch == (3, total, 6)
+    assert Fraction(total, 24) == 6 + Fraction(1, 6)
+    assert reports["main.rowsum"].first_mismatch == (3, total, 24 * 6)
     for r, p in ((1, 29), (2, 23), (3, 3), (4, 11), (5, 5), (6, 13)):
         n, lhs, rhs = reports[f"main.r{r}.m1"].first_mismatch
-        assert (n, lhs) == (p, Fraction(nudged(1, 7, p), 12)), r
-        assert rhs == hmm_sum(1, 7, p) and lhs - rhs == Fraction(1, 12), r
-        assert all(type(v) is Fraction for v in (lhs, rhs))
+        assert (n, lhs) == (p, 2 * nudged(1, 7, p)), r
+        assert Fraction(rhs, 24) == hmm_sum(1, 7, p) and lhs - rhs == 2, r
+        assert all(type(v) is int for v in (lhs, rhs))
         assert reports[f"main.r{r}.m0"].ok
 
 
@@ -302,6 +309,8 @@ def test_g_vanishes_on_the_inert_classes():
 def test_cell_weights_equal_the_hand_written_table():
     assert _CELL_WEIGHTS == TABLE_WEIGHTS
     assert all(type(c) is int for row in _CELL_WEIGHTS.values() for cell in row for c in cell)
+    for extras, c_d, c_g in _THM35_ROWS.values():
+        assert all(type(c) is int for c in (c_d, c_g, *(c for pair in extras for c in pair)))
 
 
 def test_table_weights_obey_the_row_law():
