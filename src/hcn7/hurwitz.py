@@ -16,7 +16,9 @@ residue-restricted sums
 are likewise computed two ways: hmm_sum by direct summation, whose
 kernel hmm_twelfths returns 12*H_{m,M}(n) as an int, and hmm_series as
 the series product (H-series * theta_{m,M}) | U_4, whose kernel
-hmm_product computes in twelfths only the coefficients U_4 keeps.
+hmm_product computes in twelfths only the coefficients U_4 keeps.  The
+product route is also the H side of the closing table, read at primes;
+the direct sums are the route of `hcn7 sum` and check the product.
 
 The weights 1/2 and 1/3 and H(0) = -1/12 make every 12*H(N) an integer,
 so both H routes count in twelfths, and the table, the direct sums and
@@ -167,8 +169,9 @@ def _sieve(twelfths: list[int], lo: int) -> None:
 # in place once it reaches 4n); query results are pure.  It grows by sieving
 # only the indices it lacks, to at least twice its last index and at least
 # 1,024, so that callers asking in small steps sieve few times, but past
-# MAX_H_INDEX only as far as a caller asks; the main suite and `hcn7 table`
-# ask for their whole range up front, and the hk suite reads it once.
+# MAX_H_INDEX only as far as a caller asks.  hmm_product asks for its
+# whole internal order up front, so the main suite and `hcn7 table`, four
+# products to 4 * p_max, sieve once, and the hk suite reads it once.
 _cache: tuple[int, ...] = hurwitz_batch(0)
 
 

@@ -20,7 +20,7 @@ import time
 from typing import Iterator, NamedTuple
 
 from .arith import d_pa_series, d_series, hk_rhs_series, lambda_series, prop31_rhs, psi_7, theta_chi1, theta_mM
-from .hurwitz import hmm_product, hmm_series, hmm_twelfths, twelfths_upto
+from .hurwitz import hmm_product, hmm_series
 from .newform49 import cm_ap_at, g_series, represent_7
 from .primes import euler_phi, prime_factors, primes_up_to
 from .qseries import (
@@ -202,8 +202,9 @@ def verify_prop31(k: int, m: int, order: int) -> VerificationReport:
 # _CELL_WEIGHTS, computed once at import.  In every row
 # c_0 + 2(c_1 + c_2 + c_3) = (48, 0, 0): the row law H_0 + 2H_1 + 2H_2 + 2H_3 = 2p.
 #
-# Both sides of a cell are ints in 24ths, the direct one
-# 2 * hmm_twelfths(m, 7, p); the row law reads d_0 + 2(d_1 + d_2 + d_3) = 48p.
+# Both sides of a cell are ints in 24ths.  The H side is the product
+# route read at primes, 2 * hmm_product(m, 7, p_max)[p], one product per
+# column; the row law reads d_0 + 2(d_1 + d_2 + d_3) = 48p.
 # A report carries these ints with its unit, 24; only the CLI shows a Fraction.
 # --------------------------------------------------------------------------
 
@@ -221,8 +222,10 @@ _CELL_WEIGHTS = {r: tuple(_cell_weights(m, r) for m in range(4)) for r in range(
 class TableRow(NamedTuple):
     """One prime's worth of closing-table data, as shown by the CLI.
 
-    Each cell is (m, direct, formula): 24 H_{m,7}(p) by the direct sum and
-    by the table formula, both ints.
+    Each cell is (m, direct, formula): 24 H_{m,7}(p) by the product route
+    and by the table formula, both ints.  The H side keeps the name
+    "direct" it had when direct sums computed it, so the csv header, the
+    json key and `table --help` stay as they were.
     """
 
     p: int
@@ -236,9 +239,10 @@ class TableRow(NamedTuple):
         return all(direct == formula for _, direct, formula in self.cells)
 
 
-def _main_table_row(p: int, xy: tuple[int, int] | None) -> TableRow:
-    """Direct sums against the table formulas for one odd prime p != 7,
-    with its representation p = x^2 + 7y^2 for all four cells.
+def _main_table_row(p: int, xy: tuple[int, int] | None, columns: list[dict[int, int]]) -> TableRow:
+    """The product route against the table formulas for one odd prime
+    p != 7, with its representation p = x^2 + 7y^2 for all four cells;
+    columns[m][p] is 12 H_{m,7}(p).
 
     Only the split rows r = 1, 2, 4 have (x, y), and there a_p = cm_ap_at(x);
     a_p is 0 in the inert rows.
@@ -247,7 +251,7 @@ def _main_table_row(p: int, xy: tuple[int, int] | None) -> TableRow:
     x, y = xy or (None, None)
     ap = 0 if x is None else cm_ap_at(x)
     cells = tuple(
-        (m, 2 * hmm_twelfths(m, 7, p), c_p * p + c_1 + c_a * ap)
+        (m, 2 * columns[m][p], c_p * p + c_1 + c_a * ap)
         for m, (c_p, c_1, c_a) in enumerate(_CELL_WEIGHTS[r])
     )
     return TableRow(p, r, x, y, cells)
@@ -257,14 +261,20 @@ def main_table_rows(p_max: int) -> Iterator[TableRow]:
     """The closing-table row of every odd prime p <= p_max, p != 7, in order.
 
     The rows are built only here, from the sieve, so no row is ever built
-    for a composite; one sweep, represent_7, finds every row's (x, y).
+    for a composite; one sweep, represent_7, finds every row's (x, y).  The
+    H side is hmm_product(m, 7, p_max) for m = 0..3, each kept only at the
+    primes before the next is built, so one product list is alive at a time.
     """
     if p_max < 3:
         raise ValueError("p_max must be at least 3")
-    twelfths_upto(4 * p_max)  # one sieve for every direct sum below
     primes = [p for p in primes_up_to(p_max) if p not in (2, 7)]
+    columns = []
+    for m in range(4):
+        product = hmm_product(m, 7, p_max)
+        columns.append({p: product[p] for p in primes})
+        del product  # else it stays alive while the next one is built
     found = represent_7(primes)
-    return (_main_table_row(p, found.get(p)) for p in primes)
+    return (_main_table_row(p, found.get(p), columns) for p in primes)
 
 
 def verify_main_table(p_max: int) -> list[VerificationReport]:

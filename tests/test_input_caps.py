@@ -25,7 +25,7 @@ def no_allocation(monkeypatch):
         (hcn7.cli, "hurwitz_single"),
         (hcn7.hurwitz, "hurwitz_batch"),
         (hcn7.hurwitz, "twelfths_upto"),
-        (hcn7.verify, "twelfths_upto"),
+        (hcn7.verify, "hmm_product"),
         (hcn7.cli, "newform_an"),
         (hcn7.newform49, "newform_an"),
         (hcn7.verify, "primes_up_to"),

@@ -9,7 +9,7 @@ import hcn7.hurwitz
 import hcn7.newform49
 import hcn7.verify
 from hcn7.arith import d_pa_series, d_series, hk_rhs_series
-from hcn7.hurwitz import hmm_product, hmm_series, hmm_sum, hurwitz_batch
+from hcn7.hurwitz import hmm_product, hmm_series, hmm_sum, hmm_twelfths, hurwitz_batch
 from hcn7.newform49 import ec_aps, g_series
 from hcn7.primes import primes_up_to
 from hcn7.qseries import QSeries, op_sieve, series_scale
@@ -189,7 +189,7 @@ def test_hurwitz_kronecker_sides(monkeypatch):
         raise AssertionError("unexpected call")
 
     # the left side is the product route, the right side reads no H
-    monkeypatch.setattr(hcn7.verify, "hmm_twelfths", unreachable)
+    monkeypatch.setattr(hcn7.hurwitz, "hmm_twelfths", unreachable)
     assert verify_hurwitz_kronecker(300).ok
     monkeypatch.setattr(hcn7.hurwitz, "twelfths_upto", unreachable)
     definition = [
@@ -257,26 +257,51 @@ def test_main_table_small():
 
 
 def test_main_table_mismatch_reports_fractions(monkeypatch):
-    # one twelfth more on every direct H_{1,7}(p): the row law and the m = 1
-    # cells fail, each by a non-integral amount, reported as ints in 24ths
-    twelfths = hcn7.verify.hmm_twelfths
+    # one twelfth more on every H_{1,7}(p) of the product: the row law and
+    # the m = 1 cells fail, each by a non-integral amount, reported as ints
+    # in 24ths
+    product = hcn7.verify.hmm_product
 
-    def nudged(m, M, n):
-        return twelfths(m, M, n) + (m == 1)
+    def nudged(m, M, order):
+        return [t + (m == 1) for t in product(m, M, order)]
 
-    monkeypatch.setattr(hcn7.verify, "hmm_twelfths", nudged)
+    monkeypatch.setattr(hcn7.verify, "hmm_product", nudged)
     reports = {r.id: r for r in verify_main_table(60)}
     assert all(rep.unit == 24 for rep in reports.values())
-    direct = {m: 2 * nudged(m, 7, 3) for m in range(4)}
+    direct = {m: 2 * nudged(m, 7, 3)[3] for m in range(4)}
     total = direct[0] + 2 * (direct[1] + direct[2] + direct[3])
     assert Fraction(total, 24) == 6 + Fraction(1, 6)
     assert reports["main.rowsum"].first_mismatch == (3, total, 24 * 6)
     for r, p in ((1, 29), (2, 23), (3, 3), (4, 11), (5, 5), (6, 13)):
         n, lhs, rhs = reports[f"main.r{r}.m1"].first_mismatch
-        assert (n, lhs) == (p, 2 * nudged(1, 7, p)), r
+        assert (n, lhs) == (p, 2 * nudged(1, 7, p)[p]), r
         assert Fraction(rhs, 24) == hmm_sum(1, 7, p) and lhs - rhs == 2, r
         assert all(type(v) is int for v in (lhs, rhs))
         assert reports[f"main.r{r}.m0"].ok
+
+
+def test_main_table_h_side_equals_the_direct_sums():
+    # the table reads the product route; the direct sums check it here
+    for row in main_table_rows(10_000):
+        for m, direct, _ in row.cells:
+            assert direct == 2 * hmm_twelfths(m, 7, row.p), (row.p, m)
+
+
+def test_main_table_builds_four_products_and_no_direct_sum(monkeypatch):
+    calls = []
+    product = hcn7.verify.hmm_product
+
+    def counted(*args):
+        calls.append(args)
+        return product(*args)
+
+    def unreachable(*args):
+        raise AssertionError("direct sum called")
+
+    monkeypatch.setattr(hcn7.verify, "hmm_product", counted)
+    monkeypatch.setattr(hcn7.hurwitz, "hmm_twelfths", unreachable)
+    assert all(row.ok for row in main_table_rows(3000))
+    assert calls == [(m, 7, 3000) for m in range(4)]
 
 
 def test_rowsum_identity():
