@@ -31,7 +31,6 @@ replace are kept in tests/oracles.py as their references.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import repeat
 from math import isqrt
 from operator import add
@@ -107,8 +106,9 @@ def lambda_series(l: int, m: int, M: int, order: int) -> QSeries:
     t = +m and t = -m (mod M) are both summed even when the residue
     classes coincide, so m = 0 contributes each solution twice.
 
-    Built by sieving over the factor pairs n = u v, in doubled weights;
-    integral coefficients stay ints.  The term v = u is added alone.  For
+    Built by sieving over the factor pairs n = u v, in doubled weights,
+    which are the series' numerators over den 2.  The term v = u is added
+    alone.  For
     fixed u the v > u whose t lies in one branch's class step by 2M, so
     their n = u v form a slice of step 2uM, to which 2u^l is added as one
     C-level map.
@@ -122,7 +122,7 @@ def lambda_series(l: int, m: int, M: int, order: int) -> QSeries:
             t = u + 1 + (target - u - 1) % M  # least t > u in the class
             tail = slice(u * (2 * t - u), None, 2 * u * M)
             doubled[tail] = map(add, doubled[tail], repeat(2 * ul))
-    return QSeries([Fraction(d, 2) if d % 2 else d // 2 for d in doubled])
+    return QSeries(doubled, 2)
 
 
 def _lopsided_series(l: int, p: int, m: int, order: int) -> QSeries:

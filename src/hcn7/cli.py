@@ -2,8 +2,9 @@
 
 Commands: hurwitz, sum, table, verify, newform, series.  Output formats
 text (default), csv (header row, LF endings) and json (fixed key order).
-Rationals are always rendered as "num/den" strings, integers as plain
-decimals, never as floats.
+Every rational reaches the CLI as an int over a known denominator, and
+one function, rational, renders it as "num/den" in lowest terms or as a
+plain integer, the bytes of str(fractions.Fraction), never as a float.
 
 Exit codes: 0 success, 1 verification/cross-check failure, 2 usage error,
 141 when the reader closes stdout early (as in `hcn7 ... | head`), with
@@ -27,11 +28,11 @@ import argparse
 import csv
 import os
 import sys
-from fractions import Fraction
 from functools import partial
+from math import gcd
 
 from .arith import d_pa_series, d_series, lambda_series, psi_7, theta_mM
-from .hurwitz import div12, hmm_sum, hurwitz_batch, hurwitz_series, hurwitz_single
+from .hurwitz import hmm_twelfths, hurwitz_batch, hurwitz_series, hurwitz_single
 from .newform49 import ap_pairs, cm_aps, ec_aps, g_series, newform_an
 from .qseries import MAX_H_INDEX, QSeries
 from .verify import LEAST_BOUND, SUITE_NAMES, main_table_rows, run_suite
@@ -44,10 +45,13 @@ def _check_h_index(option: str, value: int, index: int) -> None:
     if value < 0:
         raise ValueError(f"{option} must be non-negative")
     if index > MAX_H_INDEX:
-        raise ValueError(
-            f"{option} {value} would reach H index {index}, "
-            f"over the cap MAX_H_INDEX = {MAX_H_INDEX}"
-        )
+        raise ValueError(f"{option} {value} would reach H index {index}, over the cap MAX_H_INDEX = {MAX_H_INDEX}")
+
+
+def rational(num: int, den: int) -> str:
+    """num / den, den > 0, in lowest terms, as str(Fraction(num, den)) writes it."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def emit(fmt: str, kind: str, payload, header: list[str], rows, lines) -> None:
@@ -80,7 +84,7 @@ def cmd_hurwitz(args) -> int:
         raise ValueError("give a single N or --max N, exactly one of the two")
     if args.max is not None:
         _check_h_index("--max", args.max, args.max)
-        pairs = [(n, str(div12(t))) for n, t in enumerate(hurwitz_batch(args.max))]
+        pairs = [(n, rational(t, 12)) for n, t in enumerate(hurwitz_batch(args.max))]
         emit(
             args.format,
             "hurwitz-table",
@@ -91,7 +95,7 @@ def cmd_hurwitz(args) -> int:
         )
         return 0
     _check_h_index("N", args.N, args.N)
-    value = str(hurwitz_single(args.N))
+    value = rational(hurwitz_single(args.N), 12)
     emit_record(args.format, "hurwitz", {"N": args.N, "H": value}, value)
     return 0
 
@@ -100,7 +104,7 @@ def cmd_sum(args) -> int:
     if args.M < 1:
         raise ValueError("--M must be positive")
     _check_h_index("--n", args.n, 4 * args.n)
-    value = str(hmm_sum(args.m, args.M, args.n))
+    value = rational(hmm_twelfths(args.m, args.M, args.n), 12)
     emit_record(args.format, "sum", {"m": args.m, "M": args.M, "n": args.n, "value": value}, value)
     return 0
 
@@ -108,7 +112,7 @@ def cmd_sum(args) -> int:
 def _cells(r):
     """(m, direct, formula, match) per cell of a table row, the two values
     rendered from their 24ths."""
-    return ((m, str(Fraction(d, 24)), str(Fraction(f, 24)), d == f) for m, d, f in r.cells)
+    return ((m, rational(d, 24), rational(f, 24), d == f) for m, d, f in r.cells)
 
 
 def _table_line(r) -> str:
@@ -160,7 +164,7 @@ def _mismatch(r) -> tuple[int, str, str] | None:
     if r.first_mismatch is None:
         return None
     n, lhs, rhs = r.first_mismatch
-    return n, str(Fraction(lhs, r.unit)), str(Fraction(rhs, r.unit))
+    return n, rational(lhs, r.unit), rational(rhs, r.unit)
 
 
 def _report_line(r) -> str:
@@ -273,7 +277,7 @@ def cmd_series(args) -> int:
     if args.order > MAX_NEWFORM_N:
         raise ValueError(f"--order {args.order} is over the cap MAX_NEWFORM_N = {MAX_NEWFORM_N}")
     series = named_series(args.name, args.order)
-    coeffs = [str(c) for c in series.coeffs]
+    coeffs = [rational(c, series.den) for c in series.coeffs]
     emit(
         args.format,
         "series",

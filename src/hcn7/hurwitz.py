@@ -7,9 +7,9 @@ forms proportional to x^2 + y^2 count 1/2 and forms proportional to
 x^2 + xy + y^2 count 1/3.  By convention H(0) = -1/12 and H(N) = 0 for
 N = 1, 2 (mod 4).
 
-Two independent code paths produce H: hurwitz_single enumerates reduced
-forms for one N, hurwitz_batch sieves over all (a, b, c) at once.  The
-residue-restricted sums
+Two independent code paths produce 12*H as ints: hurwitz_single
+enumerates reduced forms for one N, hurwitz_batch sieves over all
+(a, b, c) at once.  The residue-restricted sums
 
     H_{m,M}(n) = sum over a = m (mod M) of H(4n - a^2)
 
@@ -22,14 +22,8 @@ the direct sums are the route of `hcn7 sum` and check the product.
 
 The weights 1/2 and 1/3 and H(0) = -1/12 make every 12*H(N) an integer,
 so both H routes count in twelfths, and the table, the direct sums and
-the series product stay ints; the division by 12 happens once, at the
-end of each route, and gives an int wherever the value is integral.
-The sieve's routes (hurwitz_series, hmm_sum, hmm_series and the rendered
-table of `hcn7 hurwitz --max`) divide by div12's rule: t // 12 where 12
-divides t, else the Fraction t/12, built once per t and kept in a table,
-since the same non-integral twelfths recur across residues, moduli and
-coefficients.  The table keeps at most _DIV12_CAP values and never
-evicts; past the cap a new value is built on each use.
+the series product stay ints: hurwitz_series and hmm_series hold them
+over den 12.  Only hmm_sum, one direct sum's value, divides by 12.
 
 A reduced form of index N = 4ac - b^2 has N = 0 or 3 (mod 4), so the
 table lives in two classes, N = 4k and N = 4k + 3.  The sieve and the
@@ -44,23 +38,22 @@ checks that before it packs, and the product before its first shift-add.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
 from operator import add
 from struct import pack, unpack
 
 from .arith import theta_terms
-from .qseries import MAX_H_INDEX, ExactRational, QSeries
+from .qseries import MAX_H_INDEX, QSeries
 
 
-def hurwitz_single(N: int) -> ExactRational:
-    """H(N) by direct enumeration of reduced forms of discriminant -N."""
+def hurwitz_single(N: int) -> int:
+    """12*H(N) by direct enumeration of reduced forms of discriminant -N."""
     if N < 0:
         raise ValueError("N must be non-negative")
     if N == 0:
-        return Fraction(-1, 12)
+        return -1
     if N % 4 in (1, 2):
-        return Fraction(0)
+        return 0
     twelfths = 0
     # 3a^2 <= N for reduced forms, and b matches the parity of N.
     for a in range(1, isqrt(N // 3) + 1):
@@ -72,7 +65,7 @@ def hurwitz_single(N: int) -> ExactRational:
             if c < a:
                 continue
             twelfths += _weight12(a, b, c)
-    return Fraction(twelfths, 12)
+    return twelfths
 
 
 def _weight12(a: int, b: int, c: int) -> int:
@@ -187,36 +180,15 @@ def twelfths_upto(n_max: int) -> tuple[int, ...]:
     return _cache
 
 
-# Fraction(t, 12) for the t that 12 does not divide, each built on its
-# first lookup; at most _DIV12_CAP are kept, and none is ever evicted.
-_DIV12_CAP = 4096
-
-
-class _Div12Table(dict):
-    def __missing__(self, t: int) -> Fraction:
-        value = Fraction(t, 12)
-        if len(self) < _DIV12_CAP:
-            self[t] = value
-        return value
-
-
-_div12_table = _Div12Table()
-
-
-def div12(t: int) -> ExactRational:
-    """t / 12 exactly: an int where 12 divides t, else a Fraction."""
-    return t // 12 if t % 12 == 0 else _div12_table[t]
-
-
 def hurwitz_series(order: int) -> QSeries:
-    """Generating series sum_n H(n) q^n, an int wherever H(n) is integral.
+    """Generating series sum_n H(n) q^n: the table's twelfths over den 12.
     The order is an H index, so MAX_H_INDEX caps it, checked before the
     table is read."""
     if order < 0:
         raise ValueError("order must be non-negative")
     if order > MAX_H_INDEX:
         raise ValueError(f"order {order} is over the cap MAX_H_INDEX = {MAX_H_INDEX}")
-    return QSeries(map(div12, twelfths_upto(order)[: order + 1]))
+    return QSeries(twelfths_upto(order)[: order + 1], 12)
 
 
 def hmm_twelfths(m: int, M: int, n: int) -> int:
@@ -241,9 +213,25 @@ def hmm_twelfths(m: int, M: int, n: int) -> int:
     return total
 
 
-def hmm_sum(m: int, M: int, n: int) -> ExactRational:
-    """H_{m,M}(n) by the direct sum: hmm_twelfths divided by 12 once, an
-    int when it is integral and a Fraction otherwise."""
+# Fraction(t, 12) for each t that 12 does not divide, built on first lookup, as the same twelfths
+# recur across residues, moduli and n: hmm_sum's memo.  At most _DIV12_CAP are kept, none evicted.
+_DIV12_CAP = 4096
+
+
+class _Div12Table(dict):
+    def __missing__(self, t: int):
+        from fractions import Fraction  # only here: no command divides by 12
+        value = Fraction(t, 12)
+        if len(self) < _DIV12_CAP:
+            self[t] = value
+        return value
+
+
+_div12_table = _Div12Table()
+
+
+def hmm_sum(m: int, M: int, n: int):
+    """H_{m,M}(n) by the direct sum: hmm_twelfths over 12, an int where integral, else a Fraction."""
     total = hmm_twelfths(m, M, n)
     return total // 12 if total % 12 == 0 else _div12_table[total]
 
@@ -303,7 +291,5 @@ def hmm_product(m: int, M: int, order: int) -> list[int]:
 
 
 def hmm_series(m: int, M: int, order: int) -> QSeries:
-    """H_{m,M} by the product route: each coefficient of hmm_product divided
-    by 12 as div12 does, an int where it is integral."""
-    table = _div12_table
-    return QSeries([t // 12 if t % 12 == 0 else table[t] for t in hmm_product(m, M, order)])
+    """H_{m,M} by the product route: hmm_product's twelfths over den 12."""
+    return QSeries(hmm_product(m, M, order), 12)

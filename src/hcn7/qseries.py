@@ -3,20 +3,22 @@
 A QSeries holds the coefficients a(0)..a(order) of a formal power series
 sum_n a(n) q^n.  Coefficients beyond the truncation order are unknown, not
 zero: binary operations return the minimum of the operand orders and never
-fabricate terms.  Coefficients are exact ints or fractions.Fraction, kept
-as the builder gave them: an int and the equal Fraction compare and hash
-alike, so every operation is exact and equality is by value.
+fabricate terms.  a(n) = coeffs[n] / den: ints over one positive int den,
+which each builder states (12 for H and H_{m,M}, 2 for the correction
+series, else 1) and no operation reduces, so all arithmetic is int work
+and equality is by value.  f[n] is the exact value, an int where den
+divides it, else a fractions.Fraction, imported on that read.
 
 Series arithmetic is spelled as functions only: series_add, series_sub,
 series_scale and series_mul.  The coefficient operators act purely on
-exponents and coefficient values:
+exponents and coefficient values, and keep den:
 
     op_u(f, M)               a(M n) re-indexed to n
     op_dilate(f, M, order)   a(n) moved to exponent M n <= order (q -> q^M)
     op_sieve(f, M, r)        keep exponents n == r (mod M)
 
-series_add and series_sub are one C-level map over the two coefficient
-tuples, and the three operators are slices of the coefficient tuple
+series_add and series_sub are one C-level map over the two numerator
+tuples over a common den, and the three operators are slices of the tuple
 (f.coeffs[::M], out[::M] = f.coeffs[: order // M + 1] and
 out[r::M] = f.coeffs[r::M]), so none of them loops in Python.
 
@@ -31,13 +33,9 @@ it the internal order of the product route hurwitz.hmm_product.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import compress, islice, repeat
+from math import lcm
 from operator import add, mul, sub
-
-# Exact rational scalar.  Series coefficients are exact ints or Fractions:
-# an int is the ExactRational of denominator 1, equal to it and hashed alike.
-ExactRational = Fraction
 
 # Largest H(N) index anything tabulates.  Sized so that `table --pmax 10**6`
 # and `newform --nmax 10**6` stay admissible.
@@ -50,16 +48,19 @@ def max_order() -> int:
 
 
 class QSeries:
-    """Immutable truncated power series in q."""
+    """Immutable truncated power series in q: coeffs over den."""
 
-    __slots__ = ("coeffs", "order")
+    __slots__ = ("coeffs", "order", "den")
 
-    def __init__(self, coeffs):
+    def __init__(self, coeffs, den: int = 1):
         cs = tuple(coeffs)
         if not cs:
             raise ValueError("a series needs at least the constant coefficient")
+        if den < 1:
+            raise ValueError("den must be positive")
         object.__setattr__(self, "coeffs", cs)
         object.__setattr__(self, "order", len(cs) - 1)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("QSeries is immutable")
@@ -68,49 +69,58 @@ class QSeries:
     def zero(cls, order: int) -> "QSeries":
         return cls([0] * (order + 1))
 
-    def __getitem__(self, n: int) -> ExactRational:
+    def __getitem__(self, n: int):
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} unknown beyond order {self.order}")
-        return self.coeffs[n]
+        c = self.coeffs[n]
+        if c % self.den == 0:
+            return c // self.den
+        from fractions import Fraction  # only here: int values never need it
+        return Fraction(c, self.den)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, QSeries)
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
+        if not isinstance(other, QSeries) or self.order != other.order:
+            return False
+        den = lcm(self.den, other.den)
+        return tuple(numerators(self, den)) == tuple(numerators(other, den))
 
-    def __hash__(self):
-        return hash(self.coeffs)
+    __hash__ = None  # equal values may have other numerators and dens
 
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:6])
         tail = ", ..." if self.order >= 6 else ""
-        return f"QSeries(order={self.order}, [{head}{tail}])"
+        return f"QSeries(order={self.order}, den={self.den}, [{head}{tail}])"
+
+
+def numerators(f: QSeries, den: int):
+    """f's numerators over den, a multiple of f.den: f.coeffs, or a map."""
+    return f.coeffs if den == f.den else map(mul, f.coeffs, repeat(den // f.den))
 
 
 def series_add(f: QSeries, g: QSeries) -> QSeries:
-    """Coefficientwise sum, truncated to the shorter operand (where map
-    stops)."""
-    return QSeries(map(add, f.coeffs, g.coeffs))
+    """Coefficientwise sum over the least common denominator, truncated to
+    the shorter operand (where map stops)."""
+    den = lcm(f.den, g.den)
+    return QSeries(map(add, numerators(f, den), numerators(g, den)), den)
 
 
 def series_sub(f: QSeries, g: QSeries) -> QSeries:
-    """Coefficientwise difference, truncated to the shorter operand."""
-    return QSeries(map(sub, f.coeffs, g.coeffs))
+    """Coefficientwise difference, as series_add."""
+    den = lcm(f.den, g.den)
+    return QSeries(map(sub, numerators(f, den), numerators(g, den)), den)
 
 
-def series_scale(f: QSeries, c) -> QSeries:
-    """c times each coefficient; a zero coefficient stays the int 0, equal
-    to c * 0 and hashed alike, without building a Fraction zero."""
-    return QSeries([c * a if a else 0 for a in f.coeffs])
+def series_scale(f: QSeries, c: int, den: int = 1) -> QSeries:
+    """(c / den) times f, c an int and den a positive int: the numerators
+    times c, over f.den * den."""
+    return QSeries(map(mul, f.coeffs, repeat(c)), f.den * den)
 
 
 def series_mul(f: QSeries, g: QSeries) -> QSeries:
     """Cauchy product up to min(f.order, g.order).
 
-    One path serves int and Fraction coefficients: ints in, ints out.  A
-    nonzero coefficient c at index i of the sparser operand (the one with
+    The numerators multiply as ints, over f.den * g.den.  A nonzero
+    coefficient c at index i of the sparser operand (the one with
     more zeros) adds the row c * b to out[i:] as a single C-level map
     (without the multiplication when c == 1).  The product costs one row
     add per nonzero of the sparser operand, which makes products with
@@ -133,7 +143,7 @@ def series_mul(f: QSeries, g: QSeries) -> QSeries:
     for i, c in compress(enumerate(a), a):
         row = b if c == 1 else map(mul, repeat(c), b)
         out[i:] = map(add, islice(out, i, None), row)
-    return QSeries(out)
+    return QSeries(out, f.den * g.den)
 
 
 def op_u(f: QSeries, M: int) -> QSeries:
@@ -142,7 +152,7 @@ def op_u(f: QSeries, M: int) -> QSeries:
         raise ValueError("M must be positive")
     if M == 1:
         return f
-    return QSeries(f.coeffs[::M])
+    return QSeries(f.coeffs[::M], f.den)
 
 
 def op_dilate(f: QSeries, M: int, order: int) -> QSeries:
@@ -156,19 +166,18 @@ def op_dilate(f: QSeries, M: int, order: int) -> QSeries:
         raise ValueError(f"cannot dilate order {f.order} by {M} to order {order}")
     out = [0] * (order + 1)
     out[::M] = f.coeffs[: top + 1]
-    return QSeries(out)
+    return QSeries(out, f.den)
 
 
 def op_sieve(f: QSeries, M: int, r: int) -> QSeries:
     """Keep coefficients at exponents n == r (mod M), zero the rest: the
-    kept ones are copied as one slice, and every other coefficient is the
-    int 0."""
+    kept ones are copied as one slice."""
     if M < 1:
         raise ValueError("M must be positive")
     r %= M
     out = [0] * (f.order + 1)
     out[r::M] = f.coeffs[r::M]
-    return QSeries(out)
+    return QSeries(out, f.den)
 
 
 # The quadratic character mod 7: +1 on {1,2,4}, -1 on {3,5,6}, 0 on 7Z.

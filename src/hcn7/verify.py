@@ -11,12 +11,13 @@ B = floor(k m / 12) with index
 so equality of the leading B+1 coefficients proves equality of forms;
 THM35_BOUND and THM35_BOUND_M0 are derived from sturm_bound.  Failures
 are reported, never raised: a VerificationReport records the first
-differing index with both values.
+differing index with both values, as ints over the report's unit.
 """
 
 from __future__ import annotations
 
 import time
+from math import lcm
 from typing import Iterator, NamedTuple
 
 from .arith import d_pa_series, d_series, hk_rhs_series, lambda_series, prop31_rhs, psi_7, theta_chi1, theta_mM
@@ -24,8 +25,8 @@ from .hurwitz import hmm_product, hmm_series
 from .newform49 import cm_ap_at, g_series, represent_7
 from .primes import euler_phi, prime_factors, primes_up_to
 from .qseries import (
-    ExactRational,
     QSeries,
+    numerators,
     op_dilate,
     op_sieve,
     op_u,
@@ -51,9 +52,9 @@ def sturm_bound(k: int, n1: int, n2: int) -> int:
 class VerificationReport(NamedTuple):
     id: str
     checked_upto: int
-    first_mismatch: tuple[int, ExactRational, ExactRational] | None
+    first_mismatch: tuple[int, int, int] | None
     elapsed: float
-    unit: int = 1  # the mismatch's two values are in units of 1 / unit
+    unit: int = 1  # the mismatch's two values are ints in units of 1 / unit
 
     @property
     def ok(self) -> bool:
@@ -61,15 +62,17 @@ class VerificationReport(NamedTuple):
 
 
 def compare(
-    id: str, bound: int, start: float, lhs: QSeries, rhs: QSeries, first: int = 0, unit: int = 1
+    id: str, bound: int, start: float, lhs: QSeries, rhs: QSeries, first: int = 0
 ) -> VerificationReport:
-    """Compare coefficients first..bound inclusive of lhs and rhs and report
-    the first (n, lhs, rhs) that differ in units of 1 / unit, timed from
-    start.  A side shorter than bound is an error, never a shorter one."""
+    """Compare coefficients first..bound inclusive of lhs and rhs as ints
+    over their least common den, the report's unit, and report the first
+    (n, lhs, rhs) that differ, timed from start.  A side shorter than bound
+    is an error, never a shorter comparison."""
     if lhs.order < bound or rhs.order < bound:
         raise ValueError(f"{id}: a side has order {min(lhs.order, rhs.order)} < bound {bound}")
-    pairs = zip(range(first, bound + 1), lhs.coeffs[first:], rhs.coeffs[first:])
-    mismatch = next(((n, a, b) for n, a, b in pairs if a != b), None)
+    unit = lcm(lhs.den, rhs.den)
+    a, b = (tuple(numerators(side, unit))[first:] for side in (lhs, rhs))
+    mismatch = next(((n, x, y) for n, x, y in zip(range(first, bound + 1), a, b) if x != y), None)
     return VerificationReport(id, bound, mismatch, time.perf_counter() - start, unit)
 
 
@@ -82,7 +85,7 @@ def compare(
 #
 # with the extras a list of (coefficient, class) pairs for D_1^(7,class).
 # Every coefficient is a whole number of 24ths, so the rows state them as
-# ints in 24ths (cD = 7 is 7/24) and both sides are int series in 24ths.
+# ints in 24ths (cD = 7 is 7/24) and both sides are series over den 24.
 # The six m = 0 rows are checked as their sum, a form on Gamma0(196).  G
 # vanishes on the inert classes 3, 5, 6, so those rows carry cG = 0.  In
 # row (3, 4) G is sieved to class 4, not 1: only matching classes agree.
@@ -121,12 +124,12 @@ THM35_BOUND_M0 = sturm_bound(2, 196, 1) + 1
 
 
 def _thm35_sides(m: int, a: int, h, phi, d: QSeries, g: QSeries) -> tuple[QSeries, QSeries]:
-    """Row (m, a)'s sides in 24ths, from h[m] = 24 H_{m,7}, phi[cls], D and G."""
+    """Row (m, a)'s sides over den 24, from h[m] = H_{m,7}, phi[cls], D and G."""
     extras, c_d, c_g = _THM35_ROWS[(m, a)]
     lhs = h[m]
     for coeff, cls in extras:
-        lhs = series_add(lhs, series_scale(phi[cls], coeff))
-    rhs = series_add(series_scale(d, c_d), series_scale(g, c_g))
+        lhs = series_add(lhs, series_scale(phi[cls], coeff, 24))
+    rhs = series_add(series_scale(d, c_d, 24), series_scale(g, c_g, 24))
     return op_sieve(lhs, 7, a), op_sieve(rhs, 7, a)
 
 
@@ -136,18 +139,18 @@ def verify_thm35(bound: int = THM35_BOUND, bound_m0: int = THM35_BOUND_M0) -> li
     once, to the larger bound."""
     start = time.perf_counter()
     b = max(bound, bound_m0)
-    h = [QSeries([2 * t for t in hmm_product(m, 7, b)]) for m in range(4)]
+    h = [QSeries([2 * t for t in hmm_product(m, 7, b)], 24) for m in range(4)]
     phi = {cls: d_pa_series(1, 7, cls, b) for cls in range(1, 7)}
     series = h, phi, d_series(b), g_series(b)
     rows = [_thm35_sides(0, a, *series) for a in range(1, 7)]
     # row (0, a) lives on class a, so the six rows' sum reads n off row n mod 7
-    sides = (QSeries(side[n % 7 - 1][n] if n % 7 else 0 for n in range(bound_m0 + 1)) for side in zip(*rows))
-    reports = [compare("thm35.m0", bound_m0, start, *sides, unit=24)]
+    sides = (QSeries((s[n % 7 - 1].coeffs[n] if n % 7 else 0 for n in range(bound_m0 + 1)), 24) for s in zip(*rows))
+    reports = [compare("thm35.m0", bound_m0, start, *sides)]
     for m in (1, 2, 3):
         for a in range(1, 7):
             start = time.perf_counter()
             sides = _thm35_sides(m, a, *series)
-            reports.append(compare(f"thm35.m{m}.s{a}", bound, start, *sides, unit=24))
+            reports.append(compare(f"thm35.m{m}.s{a}", bound, start, *sides))
     return reports
 
 
@@ -176,7 +179,7 @@ def verify_prop41(order: int) -> VerificationReport:
 
 
 def verify_hurwitz_kronecker(n_max: int) -> VerificationReport:
-    """Both sides of the classical class number relation for 1 <= n <= n_max:
+    """Both sides of the class number relation for 1 <= n <= n_max, in twelfths:
     hmm_series(0, 1, n_max) from the H table, hk_rhs_series reading no H."""
     if n_max < 1:
         raise ValueError("n_max must be positive")
@@ -187,7 +190,7 @@ def verify_hurwitz_kronecker(n_max: int) -> VerificationReport:
 
 
 def verify_prop31(k: int, m: int, order: int) -> VerificationReport:
-    """Correction series | U_4 against its divisor-sum form, exponent 2k+1."""
+    """Correction series | U_4 against its divisor-sum form, exponent 2k+1, in halves."""
     start = time.perf_counter()
     lhs = op_u(lambda_series(2 * k + 1, m, 7, 4 * order), 4)
     return compare(f"prop31.k{k}.m{m}", order, start, lhs, prop31_rhs(k, m, order))
@@ -205,7 +208,7 @@ def verify_prop31(k: int, m: int, order: int) -> VerificationReport:
 # Both sides of a cell are ints in 24ths.  The H side is the product
 # route read at primes, 2 * hmm_product(m, 7, p_max)[p], one product per
 # column; the row law reads d_0 + 2(d_1 + d_2 + d_3) = 48p.
-# A report carries these ints with its unit, 24; only the CLI shows a Fraction.
+# A report carries these ints with its unit, 24, which the CLI divides by.
 # --------------------------------------------------------------------------
 
 
@@ -343,8 +346,5 @@ def run_suite(name: str, bound: int | None = None) -> list[VerificationReport]:
     if name == "main":
         return verify_main_table(_cap(10_000, bound))
     if name == "all":
-        out = []
-        for suite in SUITE_NAMES:
-            out.extend(run_suite(suite, bound))
-        return out
+        return [report for suite in SUITE_NAMES for report in run_suite(suite, bound)]
     raise ValueError(f"unknown suite {name!r}")

@@ -7,7 +7,10 @@ that hcn7.verify derives from the theorem's rows.
 
 Each oracle computes one coefficient by its definition, with a plain
 divisor loop, or one table entry or one coefficient at a time, and shares
-no code with the builder it checks.
+no code with the builder it checks.  The rational oracles state their
+coefficients as lists of Fractions, and values reads a QSeries, ints over
+its den, in that form, so that the tests compare exact values whatever
+the denominator a builder chose.
 """
 
 import time
@@ -17,8 +20,14 @@ from math import isqrt
 from hcn7.arith import d_pa_series, d_series, psi_7
 from hcn7.hurwitz import hmm_series, twelfths_upto
 from hcn7.newform49 import ec_point_count, g_series
-from hcn7.qseries import QSeries, chi_minus7, op_sieve, op_u, series_add, series_mul, series_scale, series_sub
+from hcn7.qseries import QSeries, chi_minus7, op_u, series_add, series_mul, series_scale, series_sub
 from hcn7.verify import VerificationReport, compare
+
+
+def values(f: QSeries) -> list[Fraction]:
+    """Each coefficient of f as the Fraction it stands for, coeffs[n] / den:
+    the one form in which the tests compare a series with Fractions."""
+    return [Fraction(c, f.den) for c in f.coeffs]
 
 
 def sigma(n: int, l: int = 1) -> int:
@@ -36,11 +45,11 @@ def sigma(n: int, l: int = 1) -> int:
     return total
 
 
-def composed_hmm_series(m: int, M: int, order: int) -> QSeries:
+def composed_hmm_series(m: int, M: int, order: int) -> list[Fraction]:
     """Reference for hurwitz.hmm_series: the whole product of the H table's
     twelfths with a dense theta_{m,M} to order 4*order, counted here one
     integer a at a time, then op_u keeps every 4th coefficient, then each
-    is divided by 12."""
+    is divided by 12 as a Fraction."""
     internal = 4 * order
     r = isqrt(internal)
     theta = [0] * (internal + 1)
@@ -49,7 +58,7 @@ def composed_hmm_series(m: int, M: int, order: int) -> QSeries:
             theta[a * a] += 1
     twelfths = QSeries(twelfths_upto(internal)[: internal + 1])
     product = op_u(series_mul(twelfths, QSeries(theta)), 4)
-    return QSeries(Fraction(t, 12) for t in product.coeffs)
+    return [Fraction(t, 12) for t in product.coeffs]
 
 
 def sieve_oracle(twelfths: list[int], lo: int) -> None:
@@ -147,10 +156,10 @@ def d_pa_series_loop(l: int, p: int, a: int, order: int) -> QSeries:
     return QSeries(coeffs)
 
 
-def lambda_series_loop(l: int, m: int, M: int, order: int) -> QSeries:
+def lambda_series_loop(l: int, m: int, M: int, order: int) -> list[Fraction]:
     """The correction series for n <= order, one factor pair n = u v, u <= v
-    of equal parity, at a time, in doubled weights: the reference for
-    arith.lambda_series (see lambda_coeff for the weights)."""
+    of equal parity, at a time, in doubled weights halved as Fractions: the
+    reference for arith.lambda_series (see lambda_coeff for the weights)."""
     doubled = [0] * (order + 1)
     for u in range(1, isqrt(order) + 1):
         ul = u**l
@@ -161,7 +170,7 @@ def lambda_series_loop(l: int, m: int, M: int, order: int) -> QSeries:
                 doubled[u * v] += value
             if (t + m) % M == 0:
                 doubled[u * v] += value
-    return QSeries([Fraction(d, 2) if d % 2 else d // 2 for d in doubled])
+    return [Fraction(d, 2) for d in doubled]
 
 
 def lopsided_series_loop(l: int, p: int, m: int, order: int) -> QSeries:
@@ -274,20 +283,21 @@ TABLE_WEIGHTS: dict[int, tuple[tuple[int, int, int], ...]] = {
 }
 
 
-def _drop_sevens(f: QSeries) -> QSeries:
-    """Zero the coefficients at multiples of 7: the twist by chi_minus7^2."""
-    return QSeries([c if n % 7 else 0 for n, c in enumerate(f.coeffs)])
-
-
-def thm35_m0_sides(b: int) -> tuple[QSeries, QSeries]:
-    """Both sides of Theorem 3.5 at m = 0 to order b, in the paper's form
-    with the sigma(n) chi(n)(chi(n) - 1) / 24 term: the reference for the
-    sum of the six rows (0, a) that verify.verify_thm35 checks."""
-    lhs = _drop_sevens(hmm_series(0, 7, b))
-    for cls, sieve in ((1, 6), (2, 3), (3, 5)):
-        lhs = series_add(lhs, series_scale(op_sieve(d_pa_series(1, 7, cls, b), 7, sieve), 2))
-    dd = d_series(b)
-    rhs = series_scale(_drop_sevens(dd), Fraction(1, 4))
-    mid = QSeries([dd[n] * chi_minus7(n) * (chi_minus7(n) - 1) for n in range(b + 1)])
-    rhs = series_add(rhs, series_scale(mid, Fraction(1, 24)))
-    return lhs, series_add(rhs, series_scale(_drop_sevens(g_series(b)), Fraction(1, 4)))
+def thm35_m0_sides(b: int) -> tuple[list[Fraction], list[Fraction]]:
+    """Both sides of Theorem 3.5 at m = 0 to order b as Fractions, in the
+    paper's form with the sigma(n) chi(n)(chi(n) - 1) / 24 term: the
+    reference for the sum of the six rows (0, a) that verify.verify_thm35
+    checks.  Both sides vanish at the multiples of 7 (the twist by
+    chi_minus7^2); D_1^(7,cls) for cls = 1, 2, 3 enters, doubled, on the
+    classes 6, 3 and 5."""
+    h = values(hmm_series(0, 7, b))
+    phi = {sieve: d_pa_series(1, 7, cls, b) for cls, sieve in ((1, 6), (2, 3), (3, 5))}
+    dd, g = d_series(b), g_series(b)
+    lhs = [0 if n % 7 == 0 else h[n] + (2 * phi[n % 7][n] if n % 7 in phi else 0) for n in range(b + 1)]
+    rhs = [
+        0
+        if n % 7 == 0
+        else Fraction(dd[n], 4) + Fraction(dd[n] * chi_minus7(n) * (chi_minus7(n) - 1), 24) + Fraction(g[n], 4)
+        for n in range(b + 1)
+    ]
+    return lhs, rhs

@@ -76,7 +76,7 @@ def test_c05_lemma42_dilation_and_negative_control():
     assert verify_lemma42(1000).ok
     control = verify_lemma42_literal_u(56)
     assert not control.ok
-    assert control.first_mismatch == (1, Fraction(1), Fraction(-4))
+    assert control.first_mismatch == (1, 1, -4) and control.unit == 1
     _stamp("C5 dilation identity n<=1000; literal-U control fails at n=1", start)
 
 
@@ -125,14 +125,16 @@ def test_c09_sturm_bounds():
 
 
 def _random_series(rng, max_order, density=0.5):
+    # values r / q, q in 1..9, as numerators over lcm(1..9) = 2520
     order = rng.randint(0, max_order)
     return QSeries(
         [
-            Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            rng.randint(-9, 9) * (2520 // rng.randint(1, 9))
             if rng.random() < density
             else 0
             for _ in range(order + 1)
-        ]
+        ],
+        2520,
     )
 
 

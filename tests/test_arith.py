@@ -25,6 +25,7 @@ from oracles import (
     lopsided_series_loop,
     phi_pa,
     sigma,
+    values,
 )
 
 # Orders around the squares 0, 1, 4, 49 and beyond, so that every builder
@@ -63,7 +64,7 @@ def test_slice_builders_match_loops(order):
                 assert lopsided == lopsided_series_loop(l, p, m, order), (l, p, m)
         for m in range(-1, 8):
             for M in (1, 5, 7):
-                assert lambda_series(l, m, M, order) == lambda_series_loop(l, m, M, order), (l, m, M)
+                assert values(lambda_series(l, m, M, order)) == lambda_series_loop(l, m, M, order), (l, m, M)
 
 
 def test_slice_builder_boundaries():
@@ -214,4 +215,4 @@ def test_integer_coefficients():
         theta_chi1(100),
         psi_7(100),
     ):
-        assert all(c.denominator == 1 for c in s.coeffs)
+        assert s.den == 1 and all(type(c) is int for c in s.coeffs)

@@ -1,10 +1,13 @@
 """Command-line interface: outputs, formats, exit codes."""
 
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hcn7.cli import main
+from hcn7.cli import main, rational
 
 
 def run(capsys, *argv):
@@ -117,3 +120,19 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nope"])
     assert exc.value.code == 2
+
+
+@settings(deadline=None, max_examples=500, database=None)
+@given(
+    num=st.one_of(st.integers(-300, 300), st.integers(-(2**80), 2**80)),
+    den=st.one_of(st.sampled_from([1, 2, 12, 24]), st.integers(1, 10**6), st.integers(1, 2**70)),
+)
+@example(num=0, den=1)
+@example(num=0, den=24)
+@example(num=-1, den=12)
+@example(num=-36, den=24)
+@example(num=7, den=2)
+@example(num=-2**80, den=2**70)
+def test_rational_renders_as_fraction_does(num, den):
+    # the one renderer of every rational the CLI shows
+    assert rational(num, den) == str(Fraction(num, den))

@@ -6,12 +6,14 @@ renderer.  Only the wall-clock seconds in text-format verify lines vary
 between runs; they are masked on both sides.  Usage errors must leave
 stdout empty.  The patched cases force a mismatch to pin the failure
 rendering (exit 1) of table, verify (the hk suite, thm35 with a rational
-and an integral first mismatch, and an integral and a rational first
-mismatch of the main suite) and the cross-check; the two verify-main
-cases were written while the table's cells were still Fractions, before
-they became ints in 24ths, and verify-thm35-fail while thm35's sides were
-still Fractions.  After a deliberate change of output, rewrite a case's
-file with what run_case returns for it.
+and an integral first mismatch, prop31 with a half-integer first
+mismatch, and an integral and a rational first mismatch of the main
+suite) and the cross-check; the two verify-main cases were written while
+the table's cells were still Fractions, before they became ints in 24ths,
+verify-thm35-fail while thm35's sides were still Fractions, and
+verify-prop31-fail and the two series-lambda cases while the correction
+series still held Fractions.  After a deliberate change of output,
+rewrite a case's file with what run_case returns for it.
 """
 
 import io
@@ -24,7 +26,8 @@ import pytest
 import hcn7.newform49
 import hcn7.verify
 from hcn7.cli import main
-from hcn7.qseries import QSeries, chi_minus7
+from hcn7.arith import lambda_series
+from hcn7.qseries import QSeries, chi_minus7, series_add
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -77,6 +80,18 @@ def _break_g(mp):
     mp.setattr(hcn7.verify, "g_series", broken)
 
 
+def _halve_prop31(mp):
+    # Lambda_{1,1,7} added to the divisor-sum side: its coefficient at
+    # n = 1 is 1/2 (the square 1 = 1 * 1, weight 1/2), so every prop31
+    # report fails at n = 1 with a half-integer on that side
+    rhs_series = hcn7.verify.prop31_rhs
+
+    def broken(k, m, order):
+        return series_add(rhs_series(k, m, order), lambda_series(1, 1, 7, order))
+
+    mp.setattr(hcn7.verify, "prop31_rhs", broken)
+
+
 def _break_cm(mp):
     mp.setattr(hcn7.newform49, "chi_minus7", lambda n: -chi_minus7(n))
 
@@ -91,9 +106,12 @@ _FORMATTED = [
     ("newform-cm", ["newform", "--nmax", "50", "--method", "cm"], 0, None),
     ("newform-cross", ["newform", "--nmax", "60", "--method", "cross"], 0, None),
     ("series", ["series", "H", "--order", "20"], 0, None),
+    ("series-lambda", ["series", "Lambda_1_0_7", "--order", "50"], 0, None),
+    ("series-lambda-halves", ["series", "Lambda_1_1_7", "--order", "50"], 0, None),
     ("table-mismatch", ["table", "--pmax", "30"], 1, _break_table),
     ("verify-fail", ["verify", "--suite", "hk", "--bound", "30"], 1, _break_hk),
     ("verify-thm35-fail", ["verify", "--suite", "thm35", "--bound", "40"], 1, _break_g),
+    ("verify-prop31-fail", ["verify", "--suite", "prop31", "--bound", "30"], 1, _halve_prop31),
     ("verify-main-fail", ["verify", "--suite", "main", "--bound", "30"], 1, _break_table),
     ("verify-main-rational", ["verify", "--suite", "main", "--bound", "30"], 1, _nudge_table),
     ("newform-cross-fail", ["newform", "--nmax", "40", "--method", "cross"], 1, _break_cm),

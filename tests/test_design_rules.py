@@ -1,13 +1,16 @@
 """Design rules of the package, checked on its source: exact arithmetic
 only (no float literal, no float() call, no math.sqrt, math.log or
-math.exp), no knobs (no read of os.environ or os.getenv), no dead code
-(every public top-level function and class is used somewhere in the
-package) and no unused import (every imported name is read in its
-module).  Division by `/` is allowed: Fraction / int is exact.
+math.exp, and no true division: `/` of two ints gives a float, so the
+package divides only by `//` and keeps every rational as an int over a
+known denominator), no knobs (no read of os.environ or os.getenv), no
+dead code (every public top-level function and class is used somewhere
+in the package) and no unused import (every imported name is read in
+its module).
 
 Start-up imports: `import hcn7.cli`, which every hcn7 command pays, loads
-none of dataclasses, inspect, ast or json, and json loads only when a
-command asks for json output."""
+none of dataclasses, inspect, ast, json, fractions, decimal or numbers;
+json loads only when a command asks for json output, and verify, newform
+and table never load the last three."""
 
 import ast
 import json
@@ -32,6 +35,8 @@ def violations(tree: ast.AST) -> list[str]:
             found.append(f"line {node.lineno}: float literal {node.value!r}")
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
             found.append(f"line {node.lineno}: float() call")
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append(f"line {node.lineno}: true division /")
         elif (
             isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name)
@@ -68,6 +73,8 @@ def test_no_float_and_no_knobs(path):
         "import os\nx = os.environ['N']",
         "import os\nx = os.getenv('N')",
         "from os import environ",
+        "x = a / b",
+        "x /= 2",
     ],
 )
 def test_rules_catch(source):
@@ -167,18 +174,30 @@ sys.path.insert(0, sys.argv[1])
 before = set(sys.modules)
 import hcn7.cli
 print(" ".join(sorted(set(sys.modules) - before)))
+stdout, sys.stdout = sys.stdout, open(sys.argv[2], "w")
+codes = [hcn7.cli.main(argv.split()) for argv in sys.argv[3:]]
+sys.stdout.close()
+sys.stdout = stdout
+print(*codes, *sorted({"fractions", "decimal", "numbers"} & set(sys.modules)))
 code = hcn7.cli.main(["sum", "--m", "1", "--M", "7", "--n", "5", "--format", "json"])
 print(code, "json" in sys.modules)
 """
 
-STARTUP_BANNED = {"dataclasses", "inspect", "ast", "json"}
+STARTUP_BANNED = {"dataclasses", "inspect", "ast", "json", "fractions", "decimal", "numbers"}
+
+# Commands that must run without fractions, decimal and numbers, not only start so.
+RUN_WITHOUT_FRACTIONS = [
+    "verify --suite all --format csv",
+    "newform --nmax 2000 --method cross --format csv",
+    "table --pmax 100 --format csv",
+]
 
 
-def test_startup_imports_only_what_commands_use():
+def test_startup_imports_only_what_commands_use(tmp_path):
     # -S: no site module, so nothing the interpreter's setup preloads can hide a load
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run(
-        [sys.executable, "-S", "-E", "-c", STARTUP_PROBE, str(src)],
+        [sys.executable, "-S", "-E", "-c", STARTUP_PROBE, str(src), str(tmp_path / "out"), *RUN_WITHOUT_FRACTIONS],
         capture_output=True,
         text=True,
         check=True,
@@ -187,5 +206,6 @@ def test_startup_imports_only_what_commands_use():
     loaded = set(out[0].split())
     assert "hcn7.cli" in loaded
     assert loaded & STARTUP_BANNED == set()
-    assert json.loads("\n".join(out[1:-1]))["payload"]["value"] == "1"
+    assert out[1] == "0 0 0"  # every command ran, and loaded none of fractions, decimal, numbers
+    assert json.loads("\n".join(out[2:-1]))["payload"]["value"] == "1"
     assert out[-1] == "0 True"

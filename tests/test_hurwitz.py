@@ -9,7 +9,6 @@ import pytest
 import hcn7.hurwitz
 from hcn7.arith import theta_mM
 from hcn7.hurwitz import (
-    div12,
     hmm_product,
     hmm_series,
     hmm_sum,
@@ -20,7 +19,7 @@ from hcn7.hurwitz import (
     twelfths_upto,
 )
 from hcn7.qseries import MAX_H_INDEX, QSeries, op_u, series_mul
-from oracles import composed_hmm_series, hk_rhs_oracle, sieve_oracle
+from oracles import composed_hmm_series, hk_rhs_oracle, sieve_oracle, values
 
 # Frozen values, each recomputable by listing reduced forms by hand:
 # H(3) <- (1,1,1) at weight 1/3; H(4) <- (1,0,1) at 1/2; H(11) <- (1,1,3);
@@ -74,12 +73,13 @@ def brute_force_hurwitz(N):
 
 def test_known_values():
     for n, v in KNOWN.items():
-        assert hurwitz_single(n) == v
+        assert Fraction(hurwitz_single(n), 12) == v
 
 
 def test_single_against_brute_force():
     for n in range(0, 200):
-        assert hurwitz_single(n) == brute_force_hurwitz(n), n
+        assert type(hurwitz_single(n)) is int
+        assert Fraction(hurwitz_single(n), 12) == brute_force_hurwitz(n), n
 
 
 def test_batch_matches_single_spot_checks():
@@ -88,7 +88,7 @@ def test_batch_matches_single_spot_checks():
     rng = random.Random(23)
     for _ in range(100):
         n = rng.randint(0, 10_000)
-        assert Fraction(twelfths[n], 12) == hurwitz_single(n), n
+        assert twelfths[n] == hurwitz_single(n), n
 
 
 def test_batch_structure():
@@ -163,7 +163,7 @@ def test_product_checks_the_slot_bound_before_it_packs(monkeypatch):
         monkeypatch.setattr(hcn7.hurwitz, "twelfths_upto", lambda n_max: table)
         if top == largest:
             product = op_u(series_mul(QSeries(table), theta_mM(0, 1, 8)), 4)
-            assert hmm_series(0, 1, 2) == QSeries(Fraction(t, 12) for t in product.coeffs)
+            assert hmm_series(0, 1, 2) == QSeries(product.coeffs, 12)
         else:
             with pytest.raises(OverflowError, match="32-bit slot"):
                 hmm_series(0, 1, 2)
@@ -184,12 +184,13 @@ def test_product_packs_once_per_table_and_order(monkeypatch):
     assert [hmm_series(m, 7, 100) for m in range(7)] == first
     assert len(packed) == 6
     for m in range(7):
-        assert first[m] == QSeries([hmm_sum(m, 7, n) for n in range(101)])
+        assert values(first[m]) == [hmm_sum(m, 7, n) for n in range(101)]
 
 
 def test_series():
     s = hurwitz_series(4)
-    assert s.coeffs == (Fraction(-1, 12), 0, 0, Fraction(1, 3), Fraction(1, 2))
+    assert s.den == 12 and s.coeffs == (-1, 0, 0, 4, 6)
+    assert values(s) == [Fraction(-1, 12), 0, 0, Fraction(1, 3), Fraction(1, 2)]
     assert hurwitz_series(0)[0] == Fraction(-1, 12)
     # large index needed by the identity battery comes out exactly
     big = hurwitz_series(1348)
@@ -212,23 +213,31 @@ def test_series_respects_the_cap(monkeypatch):
     assert hurwitz_series(5000).order == 5000  # the cap itself is admitted
 
 
-def test_div12_is_exact_and_an_int_where_integral(monkeypatch):
+def sum_of(twelfths):
+    """hmm_sum with its kernel hmm_twelfths patched to return n: the
+    division by 12 it makes, and its memo, on any int twelfths."""
+    return hmm_sum(0, 1, twelfths)
+
+
+def test_hmm_sum_memo_is_exact_and_an_int_where_integral(monkeypatch):
     monkeypatch.setattr(hcn7.hurwitz, "_div12_table", hcn7.hurwitz._Div12Table())
+    monkeypatch.setattr(hcn7.hurwitz, "hmm_twelfths", lambda m, M, n: n)
     for _ in range(2):  # the second pass reads the table
         for t in range(-50, 5001):  # 12 H(0) = -1 included
-            value = div12(t)
+            value = sum_of(t)
             assert value == Fraction(t, 12), t
             assert type(value) is (int if t % 12 == 0 else Fraction), t
 
 
-def test_div12_table_stops_at_its_cap_and_stays_exact(monkeypatch):
+def test_hmm_sum_memo_stops_at_its_cap_and_stays_exact(monkeypatch):
     monkeypatch.setattr(hcn7.hurwitz, "_div12_table", hcn7.hurwitz._Div12Table())
+    monkeypatch.setattr(hcn7.hurwitz, "hmm_twelfths", lambda m, M, n: n)
     cap = hcn7.hurwitz._DIV12_CAP
     assert cap == 4096
-    values = range(1, 12 * (cap + 500), 12)  # distinct, none a multiple of 12
+    twelfths = range(1, 12 * (cap + 500), 12)  # distinct, none a multiple of 12
     for _ in range(2):
-        for t in values:
-            value = div12(t)
+        for t in twelfths:
+            value = sum_of(t)
             assert type(value) is Fraction and value == Fraction(t, 12), t
         assert len(hcn7.hurwitz._div12_table) == cap
 
@@ -284,18 +293,18 @@ def test_hmm_series_matches_direct_sum():
 
 def test_hmm_series_matches_composed_product():
     for m in range(7):
-        assert hmm_series(m, 7, 337) == composed_hmm_series(m, 7, 337), m
+        assert values(hmm_series(m, 7, 337)) == composed_hmm_series(m, 7, 337), m
     for M in (1, 2, 4, 13, 22):
         for m in {0, 1, M // 2, M - 1}:
-            assert hmm_series(m, M, 750) == composed_hmm_series(m, M, 750), (m, M)
+            assert values(hmm_series(m, M, 750)) == composed_hmm_series(m, M, 750), (m, M)
 
 
 def test_hmm_series_does_not_use_the_direct_sum(monkeypatch):
     monkeypatch.setattr(hcn7.hurwitz, "hmm_sum", unreachable)
     monkeypatch.setattr(hcn7.hurwitz, "hmm_twelfths", unreachable)
     monkeypatch.setattr(hcn7.hurwitz, "hurwitz_single", unreachable)
-    assert hmm_series(3, 7, 200) == composed_hmm_series(3, 7, 200)
-    assert hmm_product(3, 7, 200) == [12 * c for c in composed_hmm_series(3, 7, 200).coeffs]
+    assert values(hmm_series(3, 7, 200)) == composed_hmm_series(3, 7, 200)
+    assert hmm_product(3, 7, 200) == [12 * c for c in composed_hmm_series(3, 7, 200)]
 
 
 @pytest.mark.parametrize(
@@ -315,9 +324,10 @@ def test_hmm_series_does_not_use_the_direct_sum(monkeypatch):
 )
 def test_hmm_series_edge_cases_match_composed_product(m, M, order):
     series = hmm_series(m, M, order)
-    assert series == composed_hmm_series(m, M, order)
-    for c in series.coeffs:
-        assert type(c) is (int if Fraction(c).denominator == 1 else Fraction), c
+    assert values(series) == composed_hmm_series(m, M, order)
+    assert series.den == 12 and all(type(t) is int for t in series.coeffs)
+    for n, t in enumerate(series.coeffs):
+        assert type(series[n]) is (int if t % 12 == 0 else Fraction), n
 
 
 def test_hmm_series_examples():
@@ -355,16 +365,16 @@ def test_hmm_sum_respects_the_cap(monkeypatch):
 
 def test_direct_sum_reads_a_covering_cache_in_place(monkeypatch):
     # a cache that already reaches 4n is read without calling twelfths_upto
-    H = [hurwitz_single(N) for N in range(401)]
+    twelfths = [hurwitz_single(N) for N in range(401)]
     monkeypatch.setattr(hcn7.hurwitz, "_cache", hurwitz_batch(400))
     monkeypatch.setattr(hcn7.hurwitz, "twelfths_upto", unreachable)
     for M in (1, 2, 7):
         for m in range(M):
             for n in range(101):  # 4n <= 400, the cache's last index
                 r = isqrt(4 * n)
-                expected = sum(H[4 * n - a * a] for a in range(-r, r + 1) if (a - m) % M == 0)
-                assert hmm_twelfths(m, M, n) == 12 * expected, (m, M, n)
-                assert hmm_sum(m, M, n) == expected, (m, M, n)
+                expected = sum(twelfths[4 * n - a * a] for a in range(-r, r + 1) if (a - m) % M == 0)
+                assert hmm_twelfths(m, M, n) == expected, (m, M, n)
+                assert hmm_sum(m, M, n) == Fraction(expected, 12), (m, M, n)
     for direct in (hmm_sum, hmm_twelfths):
         with pytest.raises(AssertionError):  # 4n = 404 is past the cache
             direct(0, 7, 101)

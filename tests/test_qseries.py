@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -18,32 +19,42 @@ from hcn7.qseries import (
     series_scale,
     series_sub,
 )
+from oracles import values
 
 
 def rand_series(rng, max_order=200, density=0.5):
+    # values r / q, q in 1..9, as numerators over lcm(1..9) = 2520
     order = rng.randint(0, max_order)
     coeffs = [
-        Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        rng.randint(-9, 9) * (2520 // rng.randint(1, 9))
         if rng.random() < density
         else 0
         for _ in range(order + 1)
     ]
-    return QSeries(coeffs)
+    return QSeries(coeffs, 2520)
 
 
 def test_exact_rational_invariants():
-    from hcn7.qseries import ExactRational
-
-    x = ExactRational(6, -8)
-    assert x.denominator > 0
-    assert (x.numerator, x.denominator) == (-3, 4)  # lowest terms, den > 0
-    assert ExactRational(1, 3) + ExactRational(1, 6) == ExactRational(1, 2)
+    # a coefficient's value is in lowest terms with a positive denominator
+    x = QSeries([-6], 8)[0]
+    assert type(x) is Fraction and (x.numerator, x.denominator) == (-3, 4)
+    assert QSeries([-16], 8)[0] == -2 and type(QSeries([-16], 8)[0]) is int
+    # sums are exact, over the least common denominator, and equal by value
+    total = series_add(QSeries([1], 3), QSeries([1], 6))
+    assert (total.coeffs, total.den) == ((3,), 6)
+    assert total == QSeries([1], 2)
+    assert total != QSeries([1], 3)
 
 
 def test_construction_invariants():
-    f = QSeries([1, Fraction(1, 2), 0])
+    f = QSeries([2, 1, 0], 2)
     assert f.order == 2 and len(f.coeffs) == f.order + 1
-    assert f.coeffs == (1, Fraction(1, 2), 0) and type(f.coeffs[0]) is int
+    assert f.coeffs == (2, 1, 0) and f.den == 2
+    assert (f[0], f[1], f[2]) == (1, Fraction(1, 2), 0) and type(f[0]) is int
+    assert QSeries([5]).den == 1
+    for den in (0, -2):
+        with pytest.raises(ValueError, match="den must be positive"):
+            QSeries([1], den)
     with pytest.raises(ValueError):
         QSeries([])
     with pytest.raises(IndexError):
@@ -168,19 +179,24 @@ def schoolbook_mul(f, g):
     return out
 
 
-# Coefficients: zero, one (a row added without a product), small and
-# negative ints, ints beyond 2^64, and Fractions; a list may mix them all.
+# Numerators: zero, one (a row added without a product), small and
+# negative ints and ints beyond 2^64; a list may mix them all.  The
+# denominators are the package's own, 1, 2, 12 and 24, and any up to 30.
 coefficients = st.one_of(
     st.just(0),
     st.just(1),
     st.integers(-9, 9),
     st.integers(-(2**80), 2**80),
-    st.fractions(max_denominator=24),
 )
-series = st.one_of(
-    st.lists(coefficients, min_size=1, max_size=40),
-    st.integers(1, 40).map(lambda n: [0] * n),
-).map(QSeries)
+denominators = st.one_of(st.sampled_from([1, 2, 12, 24]), st.integers(1, 30))
+series = st.builds(
+    QSeries,
+    st.one_of(
+        st.lists(coefficients, min_size=1, max_size=40),
+        st.integers(1, 40).map(lambda n: [0] * n),
+    ),
+    denominators,
+)
 
 
 @settings(deadline=None, max_examples=300, database=None)
@@ -188,13 +204,10 @@ series = st.one_of(
 def test_mul_matches_schoolbook(f, g):
     product = series_mul(f, g)
     assert product.order == min(f.order, g.order)
-    assert list(product.coeffs) == schoolbook_mul(f, g)
-    if all(type(c) is int for c in f.coeffs + g.coeffs):
-        assert all(type(c) is int for c in product.coeffs)
-
-
-def _kinds(coeffs):
-    return [type(c) for c in coeffs]
+    assert list(product.coeffs) == schoolbook_mul(f, g) and product.den == f.den * g.den
+    assert all(type(c) is int for c in product.coeffs)
+    vf, vg = values(f), values(g)
+    assert values(product) == [sum(vf[i] * vg[n - i] for i in range(n + 1)) for n in range(product.order + 1)]
 
 
 @settings(deadline=None, max_examples=200, database=None)
@@ -203,10 +216,11 @@ def test_add_sub_match_elementwise(f, g):
     # orders differ in most draws: the result stops at the shorter one
     order = min(f.order, g.order)
     for op, ref in ((series_add, lambda a, b: a + b), (series_sub, lambda a, b: a - b)):
-        want = [ref(f.coeffs[n], g.coeffs[n]) for n in range(order + 1)]
+        want = [ref(a, b) for a, b in zip(values(f), values(g))]
         got = op(f, g)
         assert got.order == order
-        assert list(got.coeffs) == want and _kinds(got.coeffs) == _kinds(want)
+        assert values(got) == want and all(type(c) is int for c in got.coeffs)
+        assert got.den == f.den * g.den // gcd(f.den, g.den)
 
 
 @settings(deadline=None, max_examples=200, database=None)
@@ -215,26 +229,28 @@ def test_sieve_and_u_match_elementwise(f, M, r):
     # M ranges past the orders drawn (at most 39), r over negative values too
     sieved = op_sieve(f, M, r)
     want = [c if n % M == r % M else 0 for n, c in enumerate(f.coeffs)]
-    assert list(sieved.coeffs) == want and _kinds(sieved.coeffs) == _kinds(want)
-    assert all(type(c) is int for n, c in enumerate(sieved.coeffs) if n % M != r % M)
-    assert list(op_u(f, M).coeffs) == [f.coeffs[M * n] for n in range(f.order // M + 1)]
+    assert list(sieved.coeffs) == want and sieved.den == f.den
+    assert all(type(c) is int for c in sieved.coeffs)
+    u = op_u(f, M)
+    assert list(u.coeffs) == [f.coeffs[M * n] for n in range(f.order // M + 1)] and u.den == f.den
     if M == 1:
         assert op_u(f, M) is f and sieved == f
 
 
 def test_sieve_and_u_examples():
-    f = QSeries([Fraction(1, 2), 3, Fraction(-5, 7), 0, 9])
-    assert op_sieve(f, 3, -1) == QSeries([0, 0, Fraction(-5, 7), 0, 0])
+    f = QSeries([7, 42, -10, 0, 126], 14)  # 1/2, 3, -5/7, 0, 9
+    assert op_sieve(f, 3, -1) == QSeries([0, 0, -10, 0, 0], 14)
     assert op_sieve(f, 9, 4) == QSeries([0, 0, 0, 0, 9])  # M past the order
-    assert _kinds(op_sieve(f, 2, 1).coeffs) == [int] * 5
-    assert op_u(f, 9) == QSeries([Fraction(1, 2)])
-    assert op_u(f, 2) == QSeries([Fraction(1, 2), Fraction(-5, 7), 9])
-    assert series_sub(f, QSeries([Fraction(1, 2), 3])) == QSeries([0, 0])
+    assert op_sieve(f, 2, 1).coeffs == (0, 42, 0, 0, 0)
+    assert values(op_u(f, 9)) == [Fraction(1, 2)]
+    assert values(op_u(f, 2)) == [Fraction(1, 2), Fraction(-5, 7), 9]
+    assert series_sub(f, QSeries([1, 6], 2)) == QSeries([0, 0])
 
 
 def test_scale_truncate_operators():
     f = QSeries([1, 2, 3, 4])
-    assert series_scale(f, Fraction(1, 2)) == QSeries([Fraction(1, 2), 1, Fraction(3, 2), 2])
+    assert values(series_scale(f, 1, 2)) == [Fraction(1, 2), 1, Fraction(3, 2), 2]
+    assert series_scale(QSeries([1, 2], 3), 5, 4) == QSeries([5, 10], 12)
     assert op_dilate(f, 1, 1) == QSeries([1, 2])  # q -> q^1 truncates
     with pytest.raises(ValueError):
         op_dilate(f, 1, 9)

@@ -1,12 +1,13 @@
-"""Series coefficients are exact ints or Fractions, kept as built.
+"""Series coefficients are ints over one denominator each builder states.
 
 Each of the 25 series names of `hcn7 series` stands for one builder call.
 
-QSeries stores what a builder hands it, so the integer series stay ints
-and a product of two int series is int work.  The divisor-sum side of
-Prop. 3.1 is integral and is built in ints.  The H-series, the
-correction series and both H_{m,M} routes give an int exactly where the
-value is integral.  Scaling leaves a zero the int 0.
+The integer series have den 1, and a product of two of them is int work.
+The divisor-sum side of Prop. 3.1 is integral and is built in ints.  The
+H-series and both H_{m,M} routes have den 12, the correction series den 2,
+and the exact value a series gives at n is an int exactly where it is
+integral; the direct sum hmm_sum gives the same value of the same type.
+Scaling by c / d keeps every numerator an int.
 """
 
 import random
@@ -19,6 +20,7 @@ from hcn7.cli import _SERIES_BUILDERS, named_series
 from hcn7.hurwitz import hmm_series, hmm_sum, hurwitz_series
 from hcn7.newform49 import g_series
 from hcn7.qseries import QSeries, series_mul, series_scale
+from oracles import values
 
 NAMES = (
     ["H", "D", "G", "Psi7"]
@@ -27,6 +29,7 @@ NAMES = (
     + [f"Lambda_1_{m}_7" for m in range(7)]
 )
 INTEGER_NAMES = [n for n in NAMES if n != "H" and not n.startswith("Lambda")]
+DEN = {"H": 12, **{f"Lambda_1_{m}_7": 2 for m in range(7)}}
 
 
 def direct(name: str, order: int) -> QSeries:
@@ -52,18 +55,24 @@ def test_named_series_is_its_builder(name):
 
 @pytest.mark.parametrize("name", NAMES)
 def test_every_named_series_is_exact(name):
-    assert all(type(c) in (int, Fraction) for c in named_series(name, 60).coeffs)
+    series = named_series(name, 60)
+    assert all(type(c) is int for c in series.coeffs)
+    assert series.den == DEN.get(name, 1)
+    assert all(type(series[n]) in (int, Fraction) for n in range(61))
 
 
 @pytest.mark.parametrize("name", INTEGER_NAMES)
 def test_integer_series_stay_ints(name):
-    assert all(type(c) is int for c in named_series(name, 60).coeffs)
+    series = named_series(name, 60)
+    assert series.den == 1 and all(type(c) is int for c in series.coeffs)
 
 
 @pytest.mark.parametrize("name", [n for n in NAMES if n not in INTEGER_NAMES])
 def test_rational_series_give_ints_exactly_where_integral(name):
-    for value in named_series(name, 60).coeffs:
-        assert type(value) is (int if Fraction(value).denominator == 1 else Fraction), value
+    series = named_series(name, 60)
+    for n, value in enumerate(values(series)):
+        assert type(series[n]) is (int if value.denominator == 1 else Fraction), n
+        assert series[n] == value
 
 
 def test_product_of_int_series_is_int():
@@ -72,33 +81,37 @@ def test_product_of_int_series_is_int():
     g = QSeries([rng.randint(-9, 9) for _ in range(60)])
     product = series_mul(f, g)
     assert product.order == 59
-    assert all(type(c) is int for c in product.coeffs)
-    assert product == series_mul(QSeries(map(Fraction, f.coeffs)), g)
+    assert product.den == 1 and all(type(c) is int for c in product.coeffs)
+    # the same values whatever the operands' denominators
+    assert product == series_mul(QSeries([3 * c for c in f.coeffs], 3), g)
 
 
 @pytest.mark.parametrize("k", [0, 1])
 @pytest.mark.parametrize("m", range(7))
 def test_prop31_rhs_is_int(k, m):
-    assert all(type(c) is int for c in prop31_rhs(k, m, 300).coeffs)
+    series = prop31_rhs(k, m, 300)
+    assert series.den == 1 and all(type(c) is int for c in series.coeffs)
 
 
 @pytest.mark.parametrize("M", [1, 2, 4, 7])
 def test_hmm_routes_give_ints_exactly_where_integral(M):
     kinds = set()
     for m in range(M):
-        for n, value in enumerate(hmm_series(m, M, 150).coeffs):
-            direct = hmm_sum(m, M, n)
+        series = hmm_series(m, M, 150)
+        for n in range(151):
+            value, direct = series[n], hmm_sum(m, M, n)
             assert direct == value, (m, n)
-            kind = int if Fraction(value).denominator == 1 else Fraction
+            kind = int if series.coeffs[n] % 12 == 0 else Fraction
             assert type(value) is kind and type(direct) is kind, (m, n)
             kinds.add(kind)
     assert kinds == {int, Fraction}
 
 
 def test_scale_keeps_zeros_int():
-    f = QSeries([0, Fraction(0), 3, Fraction(5, 2), -1])
-    for c in (Fraction(7, 24), Fraction(-1, 4), 2, Fraction(0)):
-        scaled = series_scale(f, c)
-        assert scaled == QSeries([c * a for a in f.coeffs])
+    f = QSeries([0, 0, 6, 5, -2], 2)  # 0, 0, 3, 5/2, -1
+    for c, d in ((7, 24), (-1, 4), (2, 1), (0, 1)):
+        scaled = series_scale(f, c, d)
+        assert values(scaled) == [Fraction(c, d) * a for a in values(f)]
+        assert all(type(a) is int for a in scaled.coeffs)
         assert type(scaled[0]) is int and type(scaled[1]) is int
     assert [type(a) for a in series_scale(QSeries([0, 3, -2]), 5).coeffs] == [int] * 3

@@ -12,7 +12,7 @@ from hcn7.arith import d_pa_series, d_series, hk_rhs_series
 from hcn7.hurwitz import hmm_product, hmm_series, hmm_sum, hmm_twelfths, hurwitz_batch
 from hcn7.newform49 import ec_aps, g_series
 from hcn7.primes import primes_up_to
-from hcn7.qseries import QSeries, op_sieve, series_scale
+from hcn7.qseries import QSeries, op_sieve
 from hcn7.verify import (
     _CELL_WEIGHTS,
     _THM35_ROWS,
@@ -32,7 +32,7 @@ from hcn7.verify import (
     verify_prop41,
     verify_thm35,
 )
-from oracles import TABLE_WEIGHTS, sigma, thm35_m0_sides, verify_lemma42_literal_u
+from oracles import TABLE_WEIGHTS, sigma, thm35_m0_sides, values, verify_lemma42_literal_u
 
 
 def test_sturm_bound_values():
@@ -92,21 +92,22 @@ def test_thm35_suite_structure():
 
 
 def test_thm35_worked_coefficients():
-    # both sides in 24ths, from 24 H_{m,7}, D_1^(7,cls), D and G
-    h = [QSeries([2 * t for t in hmm_product(m, 7, 10)]) for m in range(4)]
+    # both sides over den 24, from H_{m,7} over 24, D_1^(7,cls), D and G
+    h = [QSeries([2 * t for t in hmm_product(m, 7, 10)], 24) for m in range(4)]
     phi = {cls: d_pa_series(1, 7, cls, 10) for cls in range(1, 7)}
     series = h, phi, d_series(10), g_series(10)
     # class-3 row: H_{1,7}(3) = H(11) = 1 equals sigma(3)/4
     lhs, rhs = _thm35_sides(1, 3, *series)
-    assert lhs[3] == rhs[3] == 24
+    assert lhs.den == rhs.den == 24
+    assert lhs.coeffs[3] == rhs.coeffs[3] == 24 and lhs[3] == 1
     # class-4 row at n = 4: H(15) = 2 = sigma(4)/4 - a_4/4
     lhs, rhs = _thm35_sides(1, 4, *series)
-    assert lhs[4] == rhs[4] == 48
+    assert lhs[4] == rhs[4] == 2
     # row (0, 6) at n = 6: H_{0,7}(6) + 2 phi_1^(7,1)(6) = 2 + 2 = sigma(6)/3,
     # the 1/4 + 1/12 of an inert class
     lhs, rhs = _thm35_sides(0, 6, *series)
     assert hmm_series(0, 7, 10)[6] == 2
-    assert lhs[6] == rhs[6] == 96
+    assert lhs[6] == rhs[6] == 4
 
 
 @pytest.mark.parametrize("order", [57, 400])
@@ -115,14 +116,15 @@ def test_thm35_m0_is_the_sum_of_its_six_rows(monkeypatch, order):
     # sigma chi(chi - 1)/24 term the inert rows carry as cD = 1/3
     sides = {}
 
-    def recording(id, bound, start, lhs, rhs, first=0, unit=1):
+    def recording(id, bound, start, lhs, rhs, first=0):
         sides[id] = (lhs, rhs)
-        return compare(id, bound, start, lhs, rhs, first, unit)
+        return compare(id, bound, start, lhs, rhs, first)
 
     monkeypatch.setattr(hcn7.verify, "compare", recording)
     assert all(rep.ok and rep.unit == 24 for rep in verify_thm35(60, order))
-    # thm35 compares in 24ths; the oracle states the sides as values
-    assert sides["thm35.m0"] == tuple(series_scale(side, 24) for side in thm35_m0_sides(order))
+    # thm35 compares in 24ths; the oracle states the sides as Fractions
+    assert all(side.den == 24 for side in sides["thm35.m0"])
+    assert tuple(map(values, sides["thm35.m0"])) == thm35_m0_sides(order)
 
 
 def test_thm35_all_hold_small():
@@ -172,7 +174,7 @@ def test_lemma42_worked_values():
 def test_lemma42_negative_control():
     rep = verify_lemma42_literal_u(56)
     assert not rep.ok
-    assert rep.first_mismatch == (1, Fraction(1), Fraction(-4))
+    assert rep.first_mismatch == (1, 1, -4) and rep.unit == 1
 
 
 def test_prop41():
@@ -181,7 +183,7 @@ def test_prop41():
 
 def test_hurwitz_kronecker_report():
     rep = verify_hurwitz_kronecker(800)
-    assert rep.ok and rep.checked_upto == 800
+    assert rep.ok and rep.checked_upto == 800 and rep.unit == 12
 
 
 def test_hurwitz_kronecker_sides(monkeypatch):
@@ -203,7 +205,28 @@ def test_prop31_reports():
     for k in (0, 1):
         for m in range(7):
             rep = verify_prop31(k, m, 80)
-            assert rep.ok, str(rep)
+            assert rep.ok and rep.unit == 2, str(rep)
+
+
+def test_mismatches_are_ints_over_their_unit(monkeypatch):
+    # hk in twelfths, prop31 in halves: one more on the right side at n = 7
+    def plus_one_at_7(build):
+        def broken(*args):
+            side = build(*args)
+            return QSeries([c + (n == 7) * side.den for n, c in enumerate(side.coeffs)], side.den)
+
+        return broken
+
+    monkeypatch.setattr(hcn7.verify, "hk_rhs_series", plus_one_at_7(hcn7.verify.hk_rhs_series))
+    monkeypatch.setattr(hcn7.verify, "prop31_rhs", plus_one_at_7(hcn7.verify.prop31_rhs))
+    hk = verify_hurwitz_kronecker(30)
+    assert hk.unit == 12 and hk.first_mismatch == (7, 12 * hmm_sum(0, 1, 7), 12 * hmm_sum(0, 1, 7) + 12)
+    for k in (0, 1):
+        for m in range(7):
+            rep = verify_prop31(k, m, 30)
+            n, lhs, rhs = rep.first_mismatch
+            assert rep.unit == 2 and n == 7 and rhs == lhs + 2, rep
+            assert type(lhs) is int and type(rhs) is int
 
 
 def test_main_table_rows():
