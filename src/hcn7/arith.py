@@ -9,8 +9,11 @@ Contents:
                                                 + sum_{d|n, d<sqrt(n),  d= a (p)} d^l
     lambda_series            the correction series built from
                              factorizations t^2 - s^2 = n
-    prop31_rhs               the divisor-sum form of the corrected series
-                             after extracting every 4th coefficient
+    prop31_rhs               the divisor-sum forms of the corrected series
+                             after extracting every 4th coefficient, one
+                             for each m = 0..6, each built only on the
+                             residue classes mod 7 it keeps, from one set
+                             of divisor series
     theta_terms              the nonzero terms of theta_mM, as (exponent, count)
     theta_mM                 sum over integers n = m (mod M) of q^(n^2)
     theta_chi1               weight-3/2 theta: coefficient chi(x) x at x^2
@@ -33,16 +36,9 @@ from __future__ import annotations
 
 from itertools import repeat
 from math import isqrt
-from operator import add
+from operator import add, mul
 
-from .qseries import (
-    QSeries,
-    chi_minus7,
-    op_dilate,
-    op_sieve,
-    series_add,
-    series_scale,
-)
+from .qseries import QSeries, chi_minus7
 
 
 def d_series(order: int) -> QSeries:
@@ -145,8 +141,9 @@ def _lopsided_series(l: int, p: int, m: int, order: int) -> QSeries:
     return QSeries(coeffs)
 
 
-def prop31_rhs(k: int, m: int, order: int) -> QSeries:
-    """Divisor-sum expression equal to lambda_series(2k+1, m, 7) | U_4.
+def prop31_rhs(k: int, order: int) -> list[QSeries]:
+    """Divisor-sum expressions equal to lambda_series(2k+1, m, 7) | U_4, for
+    m = 0..6, at index m.
 
     For m != 0 (mod 7):
 
@@ -166,37 +163,47 @@ def prop31_rhs(k: int, m: int, order: int) -> QSeries:
     in class +-m, the lopsided sum those whose smaller member is
     7-divisible.  Both halves (and the dilation reading of the m = 0
     tail) are forced numerically by the factorization side.
+
+    No D^(7,0) appears, so the six D^(7,c), c = 1..6, and the m = 0
+    tail's base D^(1,0) to order // 49 are built once for all seven m.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    p = 7
     l = 2 * k + 1
-    inv2 = pow(2, -1, p)
-    inv4 = inv2 * inv2 % p
-    m %= p
+    d = {c: d_pa_series(l, 7, c, order).coeffs for c in range(1, 7)}
+    base = d_pa_series(l, 1, 0, order // 49).coeffs
+    return [_prop31_side(l, m, d, base, order) for m in range(7)]
 
-    total = QSeries.zero(order)
+
+def _prop31_side(l: int, m: int, d: dict[int, tuple[int, ...]], base: tuple[int, ...], order: int) -> QSeries:
+    """prop31_rhs at m, from d[c], the coefficients of D^(7,c)_l, and base,
+    those of D^(1,0)_l to order // 49.
+
+    The side starts from the m = 0 tail on the multiples of 49, or from
+    the lopsided sum (on class 0 by its construction); each D term that
+    S_{7,s} keeps is then added to the exponents n = s (mod 7) as one
+    C-level map over that slice, so no D is read off its class.
+    """
+    p, inv2, inv4 = 7, 4, 2  # 2 * 4 = 4 * 2 = 1 (mod 7)
     if m == 0:
-        for a in range(1, p):
-            term = d_pa_series(l, p, a * inv2 % p, order)
-            total = series_add(total, op_sieve(term, p, -a * a * inv4 % p))
-        base = d_pa_series(l, 1, 0, order // (p * p))
-        tail = op_dilate(base, p * p, order)
-        total = series_add(total, series_scale(tail, p**l))
-        return series_scale(total, 2**l)
-    # total accumulates twice the bracket, so that it stays in ints
-    for a in range(p):
-        if a == m or a == (-m) % p:
-            continue
-        pair = series_add(
-            d_pa_series(l, p, (m - a) * inv2 % p, order),
-            d_pa_series(l, p, (a - m) * inv2 % p, order),
-        )
-        total = series_add(total, op_sieve(pair, p, (m * m - a * a) * inv4 % p))
-    pair = series_add(d_pa_series(l, p, m, order), d_pa_series(l, p, -m % p, order))
-    total = series_add(total, op_sieve(pair, p, 0))
-    total = series_add(total, series_scale(_lopsided_series(l, p, m, order), 2))
-    return series_scale(total, 2 ** (l - 1))
+        out = [0] * (order + 1)
+        out[:: p * p] = map(mul, base, repeat(p**l))
+        terms = [(-a * a * inv4 % p, (a * inv2 % p,)) for a in range(1, p)]
+        scale = 2**l
+    else:
+        # out holds twice the bracket, so that it stays in ints
+        out = [2 * c for c in _lopsided_series(l, p, m, order).coeffs]
+        terms = [
+            ((m * m - a * a) * inv4 % p, ((m - a) * inv2 % p, (a - m) * inv2 % p))
+            for a in range(p)
+            if a not in (m, p - m)
+        ]
+        terms.append((0, (m, p - m)))
+        scale = 2 ** (l - 1)
+    for s, classes in terms:
+        for c in classes:
+            out[s::p] = map(add, out[s::p], d[c][s::p])
+    return QSeries(map(mul, out, repeat(scale)))
 
 
 def theta_terms(m: int, M: int, order: int) -> list[tuple[int, int]]:

@@ -126,7 +126,7 @@ def _sieve(twelfths: list[int], lo: int) -> None:
     first = {r: (lo - r + 3) // 4 for r in (0, 3)}
     last = {r: (n_max - r) // 4 for r in (0, 3)}
     packed = {0: 0, 3: 0}
-    for a in range(1, top + 1):
+    for a in range(top, 0, -1):  # the shortest rows first, so each accumulator grows with them
         step = 4 * a
         start = step * (a + 1)
         if start > lo:  # else every form below 4a(a + 1) is below lo
@@ -264,9 +264,15 @@ def hmm_product(m: int, M: int, order: int) -> list[int]:
     theta_{m,M} (arith.theta_terms).  Each term adds the packed row of its
     class r = -a^2 (mod 4) (_packed_rows) moved ceil(a^2 / 4) slots on,
     which drops the slots past order: one big-int shift and add per term.
-    H(0) = -1/12 is left out of the packing and c is subtracted at
-    k = a^2 / 4 for each even a.  No slot exceeds the sum of the counts
-    times the largest 12*H, which is checked against 2^32.  The internal
+    The counts are 1 or 2, so the rows of each count are summed first and
+    the total is ones + 2 * twos.  The rows are added from the largest
+    shift to the smallest, so that the running sum is never longer than
+    the row just added: an int add copies its longer operand.  H(0) = -1/12
+    is left out of the packing and c is subtracted at k = a^2 / 4 for each
+    even a.  The ints are the same as from one add per term, in any
+    order, and so is the bound: every slot is non-negative, so no slot of
+    either sum, or of the total, exceeds the sum of the counts times the
+    largest 12*H, which is checked against 2^32.  The internal
     order 4*order is an H index, so MAX_H_INDEX caps it; it and M >= 1 are
     checked before the table is read.
     """
@@ -279,11 +285,10 @@ def hmm_product(m: int, M: int, order: int) -> list[int]:
     largest, rows = _packed_rows(twelfths_upto(internal), internal)
     if sum(c for _, c in terms) * largest >= 1 << 32:
         raise OverflowError(f"a coefficient of 12*H_{{{m},{M}}} may not fit a 32-bit slot")
-    total = 0
-    for e, c in terms:
-        row = rows[-e % 4] >> 32 * -(-e // 4)  # slot j moves to j + ceil(e / 4)
-        total += row if c == 1 else c * row
-    product = list(_unpack(total, order + 1))
+    sums = {1: 0, 2: 0}
+    for e, c in sorted(terms, reverse=True):
+        sums[c] += rows[-e % 4] >> 32 * -(-e // 4)  # slot j moves to j + ceil(e / 4)
+    product = list(_unpack(sums[1] + 2 * sums[2], order + 1))
     for e, c in terms:
         if e % 4 == 0:
             product[e // 4] -= c

@@ -15,12 +15,14 @@ exponents and coefficient values, and keep den:
 
     op_u(f, M)               a(M n) re-indexed to n
     op_dilate(f, M, order)   a(n) moved to exponent M n <= order (q -> q^M)
-    op_sieve(f, M, r)        keep exponents n == r (mod M)
 
 series_add and series_sub are one C-level map over the two numerator
-tuples over a common den, and the three operators are slices of the tuple
-(f.coeffs[::M], out[::M] = f.coeffs[: order // M + 1] and
-out[r::M] = f.coeffs[r::M]), so none of them loops in Python.
+tuples over a common den, and the two operators are slices of the tuple
+(f.coeffs[::M] and out[::M] = f.coeffs[: order // M + 1]), so none of
+them loops in Python.  Sieving to a residue class, S_{M,r}, has no
+operator: the identities that use it (verify's Theorem 3.5 rows and
+arith.prop31_rhs) build each side on the classes it keeps, adding every
+term to out[r::M] as one slice.
 
 The product route of H_{m,M}, (H-series * theta_{m,M}) | U_4, does not
 use series_mul: hurwitz.hmm_product packs the H table into big ints and
@@ -166,17 +168,6 @@ def op_dilate(f: QSeries, M: int, order: int) -> QSeries:
         raise ValueError(f"cannot dilate order {f.order} by {M} to order {order}")
     out = [0] * (order + 1)
     out[::M] = f.coeffs[: top + 1]
-    return QSeries(out, f.den)
-
-
-def op_sieve(f: QSeries, M: int, r: int) -> QSeries:
-    """Keep coefficients at exponents n == r (mod M), zero the rest: the
-    kept ones are copied as one slice."""
-    if M < 1:
-        raise ValueError("M must be positive")
-    r %= M
-    out = [0] * (f.order + 1)
-    out[r::M] = f.coeffs[r::M]
     return QSeries(out, f.den)
 
 

@@ -1,9 +1,12 @@
 """Per-coefficient oracles that the tests compare the package's sieves
 against, the element-wise loops that the slice-add builders of
 hcn7.arith replaced, the whole product that the H_{m,M} product route
-skips most of, the literal-U negative control of Lemma 4.2, and the
+skips most of, the literal-U negative control of Lemma 4.2, the
 hand-written statements of Theorem 3.5 at m = 0 and of the closing table
-that hcn7.verify derives from the theorem's rows.
+that hcn7.verify derives from the theorem's rows, and the sieve operator
+S_{M,r} with the full-length-then-sieved construction of Theorem 3.5's
+rows and of Proposition 3.1's divisor-sum sides that the package's
+class-by-class builders replaced.
 
 Each oracle computes one coefficient by its definition, with a plain
 divisor loop, or one table entry or one coefficient at a time, and shares
@@ -20,8 +23,8 @@ from math import isqrt
 from hcn7.arith import d_pa_series, d_series, psi_7
 from hcn7.hurwitz import hmm_series, twelfths_upto
 from hcn7.newform49 import ec_point_count, g_series
-from hcn7.qseries import QSeries, chi_minus7, op_u, series_add, series_mul, series_scale, series_sub
-from hcn7.verify import VerificationReport, compare
+from hcn7.qseries import QSeries, chi_minus7, op_dilate, op_u, series_add, series_mul, series_scale, series_sub
+from hcn7.verify import _THM35_ROWS, VerificationReport, compare
 
 
 def values(f: QSeries) -> list[Fraction]:
@@ -301,3 +304,57 @@ def thm35_m0_sides(b: int) -> tuple[list[Fraction], list[Fraction]]:
         for n in range(b + 1)
     ]
     return lhs, rhs
+
+
+def op_sieve(f: QSeries, M: int, r: int) -> QSeries:
+    """S_{M,r}: keep the coefficients at exponents n == r (mod M), zero the
+    rest, over f.den."""
+    if M < 1:
+        raise ValueError("M must be positive")
+    r %= M
+    out = [0] * (f.order + 1)
+    out[r::M] = f.coeffs[r::M]
+    return QSeries(out, f.den)
+
+
+def thm35_sides_sieved(m: int, a: int, h, phi, d: QSeries, g: QSeries) -> tuple[QSeries, QSeries]:
+    """Row (m, a) of Theorem 3.5 over den 24, each side summed at full
+    length and then sieved to class a: the reference for verify._thm35_sides,
+    from the same h[m] = hmm_product(m, 7, order), phi[cls], D and G."""
+    extras, c_d, c_g = _THM35_ROWS[(m, a)]
+    lhs = QSeries([2 * t for t in h[m]], 24)
+    for coeff, cls in extras:
+        lhs = series_add(lhs, series_scale(phi[cls], coeff, 24))
+    rhs = series_add(series_scale(d, c_d, 24), series_scale(g, c_g, 24))
+    return op_sieve(lhs, 7, a), op_sieve(rhs, 7, a)
+
+
+def prop31_rhs_sieved(k: int, m: int, order: int) -> QSeries:
+    """The divisor-sum side of Proposition 3.1 at (k, m), each D^(7,c)
+    built at full length by the element-wise loop, summed and then sieved:
+    the reference for arith.prop31_rhs(k, order)[m] (see its docstring for
+    the formula)."""
+    p, l = 7, 2 * k + 1
+    inv2 = pow(2, -1, p)
+    inv4 = inv2 * inv2 % p
+    m %= p
+    total = QSeries.zero(order)
+    if m == 0:
+        for a in range(1, p):
+            term = d_pa_series_loop(l, p, a * inv2 % p, order)
+            total = series_add(total, op_sieve(term, p, -a * a * inv4 % p))
+        tail = op_dilate(d_pa_series_loop(l, 1, 0, order // (p * p)), p * p, order)
+        return series_scale(series_add(total, series_scale(tail, p**l)), 2**l)
+    # total accumulates twice the bracket, so that it stays in ints
+    for a in range(p):
+        if a == m or a == (-m) % p:
+            continue
+        pair = series_add(
+            d_pa_series_loop(l, p, (m - a) * inv2 % p, order),
+            d_pa_series_loop(l, p, (a - m) * inv2 % p, order),
+        )
+        total = series_add(total, op_sieve(pair, p, (m * m - a * a) * inv4 % p))
+    pair = series_add(d_pa_series_loop(l, p, m, order), d_pa_series_loop(l, p, -m % p, order))
+    total = series_add(total, op_sieve(pair, p, 0))
+    total = series_add(total, series_scale(lopsided_series_loop(l, p, m, order), 2))
+    return series_scale(total, 2 ** (l - 1))

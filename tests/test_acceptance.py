@@ -12,7 +12,7 @@ from hcn7.arith import lambda_series, prop31_rhs
 from hcn7.hurwitz import hmm_series, hmm_sum
 from hcn7.newform49 import cm_aps, ec_point_count, newform_an
 from hcn7.primes import primes_up_to
-from hcn7.qseries import QSeries, op_dilate, op_sieve, op_u, series_add
+from hcn7.qseries import QSeries, op_dilate, op_u, series_add
 from hcn7.verify import (
     main_table_rows,
     sturm_bound,
@@ -22,7 +22,7 @@ from hcn7.verify import (
     verify_prop41,
     verify_thm35,
 )
-from oracles import hk_rhs_oracle, verify_lemma42_literal_u
+from oracles import hk_rhs_oracle, op_sieve, verify_lemma42_literal_u
 
 
 def _stamp(label, start):
@@ -48,15 +48,14 @@ def test_c02_dual_path_sums_to_500():
 def test_c03_prop31_to_300():
     start = time.perf_counter()
     for k in (0, 1):
-        for m in range(7):
-            rep = verify_prop31(k, m, 300)
+        for rep in verify_prop31(k, 300):
             assert rep.ok, str(rep)
     anchor = op_u(lambda_series(1, 1, 7, 32), 4)
     assert anchor[8] == 4
-    assert prop31_rhs(0, 1, 8)[8] == 4
+    assert prop31_rhs(0, 8)[1][8] == 4
     anchor0 = op_u(lambda_series(1, 0, 7, 196), 4)
     assert anchor0[49] == 14
-    assert prop31_rhs(0, 0, 49)[49] == 14
+    assert prop31_rhs(0, 49)[0][49] == 14
     _stamp("C3 correction series identity, k in {0,1}, n<=300", start)
 
 

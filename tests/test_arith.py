@@ -158,17 +158,16 @@ def test_lambda_series_after_u4():
 
 
 def test_prop31_rhs_anchors():
-    r = prop31_rhs(0, 1, 20)
+    r = prop31_rhs(0, 20)[1]
     assert r[8] == 4
     assert r[1] == 0
-    assert prop31_rhs(0, 0, 60)[49] == 14
+    assert prop31_rhs(0, 60)[0][49] == 14
 
 
 def test_prop31_identity_small():
     for k in (0, 1):
-        for m in range(7):
+        for m, rhs in enumerate(prop31_rhs(k, 100)):
             lhs = op_u(lambda_series(2 * k + 1, m, 7, 400), 4)
-            rhs = prop31_rhs(k, m, 100)
             for n in range(101):
                 assert lhs[n] == rhs[n], (k, m, n)
 

@@ -86,8 +86,8 @@ def _halve_prop31(mp):
     # report fails at n = 1 with a half-integer on that side
     rhs_series = hcn7.verify.prop31_rhs
 
-    def broken(k, m, order):
-        return series_add(rhs_series(k, m, order), lambda_series(1, 1, 7, order))
+    def broken(k, order):
+        return [series_add(side, lambda_series(1, 1, 7, order)) for side in rhs_series(k, order)]
 
     mp.setattr(hcn7.verify, "prop31_rhs", broken)
 

@@ -12,14 +12,13 @@ from hcn7.qseries import (
     QSeries,
     chi_minus7,
     op_dilate,
-    op_sieve,
     op_u,
     series_add,
     series_mul,
     series_scale,
     series_sub,
 )
-from oracles import values
+from oracles import op_sieve, values
 
 
 def rand_series(rng, max_order=200, density=0.5):

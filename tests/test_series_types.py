@@ -89,7 +89,7 @@ def test_product_of_int_series_is_int():
 @pytest.mark.parametrize("k", [0, 1])
 @pytest.mark.parametrize("m", range(7))
 def test_prop31_rhs_is_int(k, m):
-    series = prop31_rhs(k, m, 300)
+    series = prop31_rhs(k, 300)[m]
     assert series.den == 1 and all(type(c) is int for c in series.coeffs)
 
 

@@ -5,14 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+import hcn7.arith
 import hcn7.hurwitz
 import hcn7.newform49
 import hcn7.verify
-from hcn7.arith import d_pa_series, d_series, hk_rhs_series
+from hcn7.arith import d_pa_series, d_series, hk_rhs_series, prop31_rhs
 from hcn7.hurwitz import hmm_product, hmm_series, hmm_sum, hmm_twelfths, hurwitz_batch
 from hcn7.newform49 import ec_aps, g_series
 from hcn7.primes import primes_up_to
-from hcn7.qseries import QSeries, op_sieve
+from hcn7.qseries import QSeries
 from hcn7.verify import (
     _CELL_WEIGHTS,
     _THM35_ROWS,
@@ -32,7 +33,16 @@ from hcn7.verify import (
     verify_prop41,
     verify_thm35,
 )
-from oracles import TABLE_WEIGHTS, sigma, thm35_m0_sides, values, verify_lemma42_literal_u
+from oracles import (
+    TABLE_WEIGHTS,
+    op_sieve,
+    prop31_rhs_sieved,
+    sigma,
+    thm35_m0_sides,
+    thm35_sides_sieved,
+    values,
+    verify_lemma42_literal_u,
+)
 
 
 def test_sturm_bound_values():
@@ -92,8 +102,8 @@ def test_thm35_suite_structure():
 
 
 def test_thm35_worked_coefficients():
-    # both sides over den 24, from H_{m,7} over 24, D_1^(7,cls), D and G
-    h = [QSeries([2 * t for t in hmm_product(m, 7, 10)], 24) for m in range(4)]
+    # both sides over den 24, from 12 H_{m,7}, D_1^(7,cls), D and G
+    h = [hmm_product(m, 7, 10) for m in range(4)]
     phi = {cls: d_pa_series(1, 7, cls, 10) for cls in range(1, 7)}
     series = h, phi, d_series(10), g_series(10)
     # class-3 row: H_{1,7}(3) = H(11) = 1 equals sigma(3)/4
@@ -134,20 +144,21 @@ def test_thm35_all_hold_small():
         assert rep.ok, str(rep)
 
 
+def count_calls(monkeypatch, calls: Counter, module, name: str) -> None:
+    """Patch module.name to count each argument tuple in calls as (name, *args)."""
+    fn = getattr(module, name)
+
+    def wrapper(*args):
+        calls[(name, *args)] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
 def test_thm35_builds_each_series_once(monkeypatch):
     calls = Counter()
-
-    def counting(name):
-        fn = getattr(hcn7.verify, name)
-
-        def wrapper(*args):
-            calls[(name, *args)] += 1
-            return fn(*args)
-
-        return wrapper
-
     for name in ("hmm_product", "d_pa_series", "d_series", "g_series"):
-        monkeypatch.setattr(hcn7.verify, name, counting(name))
+        count_calls(monkeypatch, calls, hcn7.verify, name)
     assert all(rep.ok for rep in run_suite("thm35"))
     assert sum(n for (name, *_), n in calls.items() if name == "hmm_product") == 4
     assert sum(n for (name, *_), n in calls.items() if name == "d_pa_series") == 6
@@ -203,27 +214,57 @@ def test_hurwitz_kronecker_sides(monkeypatch):
 
 def test_prop31_reports():
     for k in (0, 1):
-        for m in range(7):
-            rep = verify_prop31(k, m, 80)
-            assert rep.ok and rep.unit == 2, str(rep)
+        reports = verify_prop31(k, 80)
+        assert [rep.id for rep in reports] == [f"prop31.k{k}.m{m}" for m in range(7)]
+        for rep in reports:
+            assert rep.ok and rep.unit == 2 and rep.checked_upto == 80, str(rep)
+
+
+def test_prop31_builds_each_series_once(monkeypatch):
+    calls = Counter()
+    count_calls(monkeypatch, calls, hcn7.arith, "d_pa_series")
+    count_calls(monkeypatch, calls, hcn7.verify, "lambda_series")
+    assert all(rep.ok for rep in run_suite("prop31"))
+    # per exponent l = 2k + 1: D^(7,c)_l for c = 1..6 and the m = 0 tail's base
+    for l in (1, 3):
+        built = {key for key in calls if key[:2] == ("d_pa_series", l)}
+        assert built == {("d_pa_series", l, 7, c, 300) for c in range(1, 7)} | {("d_pa_series", l, 1, 0, 300 // 49)}
+    assert sum(n for (name, *_), n in calls.items() if name == "d_pa_series") == 14
+    assert sum(n for (name, *_), n in calls.items() if name == "lambda_series") == 14
+    assert max(calls.values()) == 1
+
+
+def test_thm35_rows_equal_their_sieved_construction():
+    b = THM35_BOUND
+    h = [hmm_product(m, 7, b) for m in range(4)]
+    phi = {cls: d_pa_series(1, 7, cls, b) for cls in range(1, 7)}
+    series = h, phi, d_series(b), g_series(b)
+    for m, a in _THM35_ROWS:
+        got = _thm35_sides(m, a, *series)
+        want = thm35_sides_sieved(m, a, *series)
+        for side, reference in zip(got, want):
+            assert side.coeffs == reference.coeffs and side.den == reference.den == 24, (m, a)
+
+
+def test_prop31_sides_equal_their_sieved_construction():
+    for k in (0, 1):
+        for m, side in enumerate(prop31_rhs(k, 300)):
+            reference = prop31_rhs_sieved(k, m, 300)
+            assert side.coeffs == reference.coeffs and side.den == reference.den == 1, (k, m)
 
 
 def test_mismatches_are_ints_over_their_unit(monkeypatch):
     # hk in twelfths, prop31 in halves: one more on the right side at n = 7
-    def plus_one_at_7(build):
-        def broken(*args):
-            side = build(*args)
-            return QSeries([c + (n == 7) * side.den for n, c in enumerate(side.coeffs)], side.den)
+    def plus_one_at_7(side):
+        return QSeries([c + (n == 7) * side.den for n, c in enumerate(side.coeffs)], side.den)
 
-        return broken
-
-    monkeypatch.setattr(hcn7.verify, "hk_rhs_series", plus_one_at_7(hcn7.verify.hk_rhs_series))
-    monkeypatch.setattr(hcn7.verify, "prop31_rhs", plus_one_at_7(hcn7.verify.prop31_rhs))
+    hk_rhs, rhs_sides = hcn7.verify.hk_rhs_series, hcn7.verify.prop31_rhs
+    monkeypatch.setattr(hcn7.verify, "hk_rhs_series", lambda n: plus_one_at_7(hk_rhs(n)))
+    monkeypatch.setattr(hcn7.verify, "prop31_rhs", lambda k, order: list(map(plus_one_at_7, rhs_sides(k, order))))
     hk = verify_hurwitz_kronecker(30)
     assert hk.unit == 12 and hk.first_mismatch == (7, 12 * hmm_sum(0, 1, 7), 12 * hmm_sum(0, 1, 7) + 12)
     for k in (0, 1):
-        for m in range(7):
-            rep = verify_prop31(k, m, 30)
+        for rep in verify_prop31(k, 30):
             n, lhs, rhs = rep.first_mismatch
             assert rep.unit == 2 and n == 7 and rhs == lhs + 2, rep
             assert type(lhs) is int and type(rhs) is int
