@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(func=cmd_sum)
 
-    p = sub.add_parser("table", help="closing table vs direct sums per odd prime")
+    p = sub.add_parser("table", help="closing table vs the product route per odd prime")
     p.add_argument("--pmax", type=int, required=True)
     add_format(p)
     p.set_defaults(func=cmd_table)

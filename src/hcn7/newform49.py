@@ -24,7 +24,8 @@ Two fully independent routes to the prime coefficients a_p:
     a_p = 2 chi(x) x where chi is the quadratic character mod 7 and
     (x, y) is the unique positive pair with p = x^2 + 7 y^2.  One sweep
     of x^2 + 7 y^2 up to the largest prime asked for finds the pairs of
-    the whole range, with no square root taken mod p.
+    the whole range, with no square root taken mod p.  a_2 = 1 is the same
+    form read at 4p = X^2 + 7 Y^2, X = 2x: 8 = 1^2 + 7 * 1^2.
 
 Both routes take a list of primes and give their a_p in the same order.
 The point-count route counts the primes not yet in its cache as one range.
@@ -402,12 +403,13 @@ def cm_ap_at(x: int) -> int:
 
 def cm_aps(primes: list[int]) -> list[int]:
     """a_p from the CM closed form for each prime of primes, in order: 0 for
-    7 and the inert primes, which represent_7 leaves out.  No odd prime is
-    point counted.  p = 2 is the one exception: x^2 + 7y^2 never represents
-    2, so a_2 comes from the curve count."""
+    7 and the inert primes, which represent_7 leaves out.  No prime is point
+    counted.  The form 2 chi(x) x for p = x^2 + 7y^2 is chi(X) X for
+    4p = X^2 + 7Y^2 with X = 2x, since chi(2) = 1.  x^2 + 7y^2 never
+    represents 2, but 8 = 1^2 + 7 * 1^2, so a_2 = chi(1) * 1 = 1."""
     found = represent_7(primes)
     return [
-        ec_aps([2])[0] if p == 2 else cm_ap_at(found[p][0]) if p in found else 0
+        chi_minus7(1) * 1 if p == 2 else cm_ap_at(found[p][0]) if p in found else 0
         for p in primes
     ]
 

@@ -1,10 +1,10 @@
 """Sturm bounds and the coefficient-exact identity battery.
 
-Every identity is a plain function: it builds both sides as exact
-q-series up to a bound and hands them to compare, the one comparison
-loop, which reports the first index where they differ.  The bound for
-weight-2 forms on the relevant groups comes from the Sturm bound
-B = floor(k m / 12) with index
+Every series identity is a plain function: it builds both sides as exact
+q-series up to a bound and hands them to compare, which reports the first
+index where they differ; the closing table scans its rows prime by prime
+in its own loop.  The bound for weight-2 forms on the relevant groups
+comes from the Sturm bound B = floor(k m / 12) with index
 
     m = [SL2(Z) : Gamma0(N1) n Gamma1(N2)] = N1 prod_{p|N1} (1 + 1/p) phi(N2)
 
@@ -91,14 +91,15 @@ def compare(
 # vanishes on the inert classes 3, 5, 6, so those rows carry cG = 0.  In
 # row (3, 4) G is sieved to class 4, not 1: only matching classes agree.
 #
-# A row's sides are built on class a alone: each starts from zeros, and
-# each term, its coefficient in 24ths times its series, is added to the
-# exponents n = a (mod 7) as one C-level map over that slice.  So only a
-# seventh of each series is read, and compare still sees a full-order
-# series, zero off the class.  The H side is hmm_product's twelfths at
-# coefficient 2, and D, G and the D_1^(7,class) are the point-count and
-# divisor builders' ints at theirs; every series is built once, for all
-# 24 rows.
+# _thm35_sides builds a report's sides as a list of rows summed: both
+# start from zeros, and each term of row (m, a), its coefficient in 24ths
+# times its series, is added to the exponents n = a (mod 7) as one C-level
+# map over that slice.  The six m = 0 rows hold classes 1..6, so their sum
+# is one pair of lists to the bound thm35.m0 compares; each other report
+# is a single row, zero off its class.  The H side is hmm_product's
+# twelfths at coefficient 2, and D, G and the D_1^(7,class) are the
+# point-count and divisor builders' ints at theirs; every series is built
+# once, for all 24 rows.
 # --------------------------------------------------------------------------
 
 _THM35_ROWS: dict[tuple[int, int], tuple[list[tuple[int, int]], int, int]] = {
@@ -133,22 +134,19 @@ THM35_BOUND = sturm_bound(2, 196, 7) + 1
 THM35_BOUND_M0 = sturm_bound(2, 196, 1) + 1
 
 
-def _on_class(a: int, terms) -> QSeries:
-    """The sum of c * f over the (c, f) terms, each f a coefficient
-    sequence of one length, on the exponents n = a (mod 7) and zero
-    elsewhere, over den 24: one slice-add per term."""
-    out = [0] * len(terms[0][1])
-    for c, f in terms:
-        out[a::7] = map(add, out[a::7], map(mul, f[a::7], repeat(c)))
-    return QSeries(out, 24)
-
-
-def _thm35_sides(m: int, a: int, h, phi, d: QSeries, g: QSeries) -> tuple[QSeries, QSeries]:
-    """Row (m, a)'s sides over den 24 on class a, zero elsewhere, from
-    h[m] = hmm_product(m, 7, order), which is 12 H_{m,7}, and phi[cls], D and G."""
-    extras, c_d, c_g = _THM35_ROWS[(m, a)]
-    lhs = [(2, h[m])] + [(coeff, phi[cls].coeffs) for coeff, cls in extras]
-    return _on_class(a, lhs), _on_class(a, [(c_d, d.coeffs), (c_g, g.coeffs)])
+def _thm35_sides(rows, order: int, h, phi, d: QSeries, g: QSeries) -> tuple[QSeries, QSeries]:
+    """The sum of the listed rows (m, a) of Theorem 3.5, each on its class
+    a, as two series over den 24 to order; h[m] = hmm_product(m, 7, N) is
+    12 H_{m,7}, and phi[cls], D and G reach N >= order too."""
+    lhs, rhs = [0] * (order + 1), [0] * (order + 1)
+    for m, a in rows:
+        extras, c_d, c_g = _THM35_ROWS[(m, a)]
+        terms = [(lhs, 2, h[m]), (rhs, c_d, d.coeffs), (rhs, c_g, g.coeffs)]
+        terms += [(lhs, coeff, phi[cls].coeffs) for coeff, cls in extras]
+        on_a = slice(a, order + 1, 7)
+        for out, c, f in terms:
+            out[on_a] = map(add, out[on_a], map(mul, f[on_a], repeat(c)))
+    return QSeries(lhs, 24), QSeries(rhs, 24)
 
 
 def verify_thm35(bound: int = THM35_BOUND, bound_m0: int = THM35_BOUND_M0) -> list[VerificationReport]:
@@ -160,14 +158,12 @@ def verify_thm35(bound: int = THM35_BOUND, bound_m0: int = THM35_BOUND_M0) -> li
     h = [hmm_product(m, 7, b) for m in range(4)]
     phi = {cls: d_pa_series(1, 7, cls, b) for cls in range(1, 7)}
     series = h, phi, d_series(b), g_series(b)
-    rows = [_thm35_sides(0, a, *series) for a in range(1, 7)]
-    # row (0, a) lives on class a, so the six rows' sum reads n off row n mod 7
-    sides = (QSeries((s[n % 7 - 1].coeffs[n] if n % 7 else 0 for n in range(bound_m0 + 1)), 24) for s in zip(*rows))
+    sides = _thm35_sides([(0, a) for a in range(1, 7)], bound_m0, *series)
     reports = [compare("thm35.m0", bound_m0, start, *sides)]
     for m in (1, 2, 3):
         for a in range(1, 7):
             start = time.perf_counter()
-            sides = _thm35_sides(m, a, *series)
+            sides = _thm35_sides([(m, a)], bound, *series)
             reports.append(compare(f"thm35.m{m}.s{a}", bound, start, *sides))
     return reports
 
@@ -251,8 +247,8 @@ class TableRow(NamedTuple):
 
     Each cell is (m, direct, formula): 24 H_{m,7}(p) by the product route
     and by the table formula, both ints.  The H side keeps the name
-    "direct" it had when direct sums computed it, so the csv header, the
-    json key and `table --help` stay as they were.
+    "direct" it had when direct sums computed it, so the csv header and
+    the json key stay as they were.
     """
 
     p: int

@@ -319,8 +319,9 @@ def op_sieve(f: QSeries, M: int, r: int) -> QSeries:
 
 def thm35_sides_sieved(m: int, a: int, h, phi, d: QSeries, g: QSeries) -> tuple[QSeries, QSeries]:
     """Row (m, a) of Theorem 3.5 over den 24, each side summed at full
-    length and then sieved to class a: the reference for verify._thm35_sides,
-    from the same h[m] = hmm_product(m, 7, order), phi[cls], D and G."""
+    length and then sieved to class a: the reference for
+    verify._thm35_sides([(m, a)], order, ...), which adds each term on class
+    a alone, from the same h[m] = hmm_product(m, 7, order), phi[cls], D and G."""
     extras, c_d, c_g = _THM35_ROWS[(m, a)]
     lhs = QSeries([2 * t for t in h[m]], 24)
     for coeff, cls in extras:

@@ -1,8 +1,9 @@
-"""The CM route to the newform coefficients: every a_p for odd p from the
-representation p = x^2 + 7y^2, with no point counting."""
+"""The CM route to the newform coefficients: every a_p from the
+representation 4p = X^2 + 7Y^2, with no point counting."""
 
 import hcn7.newform49 as nf
 from hcn7.cli import main
+from hcn7.primes import primes_up_to
 
 
 def test_cm_method_matches_ec_method(capsys):
@@ -26,7 +27,19 @@ def test_cm_route_counts_no_odd_prime(monkeypatch, capsys):
     monkeypatch.setattr(nf, "_ap_cache", {7: 0})
     cm = nf.newform_an(500, nf.cm_aps)
     assert main(["newform", "--nmax", "500", "--method", "cm"]) == 0
-    assert [p for p in counted if p != 2] == []
+    assert counted == []
     assert capsys.readouterr().out.strip() == ",".join(map(str, cm.coeffs[1:]))
     assert cm == nf.newform_an(500)
     assert len(counted) > 90  # the default route does count
+
+
+def test_cm_route_reads_nothing_of_the_point_count(monkeypatch):
+    primes = primes_up_to(10**4)
+    want = nf.ec_aps(primes)
+
+    def forbidden(*args):
+        raise AssertionError("the CM route reached the point count")
+
+    for name in ("ec_aps", "ec_point_count", "_split_map", "_scan_count", "_bsgs_count"):
+        monkeypatch.setattr(nf, name, forbidden)
+    assert nf.cm_aps(primes) == want

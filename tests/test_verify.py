@@ -101,21 +101,26 @@ def test_thm35_suite_structure():
     assert sum(1 for r in reports if r.checked_upto == 337) == 18
 
 
+def thm35_series(order: int):
+    """The series _thm35_sides reads, as verify_thm35 builds them to order."""
+    h = [hmm_product(m, 7, order) for m in range(4)]
+    phi = {cls: d_pa_series(1, 7, cls, order) for cls in range(1, 7)}
+    return h, phi, d_series(order), g_series(order)
+
+
 def test_thm35_worked_coefficients():
     # both sides over den 24, from 12 H_{m,7}, D_1^(7,cls), D and G
-    h = [hmm_product(m, 7, 10) for m in range(4)]
-    phi = {cls: d_pa_series(1, 7, cls, 10) for cls in range(1, 7)}
-    series = h, phi, d_series(10), g_series(10)
+    series = thm35_series(10)
     # class-3 row: H_{1,7}(3) = H(11) = 1 equals sigma(3)/4
-    lhs, rhs = _thm35_sides(1, 3, *series)
+    lhs, rhs = _thm35_sides([(1, 3)], 10, *series)
     assert lhs.den == rhs.den == 24
     assert lhs.coeffs[3] == rhs.coeffs[3] == 24 and lhs[3] == 1
     # class-4 row at n = 4: H(15) = 2 = sigma(4)/4 - a_4/4
-    lhs, rhs = _thm35_sides(1, 4, *series)
+    lhs, rhs = _thm35_sides([(1, 4)], 10, *series)
     assert lhs[4] == rhs[4] == 2
     # row (0, 6) at n = 6: H_{0,7}(6) + 2 phi_1^(7,1)(6) = 2 + 2 = sigma(6)/3,
     # the 1/4 + 1/12 of an inert class
-    lhs, rhs = _thm35_sides(0, 6, *series)
+    lhs, rhs = _thm35_sides([(0, 6)], 10, *series)
     assert hmm_series(0, 7, 10)[6] == 2
     assert lhs[6] == rhs[6] == 4
 
@@ -133,7 +138,7 @@ def test_thm35_m0_is_the_sum_of_its_six_rows(monkeypatch, order):
     monkeypatch.setattr(hcn7.verify, "compare", recording)
     assert all(rep.ok and rep.unit == 24 for rep in verify_thm35(60, order))
     # thm35 compares in 24ths; the oracle states the sides as Fractions
-    assert all(side.den == 24 for side in sides["thm35.m0"])
+    assert all(side.den == 24 and side.order == order for side in sides["thm35.m0"])
     assert tuple(map(values, sides["thm35.m0"])) == thm35_m0_sides(order)
 
 
@@ -142,6 +147,16 @@ def test_thm35_all_hold_small():
     assert [r.checked_upto for r in reports] == [57] + [80] * 18
     for rep in reports:
         assert rep.ok, str(rep)
+
+
+def test_thm35_each_m0_row_holds_on_its_own():
+    # thm35.m0 checks the six rows, each on its own class, only to 57; each
+    # row (0, a) also holds alone to 337, the bound of the other 18 reports
+    b = THM35_BOUND
+    series = thm35_series(b)
+    for a in range(1, 7):
+        rep = compare(f"thm35.m0.s{a}", b, 0.0, *_thm35_sides([(0, a)], b, *series))
+        assert rep.ok and rep.unit == 24, str(rep)
 
 
 def count_calls(monkeypatch, calls: Counter, module, name: str) -> None:
@@ -236,11 +251,9 @@ def test_prop31_builds_each_series_once(monkeypatch):
 
 def test_thm35_rows_equal_their_sieved_construction():
     b = THM35_BOUND
-    h = [hmm_product(m, 7, b) for m in range(4)]
-    phi = {cls: d_pa_series(1, 7, cls, b) for cls in range(1, 7)}
-    series = h, phi, d_series(b), g_series(b)
+    series = thm35_series(b)
     for m, a in _THM35_ROWS:
-        got = _thm35_sides(m, a, *series)
+        got = _thm35_sides([(m, a)], b, *series)
         want = thm35_sides_sieved(m, a, *series)
         for side, reference in zip(got, want):
             assert side.coeffs == reference.coeffs and side.den == reference.den == 24, (m, a)
