@@ -32,7 +32,7 @@ from functools import partial
 from math import gcd
 
 from .arith import d_pa_series, d_series, lambda_series, psi_7, theta_mM
-from .hurwitz import hmm_twelfths, hurwitz_batch, hurwitz_series, hurwitz_single
+from .hurwitz import hmm_twelfths, hurwitz_series, hurwitz_single, twelfths_upto
 from .newform49 import ap_pairs, cm_aps, ec_aps, g_series, newform_an
 from .qseries import MAX_H_INDEX, QSeries
 from .verify import LEAST_BOUND, SUITE_NAMES, main_table_rows, run_suite
@@ -84,7 +84,7 @@ def cmd_hurwitz(args) -> int:
         raise ValueError("give a single N or --max N, exactly one of the two")
     if args.max is not None:
         _check_h_index("--max", args.max, args.max)
-        pairs = [(n, rational(t, 12)) for n, t in enumerate(hurwitz_batch(args.max))]
+        pairs = [(n, rational(t, 12)) for n, t in zip(range(args.max + 1), twelfths_upto(args.max))]
         emit(
             args.format,
             "hurwitz-table",

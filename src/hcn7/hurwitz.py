@@ -8,8 +8,9 @@ x^2 + xy + y^2 count 1/3.  By convention H(0) = -1/12 and H(N) = 0 for
 N = 1, 2 (mod 4).
 
 Two independent code paths produce 12*H as ints: hurwitz_single
-enumerates reduced forms for one N, hurwitz_batch sieves over all
-(a, b, c) at once.  The residue-restricted sums
+enumerates reduced forms for one N, and twelfths_upto sieves over all
+(a, b, c) at once into the one table every other caller reads.  The
+residue-restricted sums
 
     H_{m,M}(n) = sum over a = m (mod M) of H(4n - a^2)
 
@@ -89,17 +90,6 @@ def _unpack(packed: int, count: int) -> tuple[int, ...]:
     return unpack(f">{count}I", packed.to_bytes(4 * count, "big"))
 
 
-def hurwitz_batch(n_max: int) -> tuple[int, ...]:
-    """12*H(N) for N <= n_max, an int at index N, via one sieve over
-    reduced forms."""
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
-    twelfths = [0] * (n_max + 1)
-    twelfths[0] = -1
-    _sieve(twelfths, 1)
-    return tuple(twelfths)
-
-
 def _sieve(twelfths: list[int], lo: int) -> None:
     """Add 12 times the weight of every reduced form (a, b, c) whose index
     4ac - b^2 lies in [lo, len(twelfths)), lo >= 1.
@@ -158,23 +148,24 @@ def _sieve(twelfths: list[int], lo: int) -> None:
             twelfths[n::4] = map(add, twelfths[n::4], _unpack(packed[r], count))
 
 
-# Cache behind hurwitz_series, hmm_product and hmm_twelfths (which reads it
-# in place once it reaches 4n); query results are pure.  It grows by sieving
-# only the indices it lacks, to at least twice its last index and at least
-# 1,024, so that callers asking in small steps sieve few times, but past
-# MAX_H_INDEX only as far as a caller asks.  hmm_product asks for its
-# whole internal order up front, so the main suite and `hcn7 table`, four
-# products to 4 * p_max, sieve once, and the hk suite reads it once.
-_cache: tuple[int, ...] = hurwitz_batch(0)
+# The H table: cmd_hurwitz, hurwitz_series, hmm_product and hmm_twelfths
+# (which reads it in place once it reaches 4n) read it only through
+# twelfths_upto; query results are pure.  It grows to exactly the index
+# asked, sieving only the indices it lacks.  Each caller asks once, for the
+# largest index it reads: N for `hurwitz --max N`, the order for the
+# H-series, 4n for one direct sum, and a product's whole internal order up
+# front, so the main suite and `hcn7 table`, four products to 4 * p_max,
+# sieve once, and the hk suite reads it once.
+_cache: tuple[int, ...] = (-1,)  # 12 H(0)
 
 
 def twelfths_upto(n_max: int) -> tuple[int, ...]:
-    """12*H(N) for at least 0 <= N <= n_max, from the cache."""
+    """12*H(N) for at least 0 <= N <= n_max: the whole cache, longer than
+    asked when an earlier call grew it further."""
     global _cache
     size = len(_cache)
     if size <= n_max:
-        grown = max(n_max, min(max(2 * (size - 1), 1024), MAX_H_INDEX))
-        twelfths = list(_cache) + [0] * (grown + 1 - size)
+        twelfths = list(_cache) + [0] * (n_max + 1 - size)
         _sieve(twelfths, size)
         _cache = tuple(twelfths)
     return _cache

@@ -25,7 +25,7 @@ from typing import Iterator, NamedTuple
 from .arith import d_pa_series, d_series, hk_rhs_series, lambda_series, prop31_rhs, psi_7, theta_chi1, theta_mM
 from .hurwitz import hmm_product, hmm_series
 from .newform49 import cm_ap_at, g_series, represent_7
-from .primes import euler_phi, prime_factors, primes_up_to
+from .primes import primes_up_to
 from .qseries import (
     QSeries,
     numerators,
@@ -44,9 +44,12 @@ def sturm_bound(k: int, n1: int, n2: int) -> int:
         raise ValueError("weight must be positive")
     if n1 < 1 or n2 < 1 or n1 % n2:
         raise ValueError("need n2 dividing n1")
-    index = n1 * euler_phi(n2)
-    for p in prime_factors(n1):
-        index = index // p * (p + 1)  # exact: p divides n1, so p divides index
+    index = n1 * n2  # n1 prod (1 + 1/p) over p | n1, times phi(n2) = n2 prod (1 - 1/p) over p | n2
+    for p in primes_up_to(n1):
+        if n1 % p == 0:  # exact: n1 n2 keeps its powers of p until here
+            index = index // p * (p + 1)
+            if n2 % p == 0:
+                index = index // p * (p - 1)
     return k * index // 12
 
 

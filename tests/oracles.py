@@ -6,7 +6,8 @@ hand-written statements of Theorem 3.5 at m = 0 and of the closing table
 that hcn7.verify derives from the theorem's rows, and the sieve operator
 S_{M,r} with the full-length-then-sieved construction of Theorem 3.5's
 rows and of Proposition 3.1's divisor-sum sides that the package's
-class-by-class builders replaced.
+class-by-class builders replaced.  sieved is the one-shot H sieve that
+the tests compare the growing cache and hurwitz_single with.
 
 Each oracle computes one coefficient by its definition, with a plain
 divisor loop, or one table entry or one coefficient at a time, and shares
@@ -20,6 +21,7 @@ import time
 from fractions import Fraction
 from math import isqrt
 
+import hcn7.hurwitz
 from hcn7.arith import d_pa_series, d_series, psi_7
 from hcn7.hurwitz import hmm_series, twelfths_upto
 from hcn7.newform49 import ec_point_count, g_series
@@ -62,6 +64,17 @@ def composed_hmm_series(m: int, M: int, order: int) -> list[Fraction]:
     twelfths = QSeries(twelfths_upto(internal)[: internal + 1])
     product = op_u(series_mul(twelfths, QSeries(theta)), 4)
     return [Fraction(t, 12) for t in product.coeffs]
+
+
+def sieved(n_max: int) -> tuple[int, ...]:
+    """12*H(N) for N <= n_max from one sieve over [1, n_max]: twelfths_upto
+    on a fresh cache, with the cache put back afterwards."""
+    saved = hcn7.hurwitz._cache
+    hcn7.hurwitz._cache = (-1,)
+    try:
+        return twelfths_upto(n_max)
+    finally:
+        hcn7.hurwitz._cache = saved
 
 
 def sieve_oracle(twelfths: list[int], lo: int) -> None:

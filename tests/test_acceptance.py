@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 from hcn7.arith import lambda_series, prop31_rhs
-from hcn7.hurwitz import hmm_series, hmm_sum
+from hcn7.hurwitz import hmm_series, hmm_sum, twelfths_upto
 from hcn7.newform49 import cm_aps, ec_point_count, newform_an
 from hcn7.primes import primes_up_to
 from hcn7.qseries import QSeries, op_dilate, op_u, series_add
@@ -31,6 +31,9 @@ def _stamp(label, start):
 
 def test_c01_hurwitz_kronecker_to_5000():
     start = time.perf_counter()
+    # the table grows to exactly the index asked, so ask once for the
+    # largest, 4 * 5000, as the program's callers do, and not 5000 times
+    twelfths_upto(4 * 5000)
     for n in range(1, 5001):
         assert hmm_sum(0, 1, n) == hk_rhs_oracle(n), n
     _stamp("C1 Hurwitz-Kronecker n<=5000", start)

@@ -21,9 +21,8 @@ def no_allocation(monkeypatch):
         raise AssertionError("allocated past the cap")
 
     for module, name in [
-        (hcn7.cli, "hurwitz_batch"),
+        (hcn7.cli, "twelfths_upto"),
         (hcn7.cli, "hurwitz_single"),
-        (hcn7.hurwitz, "hurwitz_batch"),
         (hcn7.hurwitz, "twelfths_upto"),
         (hcn7.verify, "hmm_product"),
         (hcn7.cli, "newform_an"),

@@ -23,11 +23,10 @@ from hcn7.arith import hk_rhs_series, lambda_series
 from hcn7.hurwitz import (
     hmm_series,
     hmm_sum,
-    hurwitz_batch,
     hurwitz_single,
     twelfths_upto,
 )
-from oracles import composed_hmm_series, hk_rhs_oracle, lambda_coeff, values
+from oracles import composed_hmm_series, hk_rhs_oracle, lambda_coeff, sieved, values
 
 PROPERTY = settings(deadline=None, max_examples=50, database=None)
 
@@ -48,22 +47,22 @@ table_sizes = st.one_of(st.integers(0, 5000), progression_starts.filter(lambda n
 
 @contextmanager
 def fresh_cache(n_max=0):
-    """The H table cache starts from hurwitz_batch(n_max) inside the block."""
+    """The H table cache starts from sieved(n_max) inside the block."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hcn7.hurwitz, "_cache", hurwitz_batch(n_max))
+        mp.setattr(hcn7.hurwitz, "_cache", sieved(n_max))
         yield
 
 
 @PROPERTY
 @given(N=st.integers(0, 3000), extra=st.integers(0, 300))
 def test_single_matches_sieve(N, extra):
-    assert hurwitz_single(N) == hurwitz_batch(N + extra)[N]
+    assert hurwitz_single(N) == sieved(N + extra)[N]
 
 
 @PROPERTY
 @given(n_max=st.integers(0, 3000))
 def test_sieve_counts_twelfths_in_ints(n_max):
-    twelfths = hurwitz_batch(n_max)
+    twelfths = sieved(n_max)
     assert len(twelfths) == n_max + 1
     assert all(type(t) is int for t in twelfths)
 
@@ -78,7 +77,7 @@ def test_cache_grown_by_range_matches_sieve(start, sizes):
             twelfths = twelfths_upto(size)
             assert twelfths is hcn7.hurwitz._cache
             assert len(twelfths) > size
-            assert twelfths == hurwitz_batch(len(twelfths) - 1)
+            assert twelfths == sieved(len(twelfths) - 1)
             assert all(type(t) is int for t in twelfths)
 
 
@@ -93,7 +92,7 @@ def test_direct_sum_matches_product(M, m, n, ahead):
     order = n + ahead  # at most 750, the cap of hmm_series
     with fresh_cache():
         direct = hmm_sum(m, M, n)  # grows the table to >= 4n
-        series = hmm_series(m, M, order)  # to >= 4 * order, maybe by doubling
+        series = hmm_series(m, M, order)  # to 4 * order, if it lacks it
         assert series[n] == direct == hmm_sum(m, M, n)
 
 

@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -10,7 +11,7 @@ import hcn7.hurwitz
 import hcn7.newform49
 import hcn7.verify
 from hcn7.arith import d_pa_series, d_series, hk_rhs_series, prop31_rhs
-from hcn7.hurwitz import hmm_product, hmm_series, hmm_sum, hmm_twelfths, hurwitz_batch
+from hcn7.hurwitz import hmm_product, hmm_series, hmm_sum, hmm_twelfths
 from hcn7.newform49 import ec_aps, g_series
 from hcn7.primes import primes_up_to
 from hcn7.qseries import QSeries
@@ -66,6 +67,22 @@ def test_sturm_bound_monotone():
     chain = [(1, 1), (7, 1), (49, 7), (196, 7)]
     bounds = [sturm_bound(2, n1, n2) for n1, n2 in chain]
     assert bounds == sorted(bounds)
+
+
+def test_sturm_bound_matches_the_index_by_trial_division():
+    # [SL2(Z) : Gamma0(n1)] = n1 prod (1 + 1/p) and phi(n2), each from its
+    # own trial division, against sturm_bound's one pass over the sieve
+    def prime_divisors(n):
+        return [d for d in range(2, n + 1) if n % d == 0 and all(d % e for e in range(2, d))]
+
+    for n1 in range(1, 400):
+        psi = n1
+        for p in prime_divisors(n1):
+            psi = psi // p * (p + 1)
+        for n2 in (d for d in range(1, n1 + 1) if n1 % d == 0):
+            phi = sum(1 for j in range(1, n2 + 1) if gcd(j, n2) == 1)
+            for k in (1, 2, 3):
+                assert sturm_bound(k, n1, n2) == k * psi * phi // 12, (k, n1, n2)
 
 
 def test_compare_reports():
@@ -446,17 +463,17 @@ def test_run_suite_names():
 
 
 def test_hk_and_main_sieve_the_table_to_their_size(monkeypatch):
-    # hk needs H(N) for N <= 4 * 5000, main for N <= 4 * 10000; growing by
-    # doubling instead would overshoot to 65,473 entries
-    monkeypatch.setattr(hcn7.hurwitz, "_cache", hurwitz_batch(0))
+    # hk needs H(N) for N <= 4 * 5000, main for N <= 4 * 10000, and the
+    # table grows to exactly the index each asks for
+    monkeypatch.setattr(hcn7.hurwitz, "_cache", (-1,))
     run_suite("hk")
     run_suite("main")
     assert len(hcn7.hurwitz._cache) == 40_001
 
 
 def test_table_rows_sieve_the_table_once(monkeypatch):
-    # growing by doubling from 1,024 would end at 16,385 entries
-    monkeypatch.setattr(hcn7.hurwitz, "_cache", hurwitz_batch(0))
+    # four products to 4 * 3000 ask for the table once, to exactly 12,000
+    monkeypatch.setattr(hcn7.hurwitz, "_cache", (-1,))
     rows = list(main_table_rows(3000))
     assert rows[-1].p == 2999
     assert len(hcn7.hurwitz._cache) == 12_001
