@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Commands: hurwitz, sum, table, verify, newform, series.  Output formats
+Commands: hurwitz, sum, table, verify, newform, series, each with its
+help line, arguments and function in the one table COMMANDS; a call
+builds the parser of the command it names and no other.  Output formats
 text (default), csv (header row, LF endings) and json (fixed key order).
 Every rational reaches the CLI as an int over a known denominator, and
 one function, rational, renders it as "num/den" in lowest terms or as a
@@ -289,63 +291,83 @@ def cmd_series(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+_FORMAT = ("--format", {"choices": ("text", "csv", "json"), "default": "text"})
+
+# Each command's help line, its arguments as (name or flag, add_argument
+# keywords), and its function: the one table both parsers are built from.
+COMMANDS = {
+    "hurwitz": (
+        "Hurwitz class number H(N), single or table",
+        [
+            ("N", {"nargs": "?", "type": int}),
+            ("--max", {"type": int, "help": "emit the table for 0..MAX"}),
+            _FORMAT,
+        ],
+        cmd_hurwitz,
+    ),
+    "sum": (
+        "residue-restricted sum H_{m,M}(n)",
+        [(flag, {"type": int, "required": True}) for flag in ("--m", "--M", "--n")] + [_FORMAT],
+        cmd_sum,
+    ),
+    "table": (
+        "closing table vs the product route per odd prime",
+        [("--pmax", {"type": int, "required": True}), _FORMAT],
+        cmd_table,
+    ),
+    "verify": (
+        "run an identity suite",
+        [
+            ("--suite", {"choices": SUITE_NAMES + ("all",), "required": True}),
+            ("--bound", {"type": int, "help": "truncate the default bounds"}),
+            _FORMAT,
+        ],
+        cmd_verify,
+    ),
+    "newform": (
+        "newform coefficients a_n",
+        [
+            ("--nmax", {"type": int, "required": True}),
+            ("--method", {"choices": ("ec", "cm", "cross"), "default": "ec"}),
+            _FORMAT,
+        ],
+        cmd_newform,
+    ),
+    "series": (
+        "dump a named q-series",
+        [
+            ("name", {"help": "H | D | G | Psi7 | D1_7_a | theta_m_7 | Lambda_1_m_7 (a, m in 0..6)"}),
+            ("--order", {"type": int, "default": 30}),
+            _FORMAT,
+        ],
+        cmd_series,
+    ),
+}
+
+
+def parse(argv: list[str]):
+    """The command named by argv[0], and argv[1:] parsed by that command's
+    parser alone: no other command's parser is built.  A usage error exits 2."""
+    top = argparse.ArgumentParser(
         prog="hcn7",
+        usage=f"%(prog)s [-h] {{{','.join(COMMANDS)}}} ...",
         description="Exact Hurwitz class number sums mod 7 and their identity battery.",
+        epilog="commands:\n" + "\n".join(f"  {name:<20}  {line}" for name, (line, _, _) in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
-        p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-
-    p = sub.add_parser("hurwitz", help="Hurwitz class number H(N), single or table")
-    p.add_argument("N", nargs="?", type=int, default=None)
-    p.add_argument("--max", type=int, default=None, help="emit the table for 0..MAX")
-    add_format(p)
-    p.set_defaults(func=cmd_hurwitz)
-
-    p = sub.add_parser("sum", help="residue-restricted sum H_{m,M}(n)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=cmd_sum)
-
-    p = sub.add_parser("table", help="closing table vs the product route per odd prime")
-    p.add_argument("--pmax", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("verify", help="run an identity suite")
-    p.add_argument("--suite", choices=SUITE_NAMES + ("all",), required=True)
-    p.add_argument("--bound", type=int, default=None, help="truncate the default bounds")
-    add_format(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("newform", help="newform coefficients a_n")
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--method", choices=("ec", "cm", "cross"), default="ec")
-    add_format(p)
-    p.set_defaults(func=cmd_newform)
-
-    p = sub.add_parser("series", help="dump a named q-series")
-    p.add_argument(
-        "name",
-        help="H | D | G | Psi7 | D1_7_a | theta_m_7 | Lambda_1_m_7 (a, m in 0..6)",
-    )
-    p.add_argument("--order", type=int, default=30)
-    add_format(p)
-    p.set_defaults(func=cmd_series)
-
-    return parser
+    top.add_argument("command", choices=COMMANDS, help="one of the commands below")
+    command = top.parse_args(argv[:1]).command
+    _, arguments, func = COMMANDS[command]
+    parser = argparse.ArgumentParser(prog=f"hcn7 {command}")
+    for flag, keywords in arguments:
+        parser.add_argument(flag, **keywords)
+    return func, parser.parse_args(argv[1:])
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    func, args = parse(sys.argv[1:] if argv is None else argv)
     try:
-        code = args.func(args)
+        code = func(args)
         # flush here, so that a reader gone early is caught below and not
         # at interpreter exit
         sys.stdout.flush()

@@ -28,17 +28,24 @@ over den 12.  Only hmm_sum, one direct sum's value, divides by 12.
 
 A reduced form of index N = 4ac - b^2 has N = 0 or 3 (mod 4), so the
 table lives in two classes, N = 4k and N = 4k + 3.  The sieve and the
-series product each hold a class as one int of unsigned 32-bit slots
-(struct's standard ">I", whatever the platform), the first slot most
-significant, so that one big-int add, with a right shift for the
-product, adds a whole row.  The product reads theta_{m,M} as its nonzero
-(exponent, count) pairs, arith.theta_terms, about 2 sqrt(4 order) / M of
-them, and shifts one row per pair.  No slot may reach 2^32: the sieve
-checks that before it packs, and the product before its first shift-add.
+series product each hold a class as one int of unsigned big-endian
+slots, the first slot most significant, so that one big-int add, with a
+right shift for the product, adds a whole row.  The product's slots are
+32-bit (struct's standard ">I", whatever the platform).  The sieve's are
+only as wide as its a-priori bound on 12*H needs: 1 byte to N = 47,
+2 bytes to N = 15,986 and 3 bytes from there through MAX_H_INDEX, each
+cut from the ">I" packing, since every byte an int holds costs time in
+int.from_bytes and in every add.  The product reads theta_{m,M} as its
+nonzero (exponent, count) pairs, arith.theta_terms, about
+2 sqrt(4 order) / M of them, and shifts one row per pair.  No slot may
+overflow: the sieve checks its bound, against 2^32 at most, before it
+reads the table, and the product checks its own before its first
+shift-add.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import isqrt
 from operator import add
 from struct import pack, unpack
@@ -80,14 +87,48 @@ def _weight12(a: int, b: int, c: int) -> int:
     return 12
 
 
-def _slot_bytes(values) -> bytes:
-    """values as consecutive big-endian 32-bit slots."""
-    return pack(f">{len(values)}I", *values)
+def _slot_bytes(values, width: int = 4) -> bytes:
+    """values as consecutive big-endian slots of width bytes, 1 <= width <= 4,
+    each value below 2^(8 width): struct's standard ">I" packing with the
+    high 4 - width bytes of every slot dropped."""
+    wide = pack(f">{len(values)}I", *values)
+    if width == 4:
+        return wide
+    narrow = bytearray(width * len(values))
+    for j in range(width):
+        narrow[j::width] = wide[4 - width + j :: 4]
+    return bytes(narrow)
 
 
-def _unpack(packed: int, count: int) -> tuple[int, ...]:
-    """The count 32-bit slots of packed, first slot most significant."""
-    return unpack(f">{count}I", packed.to_bytes(4 * count, "big"))
+def _unpack(packed: int, count: int, width: int = 4) -> tuple[int, ...]:
+    """The count slots of width bytes of packed, first slot most significant:
+    _slot_bytes read back."""
+    narrow = packed.to_bytes(width * count, "big")
+    if width == 4:
+        return unpack(f">{count}I", narrow)
+    wide = bytearray(4 * count)
+    for j in range(width):
+        wide[4 - width + j :: 4] = narrow[j::width]
+    return unpack(f">{count}I", wide)
+
+
+# A c > a progression below 4a(a + 1) with at least this many terms is added
+# as one slice, a shorter one by a plain loop.  A slice costs a fixed setup
+# (two list slices and a map) and less per term; the crossover, measured on
+# progressions of 4 to 48 terms, lies between 9 and 16 terms, and the whole
+# sieve to 10^6 took the same time for thresholds 12 to 24.
+_SLICE_TERMS = 16
+
+
+def _progression(twelfths: list[int], n: int, end: int, step: int, weight: int, lo: int) -> None:
+    """Add weight at n, n + step, ... below end, from the first term >= lo."""
+    if n < lo:
+        n = lo + (n - lo) % step
+    if n + (_SLICE_TERMS - 1) * step < end:
+        twelfths[n:end:step] = map(add, twelfths[n:end:step], repeat(weight))
+    else:
+        for n in range(n, end, step):
+            twelfths[n] += weight
 
 
 def _sieve(twelfths: list[int], lo: int) -> None:
@@ -100,18 +141,27 @@ def _sieve(twelfths: list[int], lo: int) -> None:
     in k within each class 4k + r.  One period, repeated by bytes
     multiplication, goes into the class's packed accumulator by one
     big-int add per a; the accumulators are unpacked into the table at the
-    end.  The c = a forms, and the c > a forms below 4a(a + 1) (several
-    per b once b^2 > 4a), are added one by one.
+    end.  The c = a forms are added one by one, b = a and b = 0 (weights 4
+    and 6, then 12 for c > a) outside the loop over 0 < b < a, which adds
+    the constant weights 12 and 24.  The c > a forms below 4a(a + 1), about
+    b^2 / 4a of them per b, go through _progression: one slice for a
+    progression of at least _SLICE_TERMS terms, and a plain loop for a
+    shorter one.  The long progressions hold 28% of these terms to 4*10^4,
+    84% to 4*10^5 and 97% to 4*10^6.
 
     A form of index N has 3a^2 <= N and at most a + 1 values of b per a,
     each of weight at most 24, so 12*H(N) <= 12 A (A + 3), A = isqrt(N // 3),
-    about 1.6e7 at MAX_H_INDEX.  The weights are positive, so no partial
-    sum in a slot exceeds that bound, checked against 2^32 up front.
+    16,022,136 < 2^24 at MAX_H_INDEX.  The weights are positive, so no
+    partial sum in a slot exceeds that bound.  It sets the slot width, the
+    fewest bytes that hold it, and is checked against 2^32 before the table
+    is read.
     """
     n_max = len(twelfths) - 1
     top = isqrt(n_max // 3)
-    if 12 * top * (top + 3) >= 1 << 32:
+    bound = 12 * top * (top + 3)
+    if bound >= 1 << 32:
         raise OverflowError(f"12*H(N) for N <= {n_max} may not fit a 32-bit slot")
+    width = max(1, -(-bound.bit_length() // 8))
     # packed[r] holds the indices 4k + r, first[r] <= k <= last[r]
     first = {r: (lo - r + 3) // 4 for r in (0, 3)}
     last = {r: (n_max - r) // 4 for r in (0, 3)}
@@ -120,16 +170,24 @@ def _sieve(twelfths: list[int], lo: int) -> None:
         step = 4 * a
         start = step * (a + 1)
         if start > lo:  # else every form below 4a(a + 1) is below lo
-            for b in range(a, -1, -1):
-                n = step * a - b * b  # c = a, rising as b falls
+            end = min(start, n_max + 1)
+            # b = a: a(x^2 + xy + y^2) at c = a, 3a^2 <= n_max, then weight 12
+            n = 3 * a * a
+            if lo <= n:
+                twelfths[n] += 4
+            _progression(twelfths, n + step, end, step, 12, lo)
+            n = step * a  # b = 0: a(x^2 + y^2) at c = a, then weight 12
+            if n <= n_max:
+                if lo <= n:
+                    twelfths[n] += 6
+                _progression(twelfths, n + step, end, step, 12, lo)
+            for b in range(a - 1, 0, -1):  # 12 at c = a, 24 for c > a: (a, +-b, c)
+                n = step * a - b * b  # rising as b falls
                 if n > n_max:
                     break
-                if lo <= n:  # a(x^2 + xy + y^2) at b = a, a(x^2 + y^2) at b = 0
-                    twelfths[n] += 4 if b == a else 6 if b == 0 else 12
-                weight = 12 if b in (0, a) else 24  # c > a: (a, +-b, c) for 0 < b < a
-                n += step
-                for n in range(n if n >= lo else lo + (n - lo) % step, min(start, n_max + 1), step):
-                    twelfths[n] += weight
+                if lo <= n:
+                    twelfths[n] += 12
+                _progression(twelfths, n + step, end, step, 24, lo)
         for r in (0, 3):
             k = max(a * (a + 1), first[r])  # index 4k + r >= 4a(a + 1)
             count = last[r] - k + 1
@@ -139,13 +197,13 @@ def _sieve(twelfths: list[int], lo: int) -> None:
             for b in range(r % 2, a + 1, 2):
                 period[(-(b * b + r) // 4) % a] += 12 if b in (0, a) else 24
             phase = k % a
-            row = _slot_bytes(period) * ((phase + count) // a + 1)
-            packed[r] += int.from_bytes(row[4 * phase : 4 * (phase + count)], "big")
+            row = _slot_bytes(period, width) * ((phase + count) // a + 1)
+            packed[r] += int.from_bytes(row[width * phase : width * (phase + count)], "big")
     for r in (0, 3):
         count = last[r] - first[r] + 1
         if count > 0:
             n = 4 * first[r] + r
-            twelfths[n::4] = map(add, twelfths[n::4], _unpack(packed[r], count))
+            twelfths[n::4] = map(add, twelfths[n::4], _unpack(packed[r], count, width))
 
 
 # The H table: cmd_hurwitz, hurwitz_series, hmm_product and hmm_twelfths

@@ -25,6 +25,7 @@ import hcn7.hurwitz
 from hcn7.arith import d_pa_series, d_series, psi_7
 from hcn7.hurwitz import hmm_series, twelfths_upto
 from hcn7.newform49 import ec_point_count, g_series
+from hcn7.primes import primes_up_to
 from hcn7.qseries import QSeries, chi_minus7, op_dilate, op_u, series_add, series_mul, series_scale, series_sub
 from hcn7.verify import _THM35_ROWS, VerificationReport, compare
 
@@ -108,6 +109,33 @@ def sieve_oracle(twelfths: list[int], lo: int) -> None:
             twelfths[3 * a * a] += 4
         for n in tail(step * (a + 1) - a * a, step):
             twelfths[n] += 12
+
+
+def hecke_relations(T, top: int):
+    """(index, left side, right side) of each weight-3/2 Hecke relation among
+    the entries T[N] = 12H(N), N <= top, of a table: the check of the sieve
+    that reads neither its structure nor hurwitz_single.
+
+    The class-number formula for orders gives, for an odd prime p,
+    T(p^2 N) = (p + 1 - (-N/p)) T(N) - p T(N/p^2), with T(N/p^2) = 0
+    unless p^2 | N; and at p = 2, T(4n) = 4T(n) for n = 3 (mod 8),
+    T(4n) = 2T(n) for n = 7 (mod 8) and T(16k) = 3T(4k) - 2T(k).
+    The index is the entry each relation ties to smaller ones.
+    """
+    for n in range(3, top // 4 + 1, 4):
+        yield 4 * n, T[4 * n], (4 if n % 8 == 3 else 2) * T[n]
+    for k in range(1, top // 16 + 1):
+        yield 16 * k, T[16 * k], 3 * T[4 * k] - 2 * T[k]
+    for p in primes_up_to(isqrt(top))[1:]:
+        square = p * p
+        for N in range(3, top // square + 1):
+            if N % 4 in (1, 2):
+                continue
+            symbol = pow(-N, (p - 1) // 2, p)  # (-N/p) mod p, by Euler's criterion
+            if symbol == p - 1:
+                symbol = -1
+            below = T[N // square] if N % square == 0 else 0
+            yield square * N, T[square * N], (p + 1 - symbol) * T[N] - p * below
 
 
 def hk_rhs_oracle(n: int) -> int:

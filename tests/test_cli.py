@@ -122,6 +122,39 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+# Each command's options, written out here rather than read from the
+# parser's table
+OPTIONS = {
+    "hurwitz": ["N", "--max MAX", "--format {text,csv,json}"],
+    "sum": ["--m M", "--M M", "--n N", "--format {text,csv,json}"],
+    "table": ["--pmax PMAX", "--format {text,csv,json}"],
+    "verify": ["--suite {thm35,lemma42,prop31,prop41,hk,main,all}", "--bound BOUND", "--format {text,csv,json}"],
+    "newform": ["--nmax NMAX", "--method {ec,cm,cross}", "--format {text,csv,json}"],
+    "series": ["name", "--order ORDER", "--format {text,csv,json}"],
+}
+
+
+@pytest.mark.parametrize("command", OPTIONS)
+def test_each_command_help_exits_0_and_names_its_options(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: hcn7 {command} [-h]")
+    for option in OPTIONS[command]:
+        assert option in out, option
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: hcn7 [-h] {hurwitz,sum,table,verify,newform,series} ...\n")
+    for command in OPTIONS:
+        assert f"\n  {command} " in out, command
+
+
 @settings(deadline=None, max_examples=500, database=None)
 @given(
     num=st.one_of(st.integers(-300, 300), st.integers(-(2**80), 2**80)),

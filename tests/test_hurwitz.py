@@ -17,9 +17,8 @@ from hcn7.hurwitz import (
     hurwitz_single,
     twelfths_upto,
 )
-from hcn7.primes import primes_up_to
 from hcn7.qseries import MAX_H_INDEX, QSeries, op_u, series_mul
-from oracles import composed_hmm_series, hk_rhs_oracle, sieve_oracle, sieved, values
+from oracles import composed_hmm_series, hecke_relations, hk_rhs_oracle, sieve_oracle, sieved, values
 
 # Frozen values, each recomputable by listing reduced forms by hand:
 # H(3) <- (1,1,1) at weight 1/3; H(4) <- (1,0,1) at 1/2; H(11) <- (1,1,3);
@@ -126,51 +125,76 @@ HECKE_TOP = 400_000
 
 
 def test_sieve_obeys_the_weight_3_2_hecke_relations():
-    # With T = 12H, the class-number formula for orders gives, for an odd
-    # prime p, T(p^2 N) = (p + 1 - (-N/p)) T(N) - p T(N/p^2), with
-    # T(N/p^2) = 0 unless p^2 | N; and at p = 2, T(4n) = 4T(n) for
-    # n = 3 (mod 8), T(4n) = 2T(n) for n = 7 (mod 8) and
-    # T(16k) = 3T(4k) - 2T(k).  Each ties an entry whose index has a square
-    # factor to smaller ones, and none reads the sieve's structure or
-    # hurwitz_single.  The 90,322 relations to 4 * 10^5 cover 78,408 of the
-    # 200,000 entries of class 0 or 3 there: 59,473 of class 0 (every
-    # N = 0, 12 (mod 16) among them) and 18,935 of class 3.  The others,
-    # with -N or -N/4 fundamental, are checked past 10^5 (the element-wise
-    # sieve's reach here) only by sums over them, as in the hk suite, and
-    # by hurwitz_single at the entries other tests pick.
-    T = sieved(HECKE_TOP)
+    # Each relation (oracles.hecke_relations) ties an entry whose index has
+    # a square factor to smaller ones, and none reads the sieve's structure
+    # or hurwitz_single; CI checks all 904,151 of them to MAX_H_INDEX.  The
+    # 90,322 relations to 4 * 10^5 cover 78,408 of the 200,000 entries of
+    # class 0 or 3 there: 59,473 of class 0 (every N = 0, 12 (mod 16) among
+    # them) and 18,935 of class 3.  The others, with -N or -N/4
+    # fundamental, are checked past 10^5 (the element-wise sieve's reach
+    # here) only by sums over them, as in the hk suite, and by
+    # hurwitz_single at the entries other tests pick.
     covered = set()
-    for n in range(3, HECKE_TOP // 4 + 1, 4):
-        assert T[4 * n] == (4 if n % 8 == 3 else 2) * T[n], 4 * n
-        covered.add(4 * n)
-    for k in range(1, HECKE_TOP // 16 + 1):
-        assert T[16 * k] == 3 * T[4 * k] - 2 * T[k], 16 * k
-        covered.add(16 * k)
-    for p in primes_up_to(isqrt(HECKE_TOP))[1:]:
-        square = p * p
-        for N in range(3, HECKE_TOP // square + 1):
-            if N % 4 in (1, 2):
-                continue
-            symbol = pow(-N, (p - 1) // 2, p)  # (-N/p) mod p, by Euler's criterion
-            if symbol == p - 1:
-                symbol = -1
-            below = T[N // square] if N % square == 0 else 0
-            assert T[square * N] == (p + 1 - symbol) * T[N] - p * below, (p, N)
-            covered.add(square * N)
+    for N, lhs, rhs in hecke_relations(sieved(HECKE_TOP), HECKE_TOP):
+        assert lhs == rhs, N
+        covered.add(N)
     assert len(covered) == 78_408
     assert sum(1 for N in covered if N % 4 == 0) == 59_473
 
 
 # The c > a progression of (a, b) starts at 4a(a + 1) - b^2; the packed
-# sieve adds its terms below 4a(a + 1) one by one, several of them when
-# b^2 > 4a, as for (5, 5), (8, 7) and (12, 10).
-@pytest.mark.parametrize("a, b", [(1, 0), (2, 1), (3, 3), (5, 0), (5, 5), (8, 7), (12, 10)])
+# sieve adds its terms below 4a(a + 1) apart, several of them when
+# b^2 > 4a, as for (5, 5), (8, 7) and (12, 10), in a loop, and as one slice
+# from 16 terms on: (64, 64) starts at 12,544 with 16 terms, so a split one
+# past its start leaves 15 for the loop, and (96, 96) starts at 28,032
+# with 24 terms, so every split here leaves a slice.
+@pytest.mark.parametrize(
+    "a, b", [(1, 0), (2, 1), (3, 3), (5, 0), (5, 5), (8, 7), (12, 10), (64, 64), (96, 96)]
+)
 def test_growth_split_at_a_progression_start_matches_the_element_wise_sieve(monkeypatch, a, b):
-    whole = oracle_batch(1500)
+    top = max(1500, 4 * a * (a + 1))  # past the progression's last term below 4a(a + 1)
+    whole = oracle_batch(top)
     start = 4 * a * (a + 1) - b * b
     for size in (start - 1, start, start + 1):
         monkeypatch.setattr(hcn7.hurwitz, "_cache", whole[:size])
-        assert twelfths_upto(1500) == whole, size  # sieves [size, 1500]
+        assert twelfths_upto(top) == whole, size  # sieves [size, top]
+
+
+def slot_widths(monkeypatch) -> list[int]:
+    """The slot width of each accumulator the sieve unpacks from now on."""
+    widths = []
+    unpack = hcn7.hurwitz._unpack
+    monkeypatch.setattr(
+        hcn7.hurwitz, "_unpack", lambda packed, count, width: widths.append(width) or unpack(packed, count, width)
+    )
+    return widths
+
+
+# 12 A (A + 3), A = isqrt(N // 3), is 216 < 2^8 at N = 47 and 336 at 48;
+# 64,800 < 2^16 at N = 15,986 and 66,576 at 15,987
+@pytest.mark.parametrize("n_max, width", [(47, 1), (48, 2), (15_986, 2), (15_987, 3)])
+def test_sieve_matches_the_element_wise_sieve_at_each_slot_width_change(monkeypatch, n_max, width):
+    widths = slot_widths(monkeypatch)
+    assert sieved(n_max) == oracle_batch(n_max)
+    assert widths == [width, width]  # one accumulator per class
+
+
+def test_growth_across_a_slot_width_change_matches_the_element_wise_sieve(monkeypatch):
+    # battery's growth: the rows to 1348 in 2-byte slots, then 3-byte ones
+    monkeypatch.setattr(hcn7.hurwitz, "_cache", (-1,))
+    widths = slot_widths(monkeypatch)
+    for n_max in (1348, 20_000, 40_000):
+        assert twelfths_upto(n_max) == oracle_batch(n_max), n_max
+    assert widths == [2, 2, 3, 3, 3, 3]
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_slot_packer_round_trips_at_each_width(width):
+    top = (1 << 8 * width) - 1
+    for values in ([0], [top], [0, top, 1, 0], [top, 0, top - 1, 1, top]):
+        packed = hcn7.hurwitz._slot_bytes(values, width)
+        assert len(packed) == width * len(values)
+        assert hcn7.hurwitz._unpack(int.from_bytes(packed, "big"), len(values), width) == tuple(values)
 
 
 class Untouchable:
