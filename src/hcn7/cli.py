@@ -15,10 +15,10 @@ command does.
 
 Inputs are capped before anything is allocated: MAX_H_INDEX bounds the
 largest H(N) index a command would reach (N for `hurwitz N` and
-`hurwitz --max N`, 4n for `sum --n n`, 4P for `table --pmax P`; both
-H_{m,M} routes, the direct sum and the product, check their largest
-index against it too) and MAX_NEWFORM_N bounds `newform --nmax` and
-`series --order`.  An input over its cap is a usage error.
+`hurwitz --max N`, 4n for `sum --n n`, 4P for `table --pmax P`; the H
+table checks it again where it grows, and so does the product route)
+and MAX_NEWFORM_N bounds `newform --nmax` and `series --order`.  An
+input over its cap is a usage error that names the option.
 
 Series names match exactly, as listed in `hcn7 series --help`: no
 surrounding space, no trailing newline, no other case.
@@ -37,7 +37,7 @@ from .arith import d_pa_series, d_series, lambda_series, psi_7, theta_mM
 from .hurwitz import hmm_twelfths, hurwitz_series, hurwitz_single, twelfths_upto
 from .newform49 import ap_pairs, cm_aps, ec_aps, g_series, newform_an
 from .qseries import MAX_H_INDEX, QSeries
-from .verify import LEAST_BOUND, SUITE_NAMES, main_table_rows, run_suite
+from .verify import SUITES, main_table_rows, run_suite
 
 MAX_NEWFORM_N = 10**6
 
@@ -182,9 +182,9 @@ def _report_line(r) -> str:
 def cmd_verify(args) -> int:
     if args.bound is not None and args.bound < 0:
         raise ValueError("--bound must be non-negative")
-    for suite in SUITE_NAMES if args.suite == "all" else (args.suite,):
-        if args.bound is not None and args.bound < LEAST_BOUND.get(suite, 0):
-            raise ValueError(f"--bound must be at least {LEAST_BOUND[suite]} for --suite {suite}")
+    for suite in SUITES if args.suite == "all" else (args.suite,):
+        if args.bound is not None and args.bound < SUITES[suite].least:
+            raise ValueError(f"--bound must be at least {SUITES[suite].least} for --suite {suite}")
     reports = run_suite(args.suite, args.bound)
     all_ok = all(r.ok for r in reports)
     emit(
@@ -318,7 +318,7 @@ COMMANDS = {
     "verify": (
         "run an identity suite",
         [
-            ("--suite", {"choices": SUITE_NAMES + ("all",), "required": True}),
+            ("--suite", {"choices": (*SUITES, "all"), "required": True}),
             ("--bound", {"type": int, "help": "truncate the default bounds"}),
             _FORMAT,
         ],

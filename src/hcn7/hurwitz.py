@@ -9,7 +9,8 @@ N = 1, 2 (mod 4).
 
 Two independent code paths produce 12*H as ints: hurwitz_single
 enumerates reduced forms for one N, and twelfths_upto sieves over all
-(a, b, c) at once into the one table every other caller reads.  The
+(a, b, c) at once into the one table every other caller reads; it
+rejects an index over MAX_H_INDEX before it allocates anything.  The
 residue-restricted sums
 
     H_{m,M}(n) = sum over a = m (mod M) of H(4n - a^2)
@@ -209,18 +210,21 @@ def _sieve(twelfths: list[int], lo: int) -> None:
 # The H table: cmd_hurwitz, hurwitz_series, hmm_product and hmm_twelfths
 # (which reads it in place once it reaches 4n) read it only through
 # twelfths_upto; query results are pure.  It grows to exactly the index
-# asked, sieving only the indices it lacks.  Each caller asks once, for the
-# largest index it reads: N for `hurwitz --max N`, the order for the
-# H-series, 4n for one direct sum, and a product's whole internal order up
-# front, so the main suite and `hcn7 table`, four products to 4 * p_max,
-# sieve once, and the hk suite reads it once.
+# asked, sieving only the indices it lacks, and never past MAX_H_INDEX.
+# Each caller asks once, for the largest index it reads: N for
+# `hurwitz --max N`, the order for the H-series, 4n for one direct sum,
+# and a product's whole internal order up front, so the main suite and
+# `hcn7 table`, four products to 4 * p_max, sieve once, and the hk suite
+# reads it once.
 _cache: tuple[int, ...] = (-1,)  # 12 H(0)
 
 
 def twelfths_upto(n_max: int) -> tuple[int, ...]:
-    """12*H(N) for at least 0 <= N <= n_max: the whole cache, longer than
-    asked when an earlier call grew it further."""
+    """12*H(N) for 0 <= N <= n_max or further, the whole cache as grown so
+    far; an n_max over MAX_H_INDEX is rejected before anything is allocated."""
     global _cache
+    if n_max > MAX_H_INDEX:
+        raise ValueError(f"H index {n_max} is over the cap MAX_H_INDEX = {MAX_H_INDEX}")
     size = len(_cache)
     if size <= n_max:
         twelfths = list(_cache) + [0] * (n_max + 1 - size)
@@ -231,28 +235,23 @@ def twelfths_upto(n_max: int) -> tuple[int, ...]:
 
 def hurwitz_series(order: int) -> QSeries:
     """Generating series sum_n H(n) q^n: the table's twelfths over den 12.
-    The order is an H index, so MAX_H_INDEX caps it, checked before the
-    table is read."""
+    The order is an H index, which twelfths_upto checks against MAX_H_INDEX."""
     if order < 0:
         raise ValueError("order must be non-negative")
-    if order > MAX_H_INDEX:
-        raise ValueError(f"order {order} is over the cap MAX_H_INDEX = {MAX_H_INDEX}")
     return QSeries(twelfths_upto(order)[: order + 1], 12)
 
 
 def hmm_twelfths(m: int, M: int, n: int) -> int:
     """12*H_{m,M}(n), an int, summed directly over all integers a = m (mod M).
 
-    The twelfths are added in a plain loop.  4n, the largest index read, is
-    checked against MAX_H_INDEX first; a cache that covers it is read in place.
+    The twelfths are added in a plain loop, read from the cache in place once
+    it covers 4n, the largest index read; twelfths_upto checks the cap.
     """
     if M < 1:
         raise ValueError("M must be positive")
     if n < 0:
         raise ValueError("n must be non-negative")
     four_n = 4 * n
-    if four_n > MAX_H_INDEX:
-        raise ValueError(f"index 4n = {four_n} is over the cap MAX_H_INDEX = {MAX_H_INDEX}")
     twelfths = _cache if four_n < len(_cache) else twelfths_upto(four_n)
     r = isqrt(four_n)
     first = -r + (m + r) % M  # least a >= -r in the residue class

@@ -358,8 +358,8 @@ def newform_an(n_max: int, aps: Callable[[list[int]], list[int]] = ec_aps) -> QS
     a_n ends as the product over its prime-power parts.  The a(p^e) follow
     the Hecke recursion a(p^(e+1)) = a_p a(p^e) - (p != 7) * p * a(p^(e-1)):
     with a_7 = 0 from both routes, every a(7^e) is 0."""
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
     primes = primes_up_to(n_max)
     values = aps(primes)  # before the big list below: a lower peak
     a = [0] + [1] * n_max
@@ -416,8 +416,6 @@ def cm_aps(primes: list[int]) -> list[int]:
 
 def g_series(order: int) -> QSeries:
     """q-expansion of the newform, coefficient 0 at n = 0."""
-    if order < 1:
-        return QSeries.zero(order)
     # point counts, never cm_aps: the lemma42 check compares G against the
     # x^2 + 7y^2 lattice sum, so G must not be built from that lattice
     return newform_an(order, ec_aps)

@@ -67,10 +67,6 @@ class QSeries:
     def __setattr__(self, name, value):
         raise AttributeError("QSeries is immutable")
 
-    @classmethod
-    def zero(cls, order: int) -> "QSeries":
-        return cls([0] * (order + 1))
-
     def __getitem__(self, n: int):
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} unknown beyond order {self.order}")

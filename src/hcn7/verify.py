@@ -20,7 +20,7 @@ import time
 from itertools import repeat
 from math import lcm
 from operator import add, mul
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .arith import d_pa_series, d_series, hk_rhs_series, lambda_series, prop31_rhs, psi_7, theta_chi1, theta_mM
 from .hurwitz import hmm_product, hmm_series
@@ -178,8 +178,8 @@ def verify_lemma42(order: int) -> VerificationReport:
     reading, with U_2 and U_4 in place of the dilations, fails at n = 1.
     order must cover the Sturm bound for Gamma0(196), as thm35.m0 does.
     """
-    if order < LEAST_BOUND["lemma42"]:
-        raise ValueError(f"order must cover the Sturm bound {LEAST_BOUND['lemma42']}")
+    if order < SUITES["lemma42"].least:
+        raise ValueError(f"order must cover the Sturm bound {SUITES['lemma42'].least}")
     start = time.perf_counter()
     g = g_series(order)
     rhs = series_sub(g, op_dilate(g, 2, order))
@@ -198,7 +198,7 @@ def verify_prop41(order: int) -> VerificationReport:
 def verify_hurwitz_kronecker(n_max: int) -> VerificationReport:
     """Both sides of the class number relation for 1 <= n <= n_max, in twelfths:
     hmm_series(0, 1, n_max) from the H table, hk_rhs_series reading no H."""
-    if n_max < 1:
+    if n_max < SUITES["hk"].least:
         raise ValueError("n_max must be positive")
     start = time.perf_counter()
     return compare(
@@ -313,8 +313,8 @@ def verify_main_table(p_max: int) -> list[VerificationReport]:
     scan is recorded on every report.  p_max >= 29 gives every row a prime:
     row 1 starts at 29, rows 2 to 6 at 23, 3, 11, 5 and 13.
     """
-    if p_max < LEAST_BOUND["main"]:
-        raise ValueError("p_max must be at least 29, the first prime p = 1 (mod 7)")
+    if p_max < SUITES["main"].least:
+        raise ValueError(f"p_max must be at least {SUITES['main'].least}, the first prime p = 1 (mod 7)")
     start = time.perf_counter()
     first_bad: dict[tuple[int, int], tuple[int, int, int]] = {}
     rowsum_bad = None
@@ -339,33 +339,39 @@ def verify_main_table(p_max: int) -> list[VerificationReport]:
 
 
 # --------------------------------------------------------------------------
-# Suite runner used by the CLI.
+# The suite table and its runner, used by the CLI.
 # --------------------------------------------------------------------------
 
-SUITE_NAMES = ("thm35", "lemma42", "prop31", "prop41", "hk", "main")
-# The least bound of each suite that has one: lemma42 covers its Sturm
-# bound, hk starts at n = 1, and main gives every residue row a prime.
-LEAST_BOUND = {"lemma42": THM35_BOUND_M0 - 1, "hk": 1, "main": 29}
+class Suite:
+    """A suite's default range, the least bound it admits, and run, which
+    turns a range into the suite's reports.  A plain class: a NamedTuple
+    would cost every command's start-up about 0.13 ms to build."""
+
+    def __init__(self, default: int, least: int, run: Callable[[int], list[VerificationReport]]):
+        self.default, self.least, self.run = default, least, run
 
 
-def _cap(default: int, bound: int | None) -> int:
-    return default if bound is None else min(default, bound)
+# Every suite, in the order `all` runs them.  lemma42 needs its Sturm
+# bound, hk starts at n = 1 and main needs a prime in every residue row.
+# The cut rule, applied here only: a bound below a suite's default
+# replaces it, and a bound above is cut to the default.  The runners look
+# up verify_* when called, so that a tracer rebinding them sees each call.
+SUITES = {
+    "thm35": Suite(THM35_BOUND, 0, lambda n: verify_thm35(n, min(n, THM35_BOUND_M0))),
+    "lemma42": Suite(1000, THM35_BOUND_M0 - 1, lambda n: [verify_lemma42(n)]),
+    "prop31": Suite(300, 0, lambda n: [report for k in (0, 1) for report in verify_prop31(k, n)]),
+    "prop41": Suite(1000, 0, lambda n: [verify_prop41(n)]),
+    "hk": Suite(5000, 1, lambda n: [verify_hurwitz_kronecker(n)]),
+    "main": Suite(10_000, 29, lambda n: verify_main_table(n)),
+}
 
 
 def run_suite(name: str, bound: int | None = None) -> list[VerificationReport]:
-    """Run one named suite; bound truncates the default comparison range."""
-    if name == "thm35":
-        return verify_thm35(_cap(THM35_BOUND, bound), _cap(THM35_BOUND_M0, bound))
-    if name == "lemma42":
-        return [verify_lemma42(_cap(1000, bound))]
-    if name == "prop31":
-        return [report for k in (0, 1) for report in verify_prop31(k, _cap(300, bound))]
-    if name == "prop41":
-        return [verify_prop41(_cap(1000, bound))]
-    if name == "hk":
-        return [verify_hurwitz_kronecker(_cap(5000, bound))]
-    if name == "main":
-        return verify_main_table(_cap(10_000, bound))
+    """Run one named suite, or for "all" each suite in turn through this
+    function; bound truncates the default comparison range."""
     if name == "all":
-        return [report for suite in SUITE_NAMES for report in run_suite(suite, bound)]
-    raise ValueError(f"unknown suite {name!r}")
+        return [report for suite in SUITES for report in run_suite(suite, bound)]
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    suite = SUITES[name]
+    return suite.run(suite.default if bound is None else min(suite.default, bound))

@@ -380,7 +380,7 @@ def prop31_rhs_sieved(k: int, m: int, order: int) -> QSeries:
     inv2 = pow(2, -1, p)
     inv4 = inv2 * inv2 % p
     m %= p
-    total = QSeries.zero(order)
+    total = QSeries([0] * (order + 1))
     if m == 0:
         for a in range(1, p):
             term = d_pa_series_loop(l, p, a * inv2 % p, order)

@@ -75,7 +75,7 @@ def test_slice_builder_boundaries():
     # a start past the order adds nothing: lambda's v = u term at u^2 = 49
     # with no v > u left, and a lopsided pair 7 * 8 = 56 > 50
     assert lambda_series(1, 0, 7, 50)[49] == lambda_coeff(1, 0, 7, 49) == 7
-    assert _lopsided_series(1, 7, 1, 50) == lopsided_series_loop(1, 7, 1, 50) == QSeries.zero(50)
+    assert _lopsided_series(1, 7, 1, 50) == lopsided_series_loop(1, 7, 1, 50) == QSeries([0] * 51)
     for builder in (d_series(0), d_pa_series(1, 7, 0, 0), lambda_series(1, 0, 7, 0)):
         assert builder == QSeries([0])
 

@@ -270,10 +270,18 @@ def test_series_respects_the_cap(monkeypatch):
     monkeypatch.setattr(hcn7.hurwitz, "MAX_H_INDEX", 5000)
     monkeypatch.setattr(hcn7.hurwitz, "_cache", (-1,))
     cache = hcn7.hurwitz._cache
-    with pytest.raises(ValueError, match="order 9000 is over the cap MAX_H_INDEX = 5000"):
+    with pytest.raises(ValueError, match="H index 9000 is over the cap MAX_H_INDEX = 5000"):
         hurwitz_series(9000)
     assert hcn7.hurwitz._cache is cache
     assert hurwitz_series(5000).order == 5000  # the cap itself is admitted
+
+
+def test_table_rejects_an_index_over_the_cap_before_it_sieves(monkeypatch):
+    monkeypatch.setattr(hcn7.hurwitz, "_sieve", unreachable)
+    cache = hcn7.hurwitz._cache
+    with pytest.raises(ValueError, match=f"H index {MAX_H_INDEX + 1} is over the cap MAX_H_INDEX"):
+        twelfths_upto(MAX_H_INDEX + 1)
+    assert hcn7.hurwitz._cache is cache
 
 
 def sum_of(twelfths):
