@@ -25,7 +25,8 @@ the direct sums are the route of `hcn7 sum` and check the product.
 The weights 1/2 and 1/3 and H(0) = -1/12 make every 12*H(N) an integer,
 so both H routes count in twelfths, and the table, the direct sums and
 the series product stay ints: hurwitz_series and hmm_series hold them
-over den 12.  Only hmm_sum, one direct sum's value, divides by 12.
+over den 12.  Only hmm_sum, one direct sum's value, divides by 12, by
+qseries.fraction where 12 does not divide it, as a series read does.
 
 A reduced form of index N = 4ac - b^2 has N = 0 or 3 (mod 4), so the
 table lives in two classes, N = 4k and N = 4k + 3.  The sieve and the
@@ -52,7 +53,7 @@ from operator import add
 from struct import pack, unpack
 
 from .arith import theta_terms
-from .qseries import MAX_H_INDEX, QSeries
+from .qseries import MAX_H_INDEX, QSeries, fraction
 
 
 def hurwitz_single(N: int) -> int:
@@ -246,6 +247,8 @@ def hmm_twelfths(m: int, M: int, n: int) -> int:
 
     The twelfths are added in a plain loop, read from the cache in place once
     it covers 4n, the largest index read; twelfths_upto checks the cap.
+    Short of 4n, it grows to exactly 4n, copying itself each time, so a
+    caller that sweeps n should ask for its largest n first.
     """
     if M < 1:
         raise ValueError("M must be positive")
@@ -261,27 +264,12 @@ def hmm_twelfths(m: int, M: int, n: int) -> int:
     return total
 
 
-# Fraction(t, 12) for each t that 12 does not divide, built on first lookup, as the same twelfths
-# recur across residues, moduli and n: hmm_sum's memo.  At most _DIV12_CAP are kept, none evicted.
-_DIV12_CAP = 4096
-
-
-class _Div12Table(dict):
-    def __missing__(self, t: int):
-        from fractions import Fraction  # only here: no command divides by 12
-        value = Fraction(t, 12)
-        if len(self) < _DIV12_CAP:
-            self[t] = value
-        return value
-
-
-_div12_table = _Div12Table()
-
-
 def hmm_sum(m: int, M: int, n: int):
-    """H_{m,M}(n) by the direct sum: hmm_twelfths over 12, an int where integral, else a Fraction."""
+    """H_{m,M}(n) by the direct sum: hmm_twelfths over 12, an int where integral,
+    else qseries.fraction(total, 12).  The table grows to exactly 4n, copying
+    itself, so a caller that sweeps n should ask for its largest n first."""
     total = hmm_twelfths(m, M, n)
-    return total // 12 if total % 12 == 0 else _div12_table[total]
+    return total // 12 if total % 12 == 0 else fraction(total, 12)
 
 
 # The last (table, internal order) hmm_product packed, and what it packed.

@@ -7,7 +7,7 @@ fabricate terms.  a(n) = coeffs[n] / den: ints over one positive int den,
 which each builder states (12 for H and H_{m,M}, 2 for the correction
 series, else 1) and no operation reduces, so all arithmetic is int work
 and equality is by value.  f[n] is the exact value, an int where den
-divides it, else a fractions.Fraction, imported on that read.
+divides it, else fraction(c, den), the one (cached) Fraction builder.
 
 Series arithmetic is spelled as functions only: series_add, series_sub,
 series_scale and series_mul.  The coefficient operators act purely on
@@ -35,6 +35,7 @@ it the internal order of the product route hurwitz.hmm_product.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import compress, islice, repeat
 from math import lcm
 from operator import add, mul, sub
@@ -47,6 +48,14 @@ MAX_H_INDEX = 4 * 10**6
 def max_order() -> int:
     """Cap on the product route's internal order, an H index: MAX_H_INDEX."""
     return MAX_H_INDEX
+
+
+@lru_cache(maxsize=4096)
+def fraction(c: int, den: int):
+    """Fraction(c, den), the last 4,096 kept; callers return c // den where
+    den divides c, so no command imports fractions."""
+    from fractions import Fraction  # the package's only import of it
+    return Fraction(c, den)
 
 
 class QSeries:
@@ -73,8 +82,7 @@ class QSeries:
         c = self.coeffs[n]
         if c % self.den == 0:
             return c // self.den
-        from fractions import Fraction  # only here: int values never need it
-        return Fraction(c, self.den)
+        return fraction(c, self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QSeries) or self.order != other.order:
@@ -108,10 +116,9 @@ def series_sub(f: QSeries, g: QSeries) -> QSeries:
     return QSeries(map(sub, numerators(f, den), numerators(g, den)), den)
 
 
-def series_scale(f: QSeries, c: int, den: int = 1) -> QSeries:
-    """(c / den) times f, c an int and den a positive int: the numerators
-    times c, over f.den * den."""
-    return QSeries(map(mul, f.coeffs, repeat(c)), f.den * den)
+def series_scale(f: QSeries, c: int) -> QSeries:
+    """c times f, c an int: the numerators times c, over f.den."""
+    return QSeries(map(mul, f.coeffs, repeat(c)), f.den)
 
 
 def series_mul(f: QSeries, g: QSeries) -> QSeries:

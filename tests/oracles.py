@@ -19,7 +19,9 @@ the denominator a builder chose.
 
 import time
 from fractions import Fraction
+from itertools import repeat
 from math import isqrt
+from operator import mul
 
 import hcn7.hurwitz
 from hcn7.arith import d_pa_series, d_series, psi_7
@@ -363,11 +365,14 @@ def thm35_sides_sieved(m: int, a: int, h, phi, d: QSeries, g: QSeries) -> tuple[
     length and then sieved to class a: the reference for
     verify._thm35_sides([(m, a)], order, ...), which adds each term on class
     a alone, from the same h[m] = hmm_product(m, 7, order), phi[cls], D and G."""
+    def over24(f: QSeries, c: int) -> QSeries:  # c/24 times f, numerators times c
+        return QSeries(map(mul, f.coeffs, repeat(c)), f.den * 24)
+
     extras, c_d, c_g = _THM35_ROWS[(m, a)]
     lhs = QSeries([2 * t for t in h[m]], 24)
     for coeff, cls in extras:
-        lhs = series_add(lhs, series_scale(phi[cls], coeff, 24))
-    rhs = series_add(series_scale(d, c_d, 24), series_scale(g, c_g, 24))
+        lhs = series_add(lhs, over24(phi[cls], coeff))
+    rhs = series_add(over24(d, c_d), over24(g, c_g))
     return op_sieve(lhs, 7, a), op_sieve(rhs, 7, a)
 
 

@@ -4,8 +4,9 @@ math.exp, and no true division: `/` of two ints gives a float, so the
 package divides only by `//` and keeps every rational as an int over a
 known denominator), no knobs (no read of os.environ or os.getenv), no
 dead code (every public top-level function and class is used somewhere
-in the package) and no unused import (every imported name is read in
-its module).
+in the package), no unused import (every imported name is read in its
+module) and one Fraction builder (fractions is imported only inside
+qseries.fraction).
 
 Start-up imports: `import hcn7.cli`, which every hcn7 command pays, loads
 none of dataclasses, inspect, ast, json, fractions, decimal or numbers;
@@ -166,6 +167,43 @@ def test_every_imported_name_is_read():
 )
 def test_unread_import_rule(source, unread):
     assert unread_imports(ast.parse(source)) == unread
+
+
+def fractions_imports(tree: ast.AST, where: str = "<module>") -> list[str]:
+    """The innermost function or class around each import of fractions in
+    tree, "<module>" for one at top level."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "fractions" for a in node.names):
+            found.append(where)
+        elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            found.append(where)
+        scope = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else where
+        found.extend(fractions_imports(node, scope))
+    return found
+
+
+def test_fractions_is_imported_only_by_qseries_fraction():
+    found = [
+        f"{path.stem}.{where}"
+        for path in SOURCES
+        for where in fractions_imports(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == ["qseries.fraction"]
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("import fractions", ["<module>"]),
+        ("from fractions import Fraction as F", ["<module>"]),
+        ("class T:\n    def f(self):\n        from fractions import Fraction", ["f"]),
+        ("def g():\n    if x:\n        import fractions, math", ["g"]),
+        ("from decimal import Decimal\nimport numbers", []),
+    ],
+)
+def test_fractions_import_rule(source, found):
+    assert fractions_imports(ast.parse(source)) == found
 
 
 STARTUP_PROBE = """

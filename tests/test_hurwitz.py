@@ -17,7 +17,7 @@ from hcn7.hurwitz import (
     hurwitz_single,
     twelfths_upto,
 )
-from hcn7.qseries import MAX_H_INDEX, QSeries, op_u, series_mul
+from hcn7.qseries import MAX_H_INDEX, QSeries, fraction, op_u, series_mul
 from oracles import composed_hmm_series, hecke_relations, hk_rhs_oracle, sieve_oracle, sieved, values
 
 # Frozen values, each recomputable by listing reduced forms by hand:
@@ -286,14 +286,14 @@ def test_table_rejects_an_index_over_the_cap_before_it_sieves(monkeypatch):
 
 def sum_of(twelfths):
     """hmm_sum with its kernel hmm_twelfths patched to return n: the
-    division by 12 it makes, and its memo, on any int twelfths."""
+    division by 12 it makes, through qseries.fraction, on any int twelfths."""
     return hmm_sum(0, 1, twelfths)
 
 
 def test_hmm_sum_memo_is_exact_and_an_int_where_integral(monkeypatch):
-    monkeypatch.setattr(hcn7.hurwitz, "_div12_table", hcn7.hurwitz._Div12Table())
+    fraction.cache_clear()
     monkeypatch.setattr(hcn7.hurwitz, "hmm_twelfths", lambda m, M, n: n)
-    for _ in range(2):  # the second pass reads the table
+    for _ in range(2):  # the second pass reads the cache
         for t in range(-50, 5001):  # 12 H(0) = -1 included
             value = sum_of(t)
             assert value == Fraction(t, 12), t
@@ -301,16 +301,21 @@ def test_hmm_sum_memo_is_exact_and_an_int_where_integral(monkeypatch):
 
 
 def test_hmm_sum_memo_stops_at_its_cap_and_stays_exact(monkeypatch):
-    monkeypatch.setattr(hcn7.hurwitz, "_div12_table", hcn7.hurwitz._Div12Table())
+    fraction.cache_clear()
     monkeypatch.setattr(hcn7.hurwitz, "hmm_twelfths", lambda m, M, n: n)
-    cap = hcn7.hurwitz._DIV12_CAP
-    assert cap == 4096
-    twelfths = range(1, 12 * (cap + 500), 12)  # distinct, none a multiple of 12
-    for _ in range(2):
+    twelfths = range(1, 12 * (4096 + 500), 12)  # 4,596 distinct, none a multiple of 12
+    for _ in range(2):  # the second pass misses too: each value was evicted before it recurs
         for t in twelfths:
             value = sum_of(t)
             assert type(value) is Fraction and value == Fraction(t, 12), t
-        assert len(hcn7.hurwitz._div12_table) == cap
+        info = fraction.cache_info()
+        assert (info.maxsize, info.currsize) == (4096, 4096)
+
+
+@pytest.mark.parametrize("t", [-1, 1, 7, 30, 4099])
+def test_hmm_sum_and_a_series_read_share_one_fraction(monkeypatch, t):
+    monkeypatch.setattr(hcn7.hurwitz, "hmm_twelfths", lambda m, M, n: n)
+    assert sum_of(t) is QSeries([t], 12)[0]
 
 
 @pytest.mark.parametrize("grow_to", [0, 2000])

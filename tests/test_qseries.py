@@ -248,8 +248,8 @@ def test_sieve_and_u_examples():
 
 def test_scale_truncate_operators():
     f = QSeries([1, 2, 3, 4])
-    assert values(series_scale(f, 1, 2)) == [Fraction(1, 2), 1, Fraction(3, 2), 2]
-    assert series_scale(QSeries([1, 2], 3), 5, 4) == QSeries([5, 10], 12)
+    assert values(series_scale(f, -3)) == [-3, -6, -9, -12]
+    assert series_scale(QSeries([1, 2], 3), 5) == QSeries([5, 10], 3)  # den kept
     assert op_dilate(f, 1, 1) == QSeries([1, 2])  # q -> q^1 truncates
     with pytest.raises(ValueError):
         op_dilate(f, 1, 9)

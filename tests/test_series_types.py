@@ -109,9 +109,9 @@ def test_hmm_routes_give_ints_exactly_where_integral(M):
 
 def test_scale_keeps_zeros_int():
     f = QSeries([0, 0, 6, 5, -2], 2)  # 0, 0, 3, 5/2, -1
-    for c, d in ((7, 24), (-1, 4), (2, 1), (0, 1)):
-        scaled = series_scale(f, c, d)
-        assert values(scaled) == [Fraction(c, d) * a for a in values(f)]
+    for c in (2, 0):
+        scaled = series_scale(f, c)
+        assert values(scaled) == [c * a for a in values(f)]
         assert all(type(a) is int for a in scaled.coeffs)
         assert type(scaled[0]) is int and type(scaled[1]) is int
     assert [type(a) for a in series_scale(QSeries([0, 3, -2]), 5).coeffs] == [int] * 3
